@@ -53,13 +53,14 @@ use routesync_desim::{Duration, SimTime};
 use routesync_exec::checkpoint::{self, Writer};
 use routesync_exec::interrupt;
 use routesync_netsim::{
-    Advertisement, DvConfig, FaultAction, LinkId, NodeId, NodeKind, RouteEntry, RoutingTable,
-    ScenarioSpec, ScheduledFault, TimerStart,
+    Advertisement, DvConfig, FaultAction, LinkId, NodeId, NodeKind, RoutingTable, ScenarioSpec,
+    ScheduledFault, TimerStart,
 };
 use routesync_obs::{Collector, Counter, DetectorConfig, DetectorSnapshot, Gauge, SyncDetector};
 use routesync_rng::{dist, JitterPolicy, MinStd, TimerResetPolicy};
 
 use crate::backoff::DecorrelatedJitter;
+use crate::poll::Poller;
 use crate::twin::{DivergenceMonitor, TwinTrack};
 
 /// RNG stream index for backoff draws — disjoint from per-node streams
@@ -71,6 +72,8 @@ const LIVE_IMPAIR_STREAM: u64 = 0x11FE_0000;
 /// Twin prediction horizon (simulated seconds) when the daemon itself
 /// has none.
 const DEFAULT_TWIN_HORIZON_SECS: u64 = 7_200;
+/// Wall-clock sleep between two loop ticks.
+const TICK: WallDuration = WallDuration::from_millis(1);
 
 /// Bounded-retry policy for transient send failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +163,9 @@ impl LiveConfig {
 pub enum Outcome {
     /// The simulated clock reached the horizon.
     Completed,
-    /// SIGINT (or [`interrupt::request`]) drained the daemon early; the
-    /// final checkpoint supports resumption.
+    /// SIGINT, [`interrupt::request`] or [`LiveDaemon::request_drain`]
+    /// drained the daemon early; the final checkpoint supports
+    /// resumption.
     Interrupted,
 }
 
@@ -228,6 +232,10 @@ struct LiveRouter {
     ingress: VecDeque<(NodeId, Advertisement)>,
     /// Ingress datagrams shed since the last overload window.
     sheds_since: u32,
+    /// No route or neighbour of this router can time out, and no dead
+    /// route is due for collection, before this instant: route aging
+    /// skips the router until then.
+    age_due: SimTime,
 }
 
 /// A datagram awaiting (re)transmission.
@@ -262,6 +270,9 @@ struct Metrics {
     routes_expired: Counter,
     checkpoint_writes: Counter,
     sim_now: Gauge,
+    loop_ticks: Counter,
+    loop_ready: Counter,
+    age_passes: Counter,
 }
 
 impl Metrics {
@@ -287,6 +298,9 @@ impl Metrics {
             routes_expired: c.counter("live.routes.expired"),
             checkpoint_writes: c.counter("live.checkpoint.writes"),
             sim_now: c.gauge("live.sim_now_ns"),
+            loop_ticks: c.counter("live.loop.ticks"),
+            loop_ready: c.counter("live.loop.ready"),
+            age_passes: c.counter("live.age.passes"),
         }
     }
 }
@@ -317,6 +331,16 @@ pub struct LiveDaemon {
     writer: Option<Writer>,
     sim_base: SimTime,
     rounds: u64,
+    /// Every open adjacency socket, tagged `(router, iface)`.
+    poller: Poller<(usize, usize)>,
+    /// A socket was opened or closed since `poller` was last filled.
+    sockets_changed: bool,
+    /// The sockets the last tick's poll found readable.
+    ready: Vec<(usize, usize)>,
+    /// Receive buffer: one maximal UDP payload.
+    rx_buf: Box<[u8]>,
+    /// Set by [`LiveDaemon::request_drain`].
+    drain_requested: bool,
     m: Metrics,
 }
 
@@ -412,6 +436,7 @@ impl LiveDaemon {
                 crashed: false,
                 ingress: VecDeque::new(),
                 sheds_since: 0,
+                age_due: SimTime::ZERO,
             });
         }
         // Pass 2: connect each socket to its peer's matching endpoint.
@@ -487,6 +512,11 @@ impl LiveDaemon {
             writer: None,
             sim_base: SimTime::ZERO,
             rounds: 0,
+            poller: Poller::default(),
+            sockets_changed: true,
+            ready: Vec::new(),
+            rx_buf: vec![0; 65_535].into_boxed_slice(),
+            drain_requested: false,
             m: Metrics::new(&cfg.collector),
         };
         if let Some(path) = &cfg.checkpoint {
@@ -505,6 +535,12 @@ impl LiveDaemon {
         self.sim_base
     }
 
+    /// Drain this daemon on its next tick, exactly as SIGINT drains
+    /// every daemon in the process.
+    pub fn request_drain(&mut self) {
+        self.drain_requested = true;
+    }
+
     /// Run to the horizon (or until interrupted), then write the final
     /// checkpoint and report.
     pub fn run(&mut self) -> io::Result<LiveReport> {
@@ -516,7 +552,7 @@ impl LiveDaemon {
             let sim_now = self.sim_base.saturating_add(Duration::from_secs_f64(
                 started.elapsed().as_secs_f64() * self.time_scale,
             ));
-            if interrupt::interrupted() {
+            if self.drain_requested || interrupt::interrupted() {
                 self.record_state(sim_now)?;
                 break Outcome::Interrupted;
             }
@@ -528,6 +564,7 @@ impl LiveDaemon {
                 break Outcome::Completed;
             }
             self.m.sim_now.set(sim_now.as_nanos());
+            self.m.loop_ticks.add(1);
             self.apply_faults(sim_now);
             self.pump_recv(sim_now);
             self.process_ingress(sim_now);
@@ -549,7 +586,7 @@ impl LiveDaemon {
                     mon.observe(&snap);
                 }
             }
-            std::thread::sleep(WallDuration::from_millis(1));
+            self.end_tick()?;
         };
         if let Some(mon) = &mut self.monitor {
             mon.observe(&self.detector.snapshot());
@@ -613,6 +650,7 @@ impl LiveDaemon {
             iface.refusal_backoff_ns = 0;
         }
         self.egress.retain(|ps| ps.router != idx);
+        self.sockets_changed = true;
         self.m.faults_crashes.add(1);
     }
 
@@ -661,6 +699,7 @@ impl LiveDaemon {
             iface.refusals = 0;
             iface.refusal_backoff_ns = 0;
         }
+        self.sockets_changed = true;
         let r = &mut self.routers[idx];
         r.crashed = false;
         r.busy_until = sim_now;
@@ -676,6 +715,7 @@ impl LiveDaemon {
     }
 
     fn set_link(&mut self, link: LinkId, up: bool, sim_now: SimTime) {
+        let settle = self.settle_at(sim_now);
         for idx in 0..self.routers.len() {
             let mut changed = false;
             {
@@ -685,6 +725,7 @@ impl LiveDaemon {
                         continue;
                     }
                     r.ifaces[k].up = up;
+                    r.age_due = r.age_due.min(settle);
                     let peer = r.ifaces[k].peer;
                     if up {
                         r.ifaces[k].last_heard = None;
@@ -708,98 +749,138 @@ impl LiveDaemon {
         }
     }
 
-    /// Drain every socket into the bounded ingress queues.
+    /// The earliest aging deadline a table or liveness change made at
+    /// `now` can create: routes and neighbours time out `route_timeout`
+    /// after they were last heard, and dead routes are collected
+    /// `gc_timeout` after they died.
+    fn settle_at(&self, now: SimTime) -> SimTime {
+        now.saturating_add(self.dv.route_timeout.min(self.dv.gc_timeout))
+    }
+
+    /// End the tick: sleep out [`TICK`], then one `poll(2)` names the
+    /// sockets the next tick reads. Waking on readability instead would
+    /// run a tick, and a poll over every socket, per datagram burst.
+    fn end_tick(&mut self) -> io::Result<()> {
+        std::thread::sleep(TICK);
+        if self.sockets_changed {
+            self.sockets_changed = false;
+            self.poller.clear();
+            for (ridx, r) in self.routers.iter().enumerate() {
+                for (k, iface) in r.ifaces.iter().enumerate() {
+                    if let Some(sock) = &iface.sock {
+                        self.poller.register(sock, (ridx, k));
+                    }
+                }
+            }
+        }
+        self.ready.clear();
+        self.poller.wait(WallDuration::ZERO, &mut self.ready)?;
+        self.m.loop_ready.add(self.ready.len() as u64);
+        Ok(())
+    }
+
+    /// Drain the sockets the last poll found readable into the bounded
+    /// ingress queues.
     fn pump_recv(&mut self, sim_now: SimTime) {
-        let mut buf = [0u8; 65_535];
         let ingress_cap = self.ingress_cap;
         let egress_cap = self.egress_cap;
         let max_attempts = self.retry.max_attempts;
+        let settle = self.settle_at(sim_now);
         let LiveDaemon {
             routers,
             impair,
             m,
             egress,
             backoff,
+            ready,
+            rx_buf,
             ..
         } = self;
-        for (ridx, r) in routers.iter_mut().enumerate() {
-            for (k, iface) in r.ifaces.iter_mut().enumerate() {
-                let Some(sock) = &iface.sock else { continue };
-                loop {
-                    match sock.recv(&mut buf) {
-                        Ok(len) => {
-                            m.codec_rx.add(1);
-                            if !iface.up {
-                                continue;
-                            }
-                            if let Some((p, rng)) = impair.get_mut(&iface.link) {
-                                // Receiver-side loss: the wall-clock
-                                // stand-in for the simulator's on-link
-                                // impairment draw.
-                                if dist::unit_f64(rng) < *p {
-                                    m.faults_lost.add(1);
-                                    continue;
-                                }
-                            }
-                            match Advertisement::decode(&buf[..len]) {
-                                Ok(adv) if adv.sender == iface.peer => {
-                                    if iface.timed_out {
-                                        iface.timed_out = false;
-                                        m.neighbor_recoveries.add(1);
-                                    }
-                                    iface.last_heard = Some(sim_now);
-                                    iface.refusals = 0;
-                                    iface.refusal_backoff_ns = 0;
-                                    if r.crashed {
-                                        continue;
-                                    }
-                                    if r.ingress.len() >= ingress_cap {
-                                        r.sheds_since += 1;
-                                        m.shed_ingress.add(1);
-                                    } else {
-                                        r.ingress.push_back((adv.sender, adv));
-                                    }
-                                }
-                                // A frame that decodes but claims the
-                                // wrong sender is as untrustworthy as a
-                                // bad checksum.
-                                Ok(_) | Err(_) => m.codec_malformed.add(1),
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
-                            // The asynchronous ICMP port-unreachable
-                            // bounce from our own earlier send: the peer's
-                            // port is closed (crashed, not yet rebooted).
-                            // Retransmit the refused frame with backoff,
-                            // bounded like any other transient failure.
-                            iface.refusals += 1;
-                            if iface.refusals >= max_attempts {
-                                m.retry_exhausted.add(1);
-                                iface.refusals = 0;
-                                iface.refusal_backoff_ns = 0;
-                            } else if let Some(frame) = iface.last_frame.clone() {
-                                if egress.len() >= egress_cap {
-                                    m.shed_egress.add(1);
-                                } else {
-                                    m.retry_attempts.add(1);
-                                    let delay = backoff.next_delay_ns(iface.refusal_backoff_ns);
-                                    iface.refusal_backoff_ns = delay;
-                                    egress.push_back(PendingSend {
-                                        router: ridx,
-                                        iface: k,
-                                        frame,
-                                        attempts: iface.refusals,
-                                        not_before: Instant::now()
-                                            + WallDuration::from_nanos(delay),
-                                        prev_backoff_ns: delay,
-                                    });
-                                }
-                            }
+        for &(ridx, k) in ready.iter() {
+            let LiveRouter {
+                ifaces,
+                crashed,
+                ingress,
+                sheds_since,
+                age_due,
+                ..
+            } = &mut routers[ridx];
+            let iface = &mut ifaces[k];
+            let Some(sock) = &iface.sock else { continue };
+            loop {
+                match sock.recv(rx_buf) {
+                    Ok(len) => {
+                        m.codec_rx.add(1);
+                        if !iface.up {
                             continue;
                         }
-                        Err(_) => break,
+                        if let Some((p, rng)) = impair.get_mut(&iface.link) {
+                            // Receiver-side loss: the wall-clock
+                            // stand-in for the simulator's on-link
+                            // impairment draw.
+                            if dist::unit_f64(rng) < *p {
+                                m.faults_lost.add(1);
+                                continue;
+                            }
+                        }
+                        match Advertisement::decode(&rx_buf[..len]) {
+                            Ok(adv) if adv.sender == iface.peer => {
+                                if iface.timed_out {
+                                    iface.timed_out = false;
+                                    m.neighbor_recoveries.add(1);
+                                }
+                                iface.last_heard = Some(sim_now);
+                                *age_due = (*age_due).min(settle);
+                                iface.refusals = 0;
+                                iface.refusal_backoff_ns = 0;
+                                if *crashed {
+                                    continue;
+                                }
+                                if ingress.len() >= ingress_cap {
+                                    *sheds_since += 1;
+                                    m.shed_ingress.add(1);
+                                } else {
+                                    ingress.push_back((adv.sender, adv));
+                                }
+                            }
+                            // A frame that decodes but claims the
+                            // wrong sender is as untrustworthy as a
+                            // bad checksum.
+                            Ok(_) | Err(_) => m.codec_malformed.add(1),
+                        }
                     }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
+                        // The asynchronous ICMP port-unreachable
+                        // bounce from our own earlier send: the peer's
+                        // port is closed (crashed, not yet rebooted).
+                        // Retransmit the refused frame with backoff,
+                        // bounded like any other transient failure.
+                        iface.refusals += 1;
+                        if iface.refusals >= max_attempts {
+                            m.retry_exhausted.add(1);
+                            iface.refusals = 0;
+                            iface.refusal_backoff_ns = 0;
+                        } else if let Some(frame) = iface.last_frame.clone() {
+                            if egress.len() >= egress_cap {
+                                m.shed_egress.add(1);
+                            } else {
+                                m.retry_attempts.add(1);
+                                let delay = backoff.next_delay_ns(iface.refusal_backoff_ns);
+                                iface.refusal_backoff_ns = delay;
+                                egress.push_back(PendingSend {
+                                    router: ridx,
+                                    iface: k,
+                                    frame,
+                                    attempts: iface.refusals,
+                                    not_before: Instant::now() + WallDuration::from_nanos(delay),
+                                    prev_backoff_ns: delay,
+                                });
+                            }
+                        }
+                        continue;
+                    }
+                    Err(_) => break,
                 }
             }
         }
@@ -808,6 +889,7 @@ impl LiveDaemon {
     /// Process queued updates while each router's simulated CPU is free;
     /// what stays queued is the backlog that overload shedding watches.
     fn process_ingress(&mut self, sim_now: SimTime) {
+        let settle = self.settle_at(sim_now);
         for idx in 0..self.routers.len() {
             loop {
                 let r = &mut self.routers[idx];
@@ -828,6 +910,7 @@ impl LiveDaemon {
                     self.dv.infinity,
                     self.dv.holddown,
                 );
+                r.age_due = r.age_due.min(settle);
                 if changed && self.dv.triggered_updates {
                     self.send_update(idx, sim_now, true);
                 }
@@ -873,25 +956,24 @@ impl LiveDaemon {
         }
         let r = &mut self.routers[idx];
         r.seq = r.seq.wrapping_add(1);
-        let seq = r.seq;
+        let mut adv = Advertisement {
+            sender: r.id,
+            seq: r.seq,
+            delta: false,
+            entries: Vec::new(),
+        };
         let mut frames = Vec::new();
         for (k, iface) in r.ifaces.iter().enumerate() {
             if !iface.up || iface.sock.is_none() {
                 continue;
             }
-            let mut entries: Vec<RouteEntry> = Vec::new();
+            adv.entries.clear();
             r.table.advertisement_into(
                 &r.link_peers[k],
                 self.dv.split_horizon,
                 self.dv.infinity,
-                &mut entries,
+                &mut adv.entries,
             );
-            let adv = Advertisement {
-                sender: r.id,
-                seq,
-                delta: false,
-                entries,
-            };
             frames.push((k, adv.encode()));
         }
         for (k, frame) in frames {
@@ -912,15 +994,19 @@ impl LiveDaemon {
     }
 
     /// Route aging: per-neighbour liveness via the protocol's route
-    /// timeout, table expiry, and garbage collection.
+    /// timeout, table expiry, and garbage collection — for the routers
+    /// whose next deadline (`age_due`) has come. Before it every check
+    /// would be a no-op.
     fn age_routes(&mut self, sim_now: SimTime) {
         for idx in 0..self.routers.len() {
             let mut changed = false;
             {
                 let r = &mut self.routers[idx];
-                if r.crashed {
+                if r.crashed || r.age_due > sim_now {
                     continue;
                 }
+                self.m.age_passes.add(1);
+                let mut due = SimTime::MAX;
                 for iface in &mut r.ifaces {
                     if !iface.up || iface.timed_out {
                         continue;
@@ -937,6 +1023,13 @@ impl LiveDaemon {
                             sim_now,
                             self.dv.holddown,
                         );
+                    } else {
+                        // Silent for longer than the timeout: one
+                        // nanosecond past it.
+                        let dead_at = heard
+                            .saturating_add(self.dv.route_timeout)
+                            .saturating_add(Duration::from_nanos(1));
+                        due = due.min(dead_at);
                     }
                 }
                 if r.table
@@ -947,6 +1040,11 @@ impl LiveDaemon {
                 }
                 r.table
                     .gc_due(sim_now, self.dv.gc_timeout, self.dv.infinity);
+                r.age_due = due.min(r.table.next_expiry(
+                    self.dv.route_timeout,
+                    self.dv.gc_timeout,
+                    self.dv.infinity,
+                ));
             }
             if changed && self.dv.triggered_updates {
                 self.send_update(idx, sim_now, true);
@@ -1233,6 +1331,48 @@ mod tests {
     }
 
     #[test]
+    fn loop_work_follows_traffic_and_deadlines() {
+        let cfg = fast_cfg("loop", 17);
+        let collector = cfg.collector.clone();
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        d.run().expect("run completes");
+        let c = collector.snapshot().counters;
+        let ticks = c["live.loop.ticks"];
+        assert!(ticks >= 100, "only {ticks} ticks in ~1.2 wall seconds");
+        // Aging every tick would be 2 passes per tick; deadlines come
+        // round about once per route settle time (120 s simulated).
+        let passes = c["live.age.passes"];
+        assert!(passes >= 2, "routers never aged");
+        assert!(passes * 4 < ticks, "{passes} aging passes in {ticks} ticks");
+        // Sockets are read when the poll reports them, not every tick.
+        let ready = c["live.loop.ready"];
+        assert!(ready >= 1 && ready <= c["live.codec.rx"] + c["live.retry.attempts"]);
+    }
+
+    #[test]
+    fn a_silent_neighbor_times_out_on_its_deadline() {
+        use routesync_netsim::FaultPlan;
+        // Router 1 speaks at ~120 s, then dies for good. A zero-slot
+        // ingress queue sheds every advertisement, so router 0's table
+        // holds no route with a timeout: only the neighbour's own
+        // liveness deadline, one route timeout (360 s) after it was last
+        // heard, can declare it dead.
+        let plan = FaultPlan::new().crash_at(1, SimTime::from_secs(130));
+        let spec = ScenarioSpec::lan(2, Duration::from_millis(50)).with_faults(plan);
+        let mut cfg = LiveConfig::new(spec, "test-silent", 9);
+        cfg.time_scale = 600.0;
+        cfg.horizon = SimTime::from_secs(700);
+        cfg.ingress_cap = 0;
+        cfg.twin = false;
+        cfg.collector = Collector::enabled();
+        let collector = cfg.collector.clone();
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        let report = d.run().expect("run completes");
+        assert_eq!(collector.snapshot().counters["live.neighbor.timeouts"], 1);
+        assert_eq!(report.tables[&0].lookup(1, 16), None);
+    }
+
+    #[test]
     fn twin_divergence_stays_small_on_the_same_spec() {
         let mut cfg = fast_cfg("twin", 23);
         cfg.twin = true;
@@ -1343,9 +1483,10 @@ mod tests {
         cfg.horizon = SimTime::MAX;
         cfg.checkpoint = Some(path.clone());
         let mut d = LiveDaemon::new(cfg).expect("daemon boots");
-        interrupt::request();
+        // Not the process-wide SIGINT flag: it would drain every other
+        // daemon this test binary runs concurrently.
+        d.request_drain();
         let report = d.run().expect("drains cleanly");
-        interrupt::reset();
         assert_eq!(report.outcome, Outcome::Interrupted);
         assert!(checkpoint::load(&path).is_ok(), "final checkpoint valid");
         let _ = std::fs::remove_file(&path);

@@ -18,6 +18,8 @@
 //!   CRC-framed checkpoints with byte-identical resume.
 //! * [`backoff`] — decorrelated-jitter retry delays (jittered by
 //!   construction; synchronized retries are the paper's failure mode).
+//! * `poll` — one `poll(2)` per loop tick names the sockets that have
+//!   something to read.
 //! * [`twin`] — the predictive simulation track and the live-vs-twin
 //!   divergence monitor exporting `live.twin.*`.
 //!
@@ -26,6 +28,7 @@
 
 pub mod backoff;
 pub mod daemon;
+mod poll;
 pub mod twin;
 
 pub use backoff::DecorrelatedJitter;

@@ -341,11 +341,12 @@ impl RoutingTable {
         self.dead_since.insert(i, dead_since);
     }
 
-    fn remove_where(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        // In-place parallel compaction across the arenas.
+    /// Keep the entries for which `keep(dst, metric, dead_since)` holds:
+    /// in-place parallel compaction across the arenas, no allocation.
+    fn remove_where(&mut self, mut keep: impl FnMut(NodeId, u32, SimTime) -> bool) {
         let mut w = 0;
         for r in 0..self.dsts.len() {
-            if keep(r) {
+            if keep(self.dsts[r], self.metrics[r], self.dead_since[r]) {
                 if w != r {
                     self.dsts[w] = self.dsts[r];
                     self.metrics[w] = self.metrics[r];
@@ -551,11 +552,7 @@ impl RoutingTable {
     /// Drop every unreachable route immediately.
     pub fn gc(&mut self, infinity: u32) {
         let me = self.me;
-        let dsts = std::mem::take(&mut self.dsts);
-        let metrics = std::mem::take(&mut self.metrics);
-        self.dsts = dsts;
-        self.metrics = metrics;
-        self.remove_where_fields(|dst, metric, _| dst == me || metric < infinity);
+        self.remove_where(|dst, metric, _| dst == me || metric < infinity);
     }
 
     /// Drop unreachable routes that have been dead for at least `grace`
@@ -563,18 +560,35 @@ impl RoutingTable {
     /// for a while so neighbours hear the bad news, then deleted).
     pub fn gc_due(&mut self, now: SimTime, grace: Duration, infinity: u32) {
         let me = self.me;
-        self.remove_where_fields(|dst, metric, dead| {
+        self.remove_where(|dst, metric, dead| {
             dst == me || metric < infinity || !(dead != NOT_DEAD && dead + grace <= now)
         });
     }
 
-    fn remove_where_fields(&mut self, mut keep: impl FnMut(NodeId, u32, SimTime) -> bool) {
-        // Split-borrow helper: evaluate keep() against copies, then
-        // compact.
-        let decisions: Vec<bool> = (0..self.dsts.len())
-            .map(|i| keep(self.dsts[i], self.metrics[i], self.dead_since[i]))
-            .collect();
-        self.remove_where(|i| decisions[i]);
+    /// The earliest instant at which [`RoutingTable::expire`] (with
+    /// `timeout`) or [`RoutingTable::gc_due`] (with `grace`) would change
+    /// the table; [`SimTime::MAX`] if neither ever will. Before it both
+    /// are no-ops, so a caller may skip aging until then. Every later
+    /// change can only add deadlines at least `min(timeout, grace)` after
+    /// the instant it is made.
+    pub fn next_expiry(&self, timeout: Duration, grace: Duration, infinity: u32) -> SimTime {
+        let mut due = SimTime::MAX;
+        for i in 0..self.dsts.len() {
+            let at = if self.dsts[i] == self.me {
+                continue;
+            } else if self.metrics[i] < infinity {
+                if self.last_heard[i] == SimTime::MAX {
+                    continue;
+                }
+                self.last_heard[i].saturating_add(timeout)
+            } else if self.dead_since[i] != NOT_DEAD {
+                self.dead_since[i].saturating_add(grace)
+            } else {
+                continue;
+            };
+            due = due.min(at);
+        }
+        due
     }
 
     /// Next hop towards `dst`, if a live route exists.
@@ -1262,5 +1276,79 @@ mod gc_tests {
         assert_eq!(t.metric(9), Some(16), "grace not yet over");
         t.gc_due(now(321), Duration::from_secs(120), 16);
         assert_eq!(t.metric(9), None);
+    }
+
+    #[test]
+    fn next_expiry_names_the_first_aging_change() {
+        let (timeout, grace) = (Duration::from_secs(180), Duration::from_secs(120));
+        let mut t = RoutingTable::new(0);
+        t.install_direct(1);
+        assert_eq!(t.next_expiry(timeout, grace, 16), SimTime::MAX);
+        t.process_update(1, &[RouteEntry { dst: 8, metric: 1 }], now(1), 16);
+        t.process_update(1, &[RouteEntry { dst: 9, metric: 1 }], now(2), 16);
+        assert_eq!(t.next_expiry(timeout, grace, 16), now(181));
+        // Poisoned at t = 10: garbage collection is due first.
+        t.process_update(1, &[RouteEntry { dst: 9, metric: 16 }], now(10), 16);
+        assert_eq!(t.next_expiry(timeout, grace, 16), now(130));
+        let before = t.clone();
+        t.gc_due(now(129), grace, 16);
+        assert!(!t.expire(now(129), timeout, 16));
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            before.iter().collect::<Vec<_>>()
+        );
+        t.gc_due(now(130), grace, 16);
+        assert_eq!(t.metric(9), None);
+        assert_eq!(t.next_expiry(timeout, grace, 16), now(181));
+        assert!(t.expire(now(181), timeout, 16));
+    }
+
+    /// Aging only when `next_expiry` is due — pulled forward to
+    /// `t + min(timeout, grace)` by any change at `t` — leaves exactly
+    /// the table that aging at every step does.
+    #[test]
+    fn lazy_aging_matches_eager_aging() {
+        let (timeout, grace) = (Duration::from_secs(180), Duration::from_secs(120));
+        let settle = Duration::from_secs(120);
+        for seed in 0..8 {
+            let mut rng = routesync_rng::stream(seed, 0);
+            let mut eager = RoutingTable::new(0);
+            let mut lazy = RoutingTable::new(0);
+            let mut due = SimTime::ZERO;
+            let mut t = SimTime::ZERO;
+            for _ in 0..2_000 {
+                t += Duration::from_millis(1 + routesync_rng::dist::below(&mut rng, 20_000));
+                let from = 1 + routesync_rng::dist::below(&mut rng, 4) as NodeId;
+                if routesync_rng::dist::below(&mut rng, 50) == 0 {
+                    eager.fail_via_with(from, 16, t, None);
+                    lazy.fail_via_with(from, 16, t, None);
+                } else {
+                    let entries: Vec<RouteEntry> = (0..3)
+                        .map(|_| RouteEntry {
+                            dst: 5 + routesync_rng::dist::below(&mut rng, 12) as NodeId,
+                            metric: routesync_rng::dist::below(&mut rng, 17) as u32,
+                        })
+                        .collect();
+                    eager.process_update(from, &entries, t, 16);
+                    lazy.process_update(from, &entries, t, 16);
+                }
+                due = due.min(t.saturating_add(settle));
+                // The next step's clock: age both tables there.
+                let at = t + Duration::from_millis(routesync_rng::dist::below(&mut rng, 400_000));
+                eager.expire(at, timeout, 16);
+                eager.gc_due(at, grace, 16);
+                if at >= due {
+                    lazy.expire(at, timeout, 16);
+                    lazy.gc_due(at, grace, 16);
+                    due = lazy.next_expiry(timeout, grace, 16);
+                }
+                assert_eq!(
+                    eager.iter().collect::<Vec<_>>(),
+                    lazy.iter().collect::<Vec<_>>(),
+                    "seed {seed} at {at}"
+                );
+                t = at;
+            }
+        }
     }
 }

@@ -163,13 +163,13 @@ pub fn forwarding(cfg: &Config) -> Outcome {
     };
     // The two arms are independent simulations — run them through the
     // deterministic parallel runner.
-    let arms = routesync_core::experiment::parallel_map(
-        &[
-            ForwardingMode::BlockedDuringUpdates,
-            ForwardingMode::Concurrent,
-        ],
-        |&mode| loss(mode),
-    );
+    let arms = routesync_exec::Ensemble::new(&[
+        ForwardingMode::BlockedDuringUpdates,
+        ForwardingMode::Concurrent,
+    ])
+    .threads(cfg.threads)
+    .run(|| (), |_, _, _, &mode| loss(mode))
+    .into_values();
     let (blocked, concurrent) = (arms[0], arms[1]);
     let file = write_csv(
         cfg,

@@ -30,10 +30,10 @@
 //! * `thread_sweep` — both engines at 1/2/4/8 workers with per-thread
 //!   speedups; `effective_cores` says how many of those workers can
 //!   actually run at once on this host.
-//! * `supervision.overhead_pct` — relative cost of routing the same
-//!   ensemble through the supervised executor
-//!   (`routesync_exec::run_many_supervised`), after asserting the outputs
-//!   are identical. Target: under 2%.
+//! * `supervision.overhead_pct` — relative cost of configuring limits
+//!   (a watchdog and a deadline that never trip) on the same ensemble
+//!   through `routesync_exec::Ensemble`, after asserting the outputs are
+//!   identical. Target: under 2%.
 //! * `phenomena` — events/second through each related-literature model
 //!   (cascade rollback, two-type clocks, anonymous pulse sync), timed at
 //!   the deterministic knob and at its jittered counterpart.
@@ -53,8 +53,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use routesync_core::{
-    experiment, BatchedEngine, EnsembleEngine, FastModel, NullRecorder, PeriodicModel,
-    PeriodicParams, ScalarEngine, StartState,
+    experiment, Engine, FastModel, NullRecorder, PeriodicModel, PeriodicParams, StartState,
 };
 use routesync_desim::{Duration, SimTime};
 use routesync_phenomena::{
@@ -136,7 +135,7 @@ struct BatchedSection {
 }
 
 /// One thread count of the ensemble thread sweep: both engines through
-/// `routesync_exec`'s chunked work-stealing map, speedups relative to the
+/// `routesync_exec::Ensemble` (per-item claiming), speedups relative to the
 /// engine's own single-thread wall.
 #[derive(Serialize)]
 struct ThreadSweepEntry {
@@ -148,11 +147,11 @@ struct ThreadSweepEntry {
     outputs_identical: bool,
 }
 
-/// Supervised-executor benchmark: the parallel ensemble leg run through
-/// the plain runner and through `run_many_supervised` (panic boundary +
-/// quarantine bookkeeping, no guards), interleaved best-of reps, with
-/// the simulation outputs asserted identical. The supervision layer's
-/// target is <2% overhead on this hot path.
+/// Supervision benchmark: the parallel ensemble leg run through
+/// `Ensemble` with no limits (`unsupervised`) and with a watchdog and a
+/// deadline configured that never trip (`supervised`), interleaved
+/// best-of reps, with the simulation outputs asserted identical. The
+/// limits' target is <2% overhead on this hot path.
 #[derive(Serialize)]
 struct SupervisionSection {
     unsupervised_wall_secs: f64,
@@ -474,11 +473,11 @@ fn main() {
     let parallel_speedup = serial_wall / parallel_wall;
 
     // --- batched SoA kernel vs scalar ------------------------------------
-    // The same ensemble workload through both `EnsembleEngine`
-    // implementations at one thread, so the ratio isolates the kernel
-    // (SoA layout, two-smallest pass, branch-light burst phases) from
-    // parallelism. Interleaved best-of reps cancel frequency drift;
-    // outputs are compared before any throughput is believed.
+    // The same ensemble workload through both engines at one thread, so
+    // the ratio isolates the kernel (SoA layout, two-smallest pass,
+    // branch-light burst phases) from parallelism. Interleaved best-of
+    // reps cancel frequency drift; outputs are compared before any
+    // throughput is believed.
     let batch_seeds: Vec<u64> = (0..if fast { 64 } else { 256 }).collect();
     let batch_width = routesync_core::batch::DEFAULT_WIDTH;
     let run_engine = |engine: &dyn Fn(usize) -> Vec<(u64, u64, u64)>, threads: usize| {
@@ -486,8 +485,9 @@ fn main() {
         let out = engine(threads);
         (out, t0.elapsed().as_secs_f64())
     };
-    let scalar_engine = |threads: usize| {
-        ScalarEngine.run_cells(
+    let engine_run = |engine: Engine, threads: usize| {
+        experiment::run_ensemble(
+            engine,
             paper_params(n),
             &StartState::Unsynchronized,
             &batch_seeds,
@@ -497,17 +497,8 @@ fn main() {
             |out, _| (out.seed, out.sends, out.now.as_nanos()),
         )
     };
-    let batched_engine = |threads: usize| {
-        BatchedEngine::with_width(batch_width).run_cells(
-            paper_params(n),
-            &StartState::Unsynchronized,
-            &batch_seeds,
-            ens_horizon,
-            threads,
-            |_| NullRecorder,
-            |out, _| (out.seed, out.sends, out.now.as_nanos()),
-        )
-    };
+    let scalar_engine = |threads: usize| engine_run(Engine::Scalar, threads);
+    let batched_engine = |threads: usize| engine_run(Engine::Batched, threads);
     let reps = if fast { 3 } else { 5 };
     scalar_engine(1); // warm-up
     let mut scalar_wall = f64::INFINITY;
@@ -539,8 +530,8 @@ fn main() {
     };
 
     // --- ensemble thread sweep -------------------------------------------
-    // Both engines at 1/2/4/8 workers through `par_map_indexed`'s chunked
-    // work stealing. Speedups are relative to the engine's own
+    // Both engines at 1/2/4/8 workers through the ensemble runner's
+    // per-item claiming. Speedups are relative to the engine's own
     // single-thread wall (measured above), outputs asserted identical to
     // the serial reference at every thread count. On boxes with fewer
     // cores than workers the extra threads just time-slice; the CI gate
@@ -615,56 +606,40 @@ fn main() {
     let overhead_pct = (enabled_wall - disabled_wall) / disabled_wall * 100.0;
 
     // --- supervision overhead --------------------------------------------
-    // The same ensemble leg through the plain runner and through the
-    // supervised executor (panic boundary + quarantine bookkeeping, no
-    // guards configured). Reps interleave plain/supervised best-of for
-    // the same drift-cancellation reason as the obs legs, and the
-    // simulation outputs are asserted identical. Target: <2% overhead.
-    let sup_cfg = routesync_exec::SuperviseConfig {
-        heed_interrupt: false,
-        ..routesync_exec::SuperviseConfig::new()
-    };
+    // The same ensemble leg through the one runner twice: once with no
+    // limits, once with a watchdog and a wall-clock deadline configured
+    // (set far beyond what any cell reaches, so neither ever trips), each
+    // cell charging its sends to the watchdog. Reps interleave the legs
+    // best-of for the same drift-cancellation reason as the obs legs, and
+    // the simulation outputs are asserted identical. Target: <2% overhead.
+    let limits = routesync_exec::SuperviseConfig::default()
+        .with_watchdog_steps(u64::MAX / 2)
+        .with_deadline(std::time::Duration::from_secs(24 * 3600));
     // Long enough that per-cell supervision bookkeeping (a catch_unwind
     // frame and a few branches) is measured against real work, not
     // against scheduler noise — a too-short leg turns the percentage
     // into a coin flip.
     let sup_horizon = SimTime::from_secs(if fast { 400_000 } else { 1_000_000 });
-    let run_plain = || {
+    let run_leg = |limits: routesync_exec::SuperviseConfig| {
         let t0 = Instant::now();
-        let out = routesync_exec::run_many(
-            &seeds,
-            Some(threads),
-            || FastModel::new(paper_params(n), StartState::Unsynchronized, 0),
-            |m, seed| {
-                m.reset(&StartState::Unsynchronized, seed);
-                let mut rec = CountSends::default();
-                let end = m.run(sup_horizon, &mut rec);
-                (rec.0, end.as_nanos())
-            },
-        );
+        let out = routesync_exec::Ensemble::new(&seeds)
+            .threads(threads)
+            .limits(limits)
+            .run(
+                || FastModel::new(paper_params(n), StartState::Unsynchronized, 0),
+                |m, ctx, _i, &seed| {
+                    m.reset(&StartState::Unsynchronized, seed);
+                    let mut rec = CountSends::default();
+                    let end = m.run(sup_horizon, &mut rec);
+                    ctx.ticks(rec.0);
+                    (rec.0, end.as_nanos())
+                },
+            )
+            .into_values();
         (out, t0.elapsed().as_secs_f64())
     };
-    let run_supervised = || {
-        let t0 = Instant::now();
-        let out = routesync_exec::run_many_supervised(
-            &seeds,
-            Some(threads),
-            &sup_cfg,
-            || FastModel::new(paper_params(n), StartState::Unsynchronized, 0),
-            |m, _ctx, seed| {
-                m.reset(&StartState::Unsynchronized, seed);
-                let mut rec = CountSends::default();
-                let end = m.run(sup_horizon, &mut rec);
-                (rec.0, end.as_nanos())
-            },
-        );
-        let results: Vec<(u64, u64)> = out
-            .results
-            .iter()
-            .map(|r| *r.done().expect("bench ensemble never quarantines"))
-            .collect();
-        (results, t0.elapsed().as_secs_f64())
-    };
+    let run_plain = || run_leg(routesync_exec::SuperviseConfig::default());
+    let run_supervised = || run_leg(limits.clone());
     let mut plain_wall = f64::INFINITY;
     let mut supervised_wall = f64::INFINITY;
     let mut plain_out = Vec::new();
@@ -680,7 +655,7 @@ fn main() {
     }
     assert_eq!(
         plain_out, supervised_out,
-        "supervised ensemble diverged from the plain runner"
+        "ensemble with limits diverged from the one without"
     );
     let supervision = SupervisionSection {
         unsupervised_wall_secs: plain_wall,

@@ -9,8 +9,8 @@
 //! CSVs land in `results/`; each experiment prints an ASCII rendering and
 //! a PASS/FAIL shape check against the paper's qualitative claims.
 //!
-//! Each experiment runs under the supervised boundary
-//! (`routesync_exec::supervise`): a panicking figure is quarantined with
+//! Each experiment runs as a one-cell supervised ensemble
+//! (`routesync_exec::Ensemble`): a panicking figure is quarantined with
 //! a reproducer while the remaining figures still run, `--deadline-secs`
 //! bounds the whole batch (figures not started before the deadline are
 //! quarantined, not silently skipped), and `--resume=CKPT` streams each
@@ -18,8 +18,7 @@
 //! `all` run picks up where it left off. See `docs/RESILIENCE.md`.
 
 use routesync_bench::{run, Config, ALL};
-use routesync_exec::supervise::{RunFailure, SuperviseConfig};
-use routesync_exec::{checkpoint, interrupt};
+use routesync_exec::{checkpoint, interrupt, Ensemble, Quarantine, RunFailure, SuperviseConfig};
 
 const USAGE: &str = "\
 usage: experiments [--fast] [--seed=N] [--out=DIR] [--threads=N]
@@ -42,7 +41,9 @@ fn main() {
     let mut obs_folded: Option<String> = None;
     let mut resume_path: Option<String> = None;
     let mut quarantine_out: Option<String> = None;
-    let mut sup = SuperviseConfig::new();
+    // Figures run one at a time; this loop checks for Ctrl-C between
+    // them, so the per-figure ensemble leaves interrupts alone.
+    let mut sup = SuperviseConfig::default();
     let mut batch_deadline: Option<f64> = None;
     let mut usage_error = false;
     args.retain(|a| match a.as_str() {
@@ -79,10 +80,15 @@ fn main() {
             false
         }
         _ if a.starts_with("--threads=") => {
-            // The parallel runner reads this env var everywhere a figure
-            // fans out (see routesync_exec::resolve_threads); results are
-            // identical at any thread count.
-            std::env::set_var("ROUTESYNC_THREADS", &a["--threads=".len()..]);
+            // Every ensemble a figure fans out runs on this many workers;
+            // results are identical at any thread count.
+            match a["--threads=".len()..].parse::<usize>() {
+                Ok(n) if n > 0 => cfg.threads = n,
+                _ => {
+                    eprintln!("experiments: --threads must be a positive integer");
+                    usage_error = true;
+                }
+            }
             false
         }
         _ if a.starts_with("--resume=") => {
@@ -212,7 +218,7 @@ fn main() {
             .map(|limit| batch_start.elapsed().as_secs_f64() > limit)
             .unwrap_or(false);
         let outcome = if deadline_blown {
-            Err(routesync_exec::supervise::Quarantine {
+            Err(Quarantine {
                 index: 0,
                 failure: RunFailure::Deadline {
                     limit_secs: batch_deadline.unwrap_or(0.0),
@@ -221,10 +227,18 @@ fn main() {
             })
         } else {
             let started = std::time::Instant::now();
-            routesync_exec::supervise_unit(&sup, &reproducer, |_ctx| {
-                let outcome = run(id, &cfg);
-                (outcome.report(), outcome.passed(), started.elapsed())
-            })
+            Ensemble::new(&[id])
+                .limits(sup.clone())
+                .describe(|_, _| reproducer.clone())
+                .run(
+                    || (),
+                    |(), _ctx, _, &id| {
+                        let outcome = run(id, &cfg);
+                        (outcome.report(), outcome.passed(), started.elapsed())
+                    },
+                )
+                .into_result()
+                .map(|mut single| single.remove(0))
         };
         match outcome {
             Ok((report, passed, took)) => {

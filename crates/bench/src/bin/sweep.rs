@@ -27,8 +27,8 @@
 //! the paper's reference configuration unless overridden by --n/--tp/
 //! --tc/--tr. Output is CSV on stdout.
 //!
-//! Every `(grid point, seed)` cell runs under the **supervised**
-//! executor (`routesync_exec::supervise`): a panicking, watchdog-tripped
+//! Every `(grid point, seed)` cell runs as a **supervised** ensemble
+//! cell (`routesync_exec::Ensemble`): a panicking, watchdog-tripped
 //! or deadline-blown cell is quarantined with its reproducer while the
 //! rest of the sweep completes, and its seeds are *explicitly censored*
 //! from the per-point means (censoring is reported on stderr and, with
@@ -43,8 +43,9 @@ use std::sync::Mutex;
 
 use routesync_core::{PeriodicParams, Recorder, StartState};
 use routesync_desim::{Duration, SimTime};
-use routesync_exec::supervise::{CellResult, Quarantine, RunCtx, SuperviseConfig};
-use routesync_exec::{checkpoint, interrupt};
+use routesync_exec::{
+    checkpoint, interrupt, CellResult, Ensemble, Quarantine, RunCtx, SuperviseConfig,
+};
 use routesync_markov::{ChainParams, PeriodicChain};
 
 const USAGE: &str = "\
@@ -62,8 +63,8 @@ usage: sweep [--param tr|tc|tp|n] [--from X] [--to X] [--steps K]
              (default: fraction)
   --engine   simulation engine for the sync-time metric (default: scalar;
              batched uses the SoA block kernel — trace-identical output)
-  --threads  worker threads for simulated metrics (default: all cores;
-             honours the ROUTESYNC_THREADS env var when unset)
+  --threads  worker threads for simulated metrics, at least 1 (default:
+             all cores; honours the ROUTESYNC_THREADS env var when unset)
   --obs      enable instrumentation and write a metrics snapshot
              (counters, gauges, histograms, spans, trace) to PATH.json
   --serve-obs   enable instrumentation and serve it over HTTP on ADDR
@@ -146,6 +147,17 @@ fn flag(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A numeric flag's value, `default` when absent; a value that does not
+/// parse is a usage error, never a silent fallback.
+fn num_flag<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
+    match flag(args, key) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("--{key}: `{v}` is not a valid number"))),
+    }
+}
+
 /// One unit of supervised sweep work: a `(grid point, seed)` cell.
 struct Cell {
     /// Checkpoint key, stable across runs and thread counts.
@@ -222,39 +234,25 @@ fn main() {
         }
     });
     let param = flag(&args, "param").unwrap_or_else(|| "tr".into());
-    let from: f64 = flag(&args, "from")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05);
-    let to: f64 = flag(&args, "to")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.5);
-    let steps: usize = flag(&args, "steps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
-        .max(2);
+    let from: f64 = num_flag(&args, "from", 0.05);
+    let to: f64 = num_flag(&args, "to", 0.5);
+    let steps: usize = num_flag::<usize>(&args, "steps", 10).max(2);
     let metric = flag(&args, "metric").unwrap_or_else(|| "fraction".into());
-    let f2: f64 = flag(&args, "f2")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(19.0);
-    let horizon: f64 = flag(&args, "horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2e6);
-    let n_seeds: u64 = flag(&args, "seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let threads =
-        routesync_exec::resolve_threads(flag(&args, "threads").and_then(|v| v.parse().ok()));
+    let f2: f64 = num_flag(&args, "f2", 19.0);
+    let horizon: f64 = num_flag(&args, "horizon", 2e6);
+    let n_seeds: u64 = num_flag(&args, "seeds", 3);
+    let threads = match flag(&args, "threads") {
+        None => routesync_exec::resolve_threads(None),
+        Some(_) => match num_flag::<usize>(&args, "threads", 0) {
+            0 => usage_error("--threads must be a positive integer"),
+            n => n,
+        },
+    };
     let base = ChainParams {
-        n: flag(&args, "n").and_then(|v| v.parse().ok()).unwrap_or(20),
-        tp: flag(&args, "tp")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(121.0),
-        tc: flag(&args, "tc")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.11),
-        tr: flag(&args, "tr")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.1),
+        n: num_flag(&args, "n", 20),
+        tp: num_flag(&args, "tp", 121.0),
+        tc: num_flag(&args, "tc", 0.11),
+        tr: num_flag(&args, "tr", 0.1),
     };
     if !matches!(
         metric.as_str(),
@@ -366,14 +364,11 @@ fn main() {
         .collect();
     let metric_ref = metric.as_str();
     let describe = |_i: usize, cell: &&Cell| reproducer_line(metric_ref, &param, cell, horizon);
-    let outcome = routesync_exec::supervise_map_with_sink(
-        &pending,
-        threads,
-        &cfg,
-        || (),
-        |(), ctx, _i, cell: &&Cell| run_cell(metric_ref, engine, cell, f2, horizon, ctx),
-        describe,
-        |i, finished: Result<&CellValue, &Quarantine>| {
+    let outcome = Ensemble::new(&pending)
+        .threads(threads)
+        .limits(cfg)
+        .describe(describe)
+        .sink(|i, finished: Result<&CellValue, &Quarantine>| {
             if let Some(writer) = &writer {
                 let value = match finished {
                     Ok(v) => v.encode(),
@@ -384,8 +379,11 @@ fn main() {
                     eprintln!("sweep: checkpoint append failed: {e}");
                 }
             }
-        },
-    );
+        })
+        .run(
+            || (),
+            |(), ctx, _i, cell: &&Cell| run_cell(metric_ref, engine, cell, f2, horizon, ctx),
+        );
 
     if outcome.interrupted {
         if let Some(writer) = &writer {

@@ -12,6 +12,9 @@ pub struct Config {
     pub seed: u64,
     /// Shrink horizons/repetitions for smoke runs (CI and `cargo test`).
     pub fast: bool,
+    /// Worker threads for every ensemble a figure fans out. Results are
+    /// identical at any count.
+    pub threads: usize,
 }
 
 impl Default for Config {
@@ -20,6 +23,7 @@ impl Default for Config {
             out_dir: PathBuf::from("results"),
             seed: 1993,
             fast: false,
+            threads: routesync_exec::resolve_threads(None),
         }
     }
 }
@@ -154,6 +158,7 @@ mod tests {
             out_dir: std::env::temp_dir().join("routesync-bench-test"),
             seed: 1,
             fast: true,
+            threads: 1,
         };
         let p = write_csv(&cfg, "t.csv", "a,b", vec!["1,2".to_string()]);
         let s = std::fs::read_to_string(&p).expect("read back");

@@ -581,58 +581,64 @@ pub fn stationary(cfg: &Config) -> Outcome {
     // work fanned out over the deterministic parallel runner (per-k rng
     // streams keep the output identical at any thread count).
     let ks: Vec<usize> = (10..=40).collect();
-    let points = routesync_core::experiment::parallel_map(&ks, |&k| {
-        let tr = k as f64 * 0.1 * base.tc;
-        let chain = PeriodicChain::new(base.with_tr(tr));
-        let frac_fg = chain.fraction_unsynchronized(0.0);
-        // Stationary mass on "unsynchronized" states (largest cluster < 4
-        // — essentially no synchronization).
-        let frac_pi = chain.birth_death().stationary().map(|pi| {
-            // p_{1,2} is a free parameter (0 in this chain); state 1 is
-            // absorbing upward, so measure mass below cluster 4 among
-            // states 2..N instead (conditional stationary shape).
-            let total: f64 = pi[2..].iter().sum();
-            if total > 0.0 {
-                pi[2..4.min(pi.len())].iter().sum::<f64>() / total
-            } else {
-                f64::NAN
-            }
-        });
-        // Direct Monte-Carlo of the chain, with the free parameter
-        // p_{1,2} = 1/f(2) installed so state 1 is not absorbing. Only in
-        // the band where f(N) is small enough to simulate.
-        let f2 = 19.0;
-        let exact = chain.f(f2)[base.n];
-        let mc = if (10..=18).contains(&k) && exact.is_finite() && exact < 2.0e5 {
-            let bd = chain.birth_death();
-            let mut p_up: Vec<f64> = (0..=base.n).map(|i| bd.p_up(i)).collect();
-            let p_down: Vec<f64> = (0..=base.n).map(|i| bd.p_down(i)).collect();
-            p_up[1] = 1.0 / f2;
-            let sim_chain = routesync_markov::BirthDeath::new(p_up, p_down);
-            let mut rng = routesync_rng::stream(cfg.seed, k as u64);
-            let runs = if cfg.fast { 3 } else { 8 };
-            let cap = 20_000_000u64;
-            let mut total = 0u64;
-            let mut ok = 0u32;
-            for _ in 0..runs {
-                if let Some(steps) = sim_chain.simulate_hitting(1, base.n, &mut rng, cap) {
-                    total += steps;
-                    ok += 1;
-                }
-            }
-            (ok > 0).then(|| total as f64 / ok as f64)
-        } else {
-            None
-        };
-        let off = mc.map(|mc| !(0.2..=5.0).contains(&(mc / exact)));
-        let row = format!(
-            "{:.1},{frac_fg},{},{},{exact}",
-            tr / base.tc,
-            frac_pi.unwrap_or(f64::NAN),
-            mc.map(|m| m.to_string()).unwrap_or_else(|| "NA".into()),
-        );
-        (row, off)
-    });
+    let points = routesync_exec::Ensemble::new(&ks)
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &k| {
+                let tr = k as f64 * 0.1 * base.tc;
+                let chain = PeriodicChain::new(base.with_tr(tr));
+                let frac_fg = chain.fraction_unsynchronized(0.0);
+                // Stationary mass on "unsynchronized" states (largest cluster < 4
+                // — essentially no synchronization).
+                let frac_pi = chain.birth_death().stationary().map(|pi| {
+                    // p_{1,2} is a free parameter (0 in this chain); state 1 is
+                    // absorbing upward, so measure mass below cluster 4 among
+                    // states 2..N instead (conditional stationary shape).
+                    let total: f64 = pi[2..].iter().sum();
+                    if total > 0.0 {
+                        pi[2..4.min(pi.len())].iter().sum::<f64>() / total
+                    } else {
+                        f64::NAN
+                    }
+                });
+                // Direct Monte-Carlo of the chain, with the free parameter
+                // p_{1,2} = 1/f(2) installed so state 1 is not absorbing. Only in
+                // the band where f(N) is small enough to simulate.
+                let f2 = 19.0;
+                let exact = chain.f(f2)[base.n];
+                let mc = if (10..=18).contains(&k) && exact.is_finite() && exact < 2.0e5 {
+                    let bd = chain.birth_death();
+                    let mut p_up: Vec<f64> = (0..=base.n).map(|i| bd.p_up(i)).collect();
+                    let p_down: Vec<f64> = (0..=base.n).map(|i| bd.p_down(i)).collect();
+                    p_up[1] = 1.0 / f2;
+                    let sim_chain = routesync_markov::BirthDeath::new(p_up, p_down);
+                    let mut rng = routesync_rng::stream(cfg.seed, k as u64);
+                    let runs = if cfg.fast { 3 } else { 8 };
+                    let cap = 20_000_000u64;
+                    let mut total = 0u64;
+                    let mut ok = 0u32;
+                    for _ in 0..runs {
+                        if let Some(steps) = sim_chain.simulate_hitting(1, base.n, &mut rng, cap) {
+                            total += steps;
+                            ok += 1;
+                        }
+                    }
+                    (ok > 0).then(|| total as f64 / ok as f64)
+                } else {
+                    None
+                };
+                let off = mc.map(|mc| !(0.2..=5.0).contains(&(mc / exact)));
+                let row = format!(
+                    "{:.1},{frac_fg},{},{},{exact}",
+                    tr / base.tc,
+                    frac_pi.unwrap_or(f64::NAN),
+                    mc.map(|m| m.to_string()).unwrap_or_else(|| "NA".into()),
+                );
+                (row, off)
+            },
+        )
+        .into_values();
     let mut rows = Vec::new();
     let mut disagreements = 0usize;
     let mut compared = 0usize;

@@ -220,40 +220,46 @@ fn sweep(
     let base = PeriodicParams::paper_reference();
     // (Tr multiple, first-passage seconds, cluster-graph rows)
     type SweepRow = (f64, Option<f64>, Vec<(u64, f64, u32)>);
-    let results: Vec<SweepRow> = routesync_core::experiment::parallel_map(multiples, |&mult| {
-        let params = with_tr(base, tr_multiple(&base, mult));
-        // Unsynchronized starts measure first passage *up* to N;
-        // synchronized starts measure first passage *down* to 1.
-        // The burst-based fast engine (equivalence-tested against the
-        // event engine) makes the 10^7-second sweeps cheap.
-        let mut fast = routesync_core::FastModel::new(params, start.clone(), cfg.seed);
-        let (rounds, passage): (RoundMax, Option<f64>) = match start {
-            StartState::Unsynchronized => {
-                let mut rec = (
-                    RoundMax::new(),
-                    routesync_core::FirstPassageUp::new(params.n),
-                );
-                fast.run(SimTime::from_secs_f64(horizon_s), &mut rec);
-                let p = rec.1.first(params.n).map(|(t, _)| t.as_secs_f64());
-                (rec.0, p)
-            }
-            _ => {
-                let mut rec = (
-                    RoundMax::new(),
-                    routesync_core::FirstPassageDown::new(params.n, 1),
-                );
-                fast.run(SimTime::from_secs_f64(horizon_s), &mut rec);
-                let p = rec.1.first(1).map(|(t, _)| t.as_secs_f64());
-                (rec.0, p)
-            }
-        };
-        let series: Vec<(u64, f64, u32)> = rounds
-            .series()
-            .iter()
-            .map(|&(r, t, m)| (r, t.as_secs_f64(), m))
-            .collect();
-        (mult, passage, series)
-    });
+    let results: Vec<SweepRow> = routesync_exec::Ensemble::new(multiples)
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &mult| {
+                let params = with_tr(base, tr_multiple(&base, mult));
+                // Unsynchronized starts measure first passage *up* to N;
+                // synchronized starts measure first passage *down* to 1.
+                // The burst-based fast engine (equivalence-tested against the
+                // event engine) makes the 10^7-second sweeps cheap.
+                let mut fast = routesync_core::FastModel::new(params, start.clone(), cfg.seed);
+                let (rounds, passage): (RoundMax, Option<f64>) = match start {
+                    StartState::Unsynchronized => {
+                        let mut rec = (
+                            RoundMax::new(),
+                            routesync_core::FirstPassageUp::new(params.n),
+                        );
+                        fast.run(SimTime::from_secs_f64(horizon_s), &mut rec);
+                        let p = rec.1.first(params.n).map(|(t, _)| t.as_secs_f64());
+                        (rec.0, p)
+                    }
+                    _ => {
+                        let mut rec = (
+                            RoundMax::new(),
+                            routesync_core::FirstPassageDown::new(params.n, 1),
+                        );
+                        fast.run(SimTime::from_secs_f64(horizon_s), &mut rec);
+                        let p = rec.1.first(1).map(|(t, _)| t.as_secs_f64());
+                        (rec.0, p)
+                    }
+                };
+                let series: Vec<(u64, f64, u32)> = rounds
+                    .series()
+                    .iter()
+                    .map(|&(r, t, m)| (r, t.as_secs_f64(), m))
+                    .collect();
+                (mult, passage, series)
+            },
+        )
+        .into_values();
     let mut files = Vec::new();
     let mut rendering = String::new();
     for (mult, _, series) in &results {

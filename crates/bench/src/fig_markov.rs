@@ -1,6 +1,6 @@
 //! Figures 9-15: the Markov-chain analysis, with simulation cross-checks.
 
-use routesync_core::{experiment, PeriodicParams};
+use routesync_core::{experiment, PeriodicParams, StartState};
 use routesync_desim::Duration;
 use routesync_markov::paper::{f_recursion, g_recursion, TDef};
 use routesync_markov::{ChainParams, PeriodicChain};
@@ -91,7 +91,13 @@ pub fn fig10(cfg: &Config) -> Outcome {
     let runs = if cfg.fast { 8 } else { 20 };
     let seeds: Vec<u64> = (0..runs).map(|k| cfg.seed + k).collect();
     let horizon = 2.0e6;
-    let profiles = experiment::parallel_passage_up(core_params(20, 0.1), &seeds, horizon);
+    let profiles = experiment::run_many(
+        core_params(20, 0.1),
+        StartState::Unsynchronized,
+        &seeds,
+        cfg.threads,
+        |model, _| experiment::passage_up_profile(model, horizon),
+    );
     let avg = experiment::average_profiles(profiles);
     let file = write_csv(
         cfg,
@@ -154,7 +160,13 @@ pub fn fig11(cfg: &Config) -> Outcome {
     let runs = if cfg.fast { 4 } else { 20 };
     let seeds: Vec<u64> = (0..runs).map(|k| cfg.seed + k).collect();
     let horizon = if cfg.fast { 5.0e5 } else { 4.0e6 };
-    let profiles = experiment::parallel_passage_down(core_params(20, 0.3), &seeds, horizon);
+    let profiles = experiment::run_many(
+        core_params(20, 0.3),
+        StartState::Synchronized,
+        &seeds,
+        cfg.threads,
+        |model, _| experiment::passage_down_profile(model, horizon),
+    );
     let avg = experiment::average_profiles(profiles);
     let file = write_csv(
         cfg,
@@ -236,31 +248,41 @@ pub fn fig12(cfg: &Config) -> Outcome {
     // "+" (synchronized starts), at the Tr values where a simulation can
     // finish: low-Tr sync times and high-Tr break-up times.
     let horizon = if cfg.fast { 3.0e5 } else { 3.0e6 };
-    let sim_sync: Vec<(f64, f64)> =
-        routesync_core::experiment::parallel_map(&[0.6f64, 0.8, 1.0], |&m| {
-            let p = core_params(20, m * base.tc);
-            let mut model = routesync_core::FastModel::new(
-                p,
-                routesync_core::StartState::Unsynchronized,
-                cfg.seed,
-            );
-            let r = model.run_until_synchronized(horizon);
-            (m, r.at_secs)
-        })
+    let sim_sync: Vec<(f64, f64)> = routesync_exec::Ensemble::new(&[0.6f64, 0.8, 1.0])
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &m| {
+                let p = core_params(20, m * base.tc);
+                let mut model = routesync_core::FastModel::new(
+                    p,
+                    routesync_core::StartState::Unsynchronized,
+                    cfg.seed,
+                );
+                let r = model.run_until_synchronized(horizon);
+                (m, r.at_secs)
+            },
+        )
+        .into_values()
         .into_iter()
         .filter_map(|(m, s)| s.map(|s| (m, s.log10())))
         .collect();
-    let sim_break: Vec<(f64, f64)> =
-        routesync_core::experiment::parallel_map(&[2.5f64, 2.8, 3.5, 4.0], |&m| {
-            let p = core_params(20, m * base.tc);
-            let mut model = routesync_core::PeriodicModel::new(
-                p,
-                routesync_core::StartState::Synchronized,
-                cfg.seed,
-            );
-            let r = model.run_until_cluster_at_most(1, horizon);
-            (m, r.at_secs)
-        })
+    let sim_break: Vec<(f64, f64)> = routesync_exec::Ensemble::new(&[2.5f64, 2.8, 3.5, 4.0])
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &m| {
+                let p = core_params(20, m * base.tc);
+                let mut model = routesync_core::PeriodicModel::new(
+                    p,
+                    routesync_core::StartState::Synchronized,
+                    cfg.seed,
+                );
+                let r = model.run_until_cluster_at_most(1, horizon);
+                (m, r.at_secs)
+            },
+        )
+        .into_values()
         .into_iter()
         .filter_map(|(m, s)| s.map(|s| (m, s.log10())))
         .collect();

@@ -31,18 +31,24 @@ pub fn cascade(cfg: &Config) -> Outcome {
         .collect();
     // One deterministic and one jittered run per cell; per-cell rng
     // streams keep the fan-out thread-invariant.
-    let results = routesync_core::experiment::parallel_map(&cells, |&(point, q, s)| {
-        let mut rng = routesync_rng::stream(cfg.seed, (point as u64) << 32 | s);
-        let mut sim = CascadeSim::new(CascadeParams::unsynchronized(n, q, depth), &mut rng);
-        let det = sim.run(rounds, &mut rng);
-        let jittered_params = CascadeParams {
-            advance_jitter: 0.5,
-            ..CascadeParams::unsynchronized(n, q, depth)
-        };
-        let mut sim = CascadeSim::new(jittered_params, &mut rng);
-        let jit = sim.run(rounds, &mut rng);
-        (point, det.sync_round, jit.is_synchronized())
-    });
+    let results = routesync_exec::Ensemble::new(&cells)
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &(point, q, s)| {
+                let mut rng = routesync_rng::stream(cfg.seed, (point as u64) << 32 | s);
+                let mut sim = CascadeSim::new(CascadeParams::unsynchronized(n, q, depth), &mut rng);
+                let det = sim.run(rounds, &mut rng);
+                let jittered_params = CascadeParams {
+                    advance_jitter: 0.5,
+                    ..CascadeParams::unsynchronized(n, q, depth)
+                };
+                let mut sim = CascadeSim::new(jittered_params, &mut rng);
+                let jit = sim.run(rounds, &mut rng);
+                (point, det.sync_round, jit.is_synchronized())
+            },
+        )
+        .into_values();
     let mut mean_sync: Vec<f64> = Vec::new();
     let mut det_synced = 0usize;
     let mut jit_locked = 0usize;
@@ -119,12 +125,18 @@ pub fn two_type(cfg: &Config) -> Outcome {
         .enumerate()
         .flat_map(|(point, &m)| (0..seeds).map(move |s| (point, m * p_crit, s)))
         .collect();
-    let results = routesync_core::experiment::parallel_map(&cells, |&(point, p, s)| {
-        let mut rng = routesync_rng::stream(cfg.seed, (point as u64) << 32 | s);
-        let params = TwoTypeParams::unit_jump(drift, ExchangeSchedule::Bernoulli { p });
-        let report = TwoTypeSim::new(params).run(rounds, &mut rng);
-        (point, report.growth_rate, report.max_lag, report.min_lag)
-    });
+    let results = routesync_exec::Ensemble::new(&cells)
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &(point, p, s)| {
+                let mut rng = routesync_rng::stream(cfg.seed, (point as u64) << 32 | s);
+                let params = TwoTypeParams::unit_jump(drift, ExchangeSchedule::Bernoulli { p });
+                let report = TwoTypeSim::new(params).run(rounds, &mut rng);
+                (point, report.growth_rate, report.max_lag, report.min_lag)
+            },
+        )
+        .into_values();
     let mut growth = Vec::new();
     let mut max_lag = Vec::new();
     let mut min_lag = f64::INFINITY;
@@ -207,38 +219,44 @@ pub fn pulse(cfg: &Config) -> Outcome {
             },
         ]
     };
-    let results = routesync_core::experiment::parallel_map(&seeds, |&s| {
-        let run = |params: PulseParams, stream: u64| {
-            let mut rng = routesync_rng::stream(cfg.seed, stream << 32 | s);
-            PulseSim::new(params, &mut rng).run(rounds, &mut rng)
-        };
-        let clean = run(
-            PulseParams {
-                initial_spread: spread,
-                ..PulseParams::fault_free(n)
+    let results = routesync_exec::Ensemble::new(&seeds)
+        .threads(cfg.threads)
+        .run(
+            || (),
+            |_, _, _, &s| {
+                let run = |params: PulseParams, stream: u64| {
+                    let mut rng = routesync_rng::stream(cfg.seed, stream << 32 | s);
+                    PulseSim::new(params, &mut rng).run(rounds, &mut rng)
+                };
+                let clean = run(
+                    PulseParams {
+                        initial_spread: spread,
+                        ..PulseParams::fault_free(n)
+                    },
+                    0,
+                );
+                let byz = run(
+                    PulseParams {
+                        n,
+                        byzantine: byzantine(),
+                        drift: 0.0,
+                        initial_spread: spread,
+                    },
+                    1,
+                );
+                let drifting = run(
+                    PulseParams {
+                        n,
+                        byzantine: byzantine(),
+                        drift: 0.5,
+                        initial_spread: spread,
+                    },
+                    2,
+                );
+                (clean, byz, drifting)
             },
-            0,
-        );
-        let byz = run(
-            PulseParams {
-                n,
-                byzantine: byzantine(),
-                drift: 0.0,
-                initial_spread: spread,
-            },
-            1,
-        );
-        let drifting = run(
-            PulseParams {
-                n,
-                byzantine: byzantine(),
-                drift: 0.5,
-                initial_spread: spread,
-            },
-            2,
-        );
-        (clean, byz, drifting)
-    });
+        )
+        .into_values();
     let max_clean = results
         .iter()
         .map(|r| r.0.final_diameter)

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
+use routesync_exec::Ensemble;
 use routesync_rng::SplitMix64;
 
 use crate::coverage::{self, CoverageMap};
@@ -570,8 +571,11 @@ fn run_supervised_case(spec: &CaseSpec, seed: u64, watchdog_steps: Option<u64>) 
         message: String::new(),
     }
     .to_line();
-    let sup = routesync_exec::SuperviseConfig::new();
-    match routesync_exec::supervise_unit(&sup, &repro_line, |_ctx| run_case(spec, seed)) {
+    let outcome = Ensemble::new(&[()])
+        .describe(|_, _| repro_line.clone())
+        .run(|| (), |(), _ctx, _, _| run_case(spec, seed))
+        .into_result();
+    match outcome.map(|mut single| single.remove(0)) {
         Err(q) => CaseVerdict::Quarantined(q.to_line()),
         Ok((result, feats, steps)) => {
             if let Some(budget) = watchdog_steps {
@@ -596,8 +600,10 @@ fn run_supervised_case(spec: &CaseSpec, seed: u64, watchdog_steps: Option<u64>) 
                     // Shrink under the same boundary: a shrink candidate
                     // that panics does not count as "still failing".
                     let safe_check = |s: &CaseSpec, sd: u64| {
-                        routesync_exec::supervise_unit(&sup, "", |_ctx| oracles::check(s, sd))
-                            .unwrap_or(Ok(()))
+                        Ensemble::new(&[()])
+                            .run(|| (), |(), _ctx, _, _| oracles::check(s, sd))
+                            .into_result()
+                            .map_or(Ok(()), |mut single| single.remove(0))
                     };
                     let (min_spec, min_msg) = shrink::shrink(spec, seed, message, safe_check);
                     CaseVerdict::Fail(

@@ -577,8 +577,9 @@ impl BatchedEnsemble {
     }
 }
 
-/// Per-cell terminal state handed to [`EnsembleEngine::run_cells`]
-/// finishers, uniform across engines.
+/// Per-cell terminal state handed to the `finish` callback of
+/// [`crate::experiment::run_ensemble`] and [`run_blocks`], uniform across
+/// engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellOut {
     /// The cell's seed.
@@ -589,138 +590,51 @@ pub struct CellOut {
     pub sends: u64,
 }
 
-/// An engine that can run a whole ensemble: one independent Periodic
-/// Messages system per seed, each observed by its own recorder.
-///
-/// Both implementations produce **byte-identical** results for the same
-/// `(params, start, seeds, horizon)` at any thread count; which one to use
-/// is purely a throughput choice (see `docs/PERFORMANCE.md`).
-pub trait EnsembleEngine {
-    /// Run one cell per seed to `horizon`, building each cell's recorder
-    /// with `make` and mapping `(terminal state, recorder)` to a result
-    /// with `finish`. Results are in seed order.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cells<R, T, M, F>(
-        &self,
-        params: PeriodicParams,
-        start: &StartState,
-        seeds: &[u64],
-        horizon: SimTime,
-        threads: usize,
-        make: M,
-        finish: F,
-    ) -> Vec<T>
-    where
-        R: Recorder + Send,
-        T: Send,
-        M: Fn(u64) -> R + Sync,
-        F: Fn(CellOut, R) -> T + Sync;
-}
-
-/// The scalar reference path: one [`crate::FastModel`] per worker thread,
-/// reset per seed (exactly `core::experiment::run_many`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarEngine;
-
-impl EnsembleEngine for ScalarEngine {
-    fn run_cells<R, T, M, F>(
-        &self,
-        params: PeriodicParams,
-        start: &StartState,
-        seeds: &[u64],
-        horizon: SimTime,
-        threads: usize,
-        make: M,
-        finish: F,
-    ) -> Vec<T>
-    where
-        R: Recorder + Send,
-        T: Send,
-        M: Fn(u64) -> R + Sync,
-        F: Fn(CellOut, R) -> T + Sync,
-    {
-        routesync_exec::run_many(
-            seeds,
-            Some(threads),
-            || crate::FastModel::new(params, start.clone(), 0),
-            move |model, seed| {
-                model.reset(start, seed);
-                let mut rec = make(seed);
-                let now = model.run(horizon, &mut rec);
-                finish(
-                    CellOut {
-                        seed,
-                        now,
-                        sends: model.sends(),
-                    },
-                    rec,
-                )
-            },
-        )
-    }
-}
-
-/// The SoA block path: seeds are chunked into blocks of `width` cells,
-/// blocks are distributed over worker threads (each reusing one
+/// Run one cell per seed to `horizon` through the SoA block kernel:
+/// seeds are chunked into blocks of `width` cells, each block is one
+/// [`routesync_exec::Ensemble`] item (each worker reusing one
 /// [`BatchedEnsemble`]), and every block advances its cells in lockstep.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchedEngine {
-    /// Cells per block (see [`DEFAULT_WIDTH`]).
-    pub width: usize,
-}
-
-impl Default for BatchedEngine {
-    fn default() -> Self {
-        BatchedEngine {
-            width: DEFAULT_WIDTH,
-        }
-    }
-}
-
-impl BatchedEngine {
-    /// An engine with an explicit block width (clamped to at least 1).
-    pub fn with_width(width: usize) -> Self {
-        BatchedEngine {
-            width: width.max(1),
-        }
-    }
-}
-
-impl EnsembleEngine for BatchedEngine {
-    fn run_cells<R, T, M, F>(
-        &self,
-        params: PeriodicParams,
-        start: &StartState,
-        seeds: &[u64],
-        horizon: SimTime,
-        threads: usize,
-        make: M,
-        finish: F,
-    ) -> Vec<T>
-    where
-        R: Recorder + Send,
-        T: Send,
-        M: Fn(u64) -> R + Sync,
-        F: Fn(CellOut, R) -> T + Sync,
-    {
-        let width = self.width.max(1);
-        let blocks: Vec<&[u64]> = seeds.chunks(width).collect();
-        routesync_exec::par_map_indexed_with(
-            &blocks,
-            threads,
+///
+/// `make` builds each cell's recorder; `finish` maps `(terminal state,
+/// recorder)` to a result. Results are in seed order and byte-identical
+/// to the scalar path ([`crate::experiment::run_ensemble`] with
+/// [`Engine::Scalar`]) at any width and thread count.
+#[allow(clippy::too_many_arguments)]
+pub fn run_blocks<R, T, M, F>(
+    params: PeriodicParams,
+    start: &StartState,
+    seeds: &[u64],
+    horizon: SimTime,
+    threads: usize,
+    width: usize,
+    make: M,
+    finish: F,
+) -> Vec<T>
+where
+    R: Recorder + Send,
+    T: Send,
+    M: Fn(u64) -> R + Sync,
+    F: Fn(CellOut, R) -> T + Sync,
+{
+    let width = width.max(1);
+    let blocks: Vec<&[u64]> = seeds.chunks(width).collect();
+    routesync_exec::Ensemble::new(&blocks)
+        .threads(threads)
+        .run(
             || BatchedEnsemble::new(params, width),
-            move |block_engine, _i, block| {
+            |block_engine, _ctx, _i, block| {
                 block_engine.reset(start, block);
                 let mut recs: Vec<R> = block.iter().map(|&s| make(s)).collect();
                 block_engine.run(horizon, &mut recs);
                 recs.into_iter()
                     .enumerate()
                     .map(|(c, rec)| {
+                        let (now, sends) = (block_engine.now(c), block_engine.sends(c));
                         finish(
                             CellOut {
                                 seed: block[c],
-                                now: block_engine.now(c),
-                                sends: block_engine.sends(c),
+                                now,
+                                sends,
                             },
                             rec,
                         )
@@ -728,15 +642,16 @@ impl EnsembleEngine for BatchedEngine {
                     .collect::<Vec<T>>()
             },
         )
+        .into_values()
         .into_iter()
         .flatten()
         .collect()
-    }
 }
 
-/// A named engine selection, for CLI flags, environment overrides and
-/// bench/experiment drivers. [`Engine::Scalar`] and [`Engine::Batched`]
-/// are trace-identical; the choice only affects throughput.
+/// A named engine selection for [`crate::experiment::run_ensemble`],
+/// CLI flags and the bench and experiment binaries. [`Engine::Scalar`]
+/// and [`Engine::Batched`] are trace-identical; the choice only affects
+/// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Engine {
     /// One [`crate::FastModel`] per worker, reset per seed.
@@ -765,42 +680,6 @@ impl Engine {
             other => Err(format!(
                 "unknown engine {other:?} (expected scalar or batched)"
             )),
-        }
-    }
-
-    /// The engine selected by the `ROUTESYNC_ENGINE` environment
-    /// variable, defaulting to [`Engine::Scalar`] when unset or invalid.
-    pub fn from_env() -> Engine {
-        std::env::var("ROUTESYNC_ENGINE")
-            .ok()
-            .and_then(|v| Engine::from_name(v.trim()).ok())
-            .unwrap_or(Engine::Scalar)
-    }
-
-    /// Dispatch [`EnsembleEngine::run_cells`] to the selected engine.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_cells<R, T, M, F>(
-        self,
-        params: PeriodicParams,
-        start: &StartState,
-        seeds: &[u64],
-        horizon: SimTime,
-        threads: usize,
-        make: M,
-        finish: F,
-    ) -> Vec<T>
-    where
-        R: Recorder + Send,
-        T: Send,
-        M: Fn(u64) -> R + Sync,
-        F: Fn(CellOut, R) -> T + Sync,
-    {
-        match self {
-            Engine::Scalar => {
-                ScalarEngine.run_cells(params, start, seeds, horizon, threads, make, finish)
-            }
-            Engine::Batched => BatchedEngine::default()
-                .run_cells(params, start, seeds, horizon, threads, make, finish),
         }
     }
 }
@@ -978,14 +857,15 @@ mod tests {
         }
     }
 
-    /// The two `EnsembleEngine` implementations agree cell-for-cell, at
-    /// several widths and thread counts.
+    /// The scalar and block paths agree cell-for-cell, at several widths
+    /// and thread counts.
     #[test]
-    fn engines_agree_through_the_trait() {
+    fn engines_agree_cell_for_cell() {
         let p = params(12, 100);
         let seeds: Vec<u64> = (0..11).collect();
         let horizon = SimTime::from_secs(40_000);
-        let scalar = ScalarEngine.run_cells(
+        let scalar = crate::experiment::run_ensemble(
+            Engine::Scalar,
             p,
             &StartState::Unsynchronized,
             &seeds,
@@ -996,12 +876,13 @@ mod tests {
         );
         for width in [1, 4, 32] {
             for threads in [1, 2] {
-                let batched = BatchedEngine::with_width(width).run_cells(
+                let batched = run_blocks(
                     p,
                     &StartState::Unsynchronized,
                     &seeds,
                     horizon,
                     threads,
+                    width,
                     |_| ClusterLog::new(),
                     |cell, rec| (cell, rec.groups().to_vec()),
                 );

@@ -88,17 +88,12 @@ impl PeriodicModel {
     }
 }
 
-/// First-passage profile upward: for one seed, the time (seconds) at which
-/// each cluster size `2..=N` was first reached, `None` where the horizon
-/// hit first. Index `i` is cluster size `i` (indices 0-1 unused/`Some(0)`).
-pub fn passage_up_profile(params: PeriodicParams, seed: u64, max_secs: f64) -> Vec<Option<f64>> {
-    // The burst-based engine is observationally identical (proven by the
-    // equivalence property tests) and ~N× faster for these long sweeps.
-    let mut model = crate::FastModel::new(params, StartState::Unsynchronized, seed);
-    up_profile_of(&mut model, max_secs)
-}
-
-fn up_profile_of(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f64>> {
+/// First-passage profile upward: for one (reset) model, the time
+/// (seconds) at which each cluster size `2..=N` was first reached, `None`
+/// where the horizon hit first. Index `i` is cluster size `i` (indices
+/// 0-1 unused/`Some(0)`). Fan seeds out with [`run_many`] from
+/// [`StartState::Unsynchronized`].
+pub fn passage_up_profile(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f64>> {
     let n = model.params().n;
     let mut fp = FirstPassageUp::new(n);
     model.run(SimTime::from_secs_f64(max_secs), &mut fp);
@@ -113,14 +108,10 @@ fn up_profile_of(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f64>
         .collect()
 }
 
-/// First-passage profile downward from a synchronized start: the time at
-/// which the per-round largest cluster first fell to each size `1..N`.
-pub fn passage_down_profile(params: PeriodicParams, seed: u64, max_secs: f64) -> Vec<Option<f64>> {
-    let mut model = crate::FastModel::new(params, StartState::Synchronized, seed);
-    down_profile_of(&mut model, max_secs)
-}
-
-fn down_profile_of(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f64>> {
+/// First-passage profile downward, meaningful from a synchronized start:
+/// the time at which the per-round largest cluster first fell to each
+/// size `1..N`.
+pub fn passage_down_profile(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f64>> {
     let n = model.params().n;
     let mut fp = FirstPassageDown::new(n, 1);
     model.run(SimTime::from_secs_f64(max_secs), &mut fp);
@@ -135,8 +126,7 @@ fn down_profile_of(model: &mut crate::FastModel, max_secs: f64) -> Vec<Option<f6
         .collect()
 }
 
-/// Run `profiles` for many seeds in parallel (one OS thread per seed,
-/// `std::thread::scope`) and average element-wise over the runs where the
+/// Average per-seed passage profiles element-wise over the runs where the
 /// passage happened. Returns `(mean_secs, count)` per cluster size.
 pub fn average_profiles(profiles: Vec<Vec<Option<f64>>>) -> Vec<(Option<f64>, usize)> {
     if profiles.is_empty() {
@@ -158,59 +148,6 @@ pub fn average_profiles(profiles: Vec<Vec<Option<f64>>>) -> Vec<(Option<f64>, us
         .collect()
 }
 
-/// Parallel multi-seed upward first-passage sweep.
-pub fn parallel_passage_up(
-    params: PeriodicParams,
-    seeds: &[u64],
-    max_secs: f64,
-) -> Vec<Vec<Option<f64>>> {
-    let threads = routesync_exec::resolve_threads(None);
-    run_many(
-        params,
-        StartState::Unsynchronized,
-        seeds,
-        threads,
-        |model, _| up_profile_of(model, max_secs),
-    )
-}
-
-/// Parallel multi-seed downward first-passage sweep.
-pub fn parallel_passage_down(
-    params: PeriodicParams,
-    seeds: &[u64],
-    max_secs: f64,
-) -> Vec<Vec<Option<f64>>> {
-    let threads = routesync_exec::resolve_threads(None);
-    run_many(
-        params,
-        StartState::Synchronized,
-        seeds,
-        threads,
-        |model, _| down_profile_of(model, max_secs),
-    )
-}
-
-/// Map a function over items in parallel, preserving order.
-///
-/// Simulation runs are independent and CPU-bound, so this delegates to the
-/// deterministic chunked work-stealing runner in `routesync-exec`: results
-/// are bit-identical to the serial map regardless of thread count. The
-/// thread count comes from `ROUTESYNC_THREADS` or the available
-/// parallelism; use [`parallel_map_threads`] to pin it explicitly.
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_threads(items, routesync_exec::resolve_threads(None), f)
-}
-
-/// [`parallel_map`] with an explicit worker-thread count (1 = serial,
-/// inline on the calling thread).
-pub fn parallel_map_threads<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    routesync_exec::par_map_indexed(items, threads, |_, item| f(item))
-}
-
 /// Run one simulation per seed in parallel, reusing a single
 /// [`crate::FastModel`] (heap, node table, burst buffers) per worker
 /// thread instead of rebuilding it per seed.
@@ -228,30 +165,35 @@ pub fn run_many<R: Send>(
     f: impl Fn(&mut crate::FastModel, u64) -> R + Sync,
 ) -> Vec<R> {
     let _span = routesync_obs::span!("core.experiment.run_many");
+    count_runs(seeds.len());
+    let start = &start;
+    routesync_exec::Ensemble::new(seeds)
+        .threads(threads)
+        .run(
+            || crate::FastModel::new(params, start.clone(), 0),
+            |model, _ctx, _i, &seed| {
+                model.reset(start, seed);
+                f(model, seed)
+            },
+        )
+        .into_values()
+}
+
+fn count_runs(cells: usize) {
     routesync_obs::global()
         .counter("core.experiment.runs")
-        .add(seeds.len() as u64);
-    let start = &start;
-    routesync_exec::run_many(
-        seeds,
-        Some(threads),
-        || crate::FastModel::new(params, start.clone(), 0),
-        move |model, seed| {
-            model.reset(start, seed);
-            f(model, seed)
-        },
-    )
+        .add(cells as u64);
 }
 
 /// Run one simulation cell per seed through the selected
 /// [`crate::Engine`], in parallel.
 ///
-/// This is the engine-polymorphic sibling of [`run_many`]: the scalar
-/// engine reproduces [`run_many`]'s per-worker [`crate::FastModel`]
-/// reuse, while the batched engine advances blocks of cells through the
-/// SoA kernel ([`crate::BatchedEnsemble`]). Both produce bit-identical
-/// recorder traces for any `(params, start, seed)`, so the choice only
-/// affects throughput.
+/// The scalar engine is [`run_many`]'s per-worker [`crate::FastModel`]
+/// reuse; the batched engine advances blocks of
+/// [`crate::batch::DEFAULT_WIDTH`] cells through the SoA kernel
+/// ([`crate::batch::run_blocks`]). Both produce bit-identical recorder
+/// traces for any `(params, start, seed)`, so the choice only affects
+/// throughput.
 ///
 /// `make` builds the recorder for a seed; `finish` folds the finished
 /// recorder plus the cell summary ([`crate::CellOut`]) into the result.
@@ -273,10 +215,27 @@ where
     F: Fn(crate::CellOut, R) -> T + Sync,
 {
     let _span = routesync_obs::span!("core.experiment.run_ensemble");
-    routesync_obs::global()
-        .counter("core.experiment.runs")
-        .add(seeds.len() as u64);
-    engine.run_cells(params, start, seeds, horizon, threads, make, finish)
+    match engine {
+        crate::Engine::Scalar => run_many(params, start.clone(), seeds, threads, |model, seed| {
+            let mut rec = make(seed);
+            let now = model.run(horizon, &mut rec);
+            let sends = model.sends();
+            finish(crate::CellOut { seed, now, sends }, rec)
+        }),
+        crate::Engine::Batched => {
+            count_runs(seeds.len());
+            crate::batch::run_blocks(
+                params,
+                start,
+                seeds,
+                horizon,
+                threads,
+                crate::batch::DEFAULT_WIDTH,
+                make,
+                finish,
+            )
+        }
+    }
 }
 
 /// Estimate the paper's `f(2)` — the expected number of rounds for the
@@ -357,7 +316,8 @@ mod tests {
     #[test]
     fn profiles_are_monotone_in_cluster_size() {
         let params = PeriodicParams::paper_reference();
-        let up = passage_up_profile(params, 11, 300_000.0);
+        let mut model = crate::FastModel::new(params, StartState::Unsynchronized, 11);
+        let up = passage_up_profile(&mut model, 300_000.0);
         let reached: Vec<f64> = up.iter().skip(2).filter_map(|x| *x).collect();
         for w in reached.windows(2) {
             assert!(w[1] >= w[0], "first passage must be monotone: {up:?}");
@@ -371,13 +331,6 @@ mod tests {
         assert_eq!(avg[0], (Some(15.0), 2));
         assert_eq!(avg[1], (Some(4.0), 1));
         assert!(average_profiles(vec![]).is_empty());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     /// `run_many` is independent of the thread count — the reuse-with-reset

@@ -72,7 +72,7 @@ pub mod record;
 pub mod telemetry;
 
 pub use analysis::{order_parameter, order_parameter_series, phase_entropy, sync_onset};
-pub use batch::{BatchedEngine, BatchedEnsemble, CellOut, Engine, EnsembleEngine, ScalarEngine};
+pub use batch::{BatchedEnsemble, CellOut, Engine};
 pub use experiment::{DesyncReport, SyncReport};
 pub use fast::FastModel;
 pub use model::{NodeId, PeriodicModel};

@@ -1,4 +1,4 @@
-//! Deterministic parallel ensemble runner.
+//! Deterministic, supervised parallel ensemble runner.
 //!
 //! Monte-Carlo ensembles dominate this workspace's wall time: every figure
 //! and sweep runs the same simulation over hundreds of independent seeds
@@ -6,30 +6,28 @@
 //! parallelism breaks the repository's core guarantee — byte-identical
 //! output for a given seed, regardless of machine or thread count.
 //!
-//! [`par_map_indexed`] keeps that guarantee by construction:
+//! [`Ensemble`] is the one runner every fan-out in the workspace goes
+//! through, and it keeps that guarantee by construction:
 //!
-//! * work items are claimed in **chunks from a shared atomic counter**
-//!   (work stealing without queues or locks), so threads never idle while
-//!   work remains;
-//! * each result is tagged with its **input index** and merged back into
-//!   input order, so the output `Vec` is identical to the serial map no
-//!   matter how the chunks interleave;
+//! * work items are claimed **one at a time from a shared atomic
+//!   counter** (work stealing without queues or locks), so threads never
+//!   idle while work remains;
+//! * each result is tagged with its **input index** and placed back in
+//!   input order, so the output is identical to the serial map no matter
+//!   how the claims interleave;
 //! * each item's computation sees only its own inputs — callers derive
 //!   per-item RNG seeds from the item, never from shared mutable state.
 //!
-//! [`par_map_indexed_with`] adds per-worker scratch state (e.g. a reusable
-//! simulation model) so the hot path allocates once per thread instead of
-//! once per item.
+//! Every item runs as a supervised **cell** (see [`supervise`]): inside
+//! a panic boundary, under the optional [`SuperviseConfig`] limits
+//! (deterministic watchdog, wall-clock deadline, allocation guard,
+//! graceful SIGINT drain via [`interrupt`]), with a streaming sink for
+//! crash-safe CRC-framed checkpoints ([`checkpoint`]). A run with no
+//! limits is just a supervised run whose [`Outcome::into_values`]
+//! re-raises any failed cell on the caller. See `docs/RESILIENCE.md`.
 //!
-//! Worker panics propagate to the caller: `std::thread::scope` re-raises
-//! the first panic after all threads have stopped, and the shared counter
-//! is left past the end so the remaining workers drain quickly.
-//!
-//! For long-running ensembles that must *survive* failing cells instead
-//! of propagating them, the [`supervise`] module wraps the same work
-//! model in a panic boundary with a failure taxonomy, deterministic
-//! watchdogs, graceful SIGINT drains ([`interrupt`]) and crash-safe
-//! CRC-framed checkpoints ([`checkpoint`]) — see `docs/RESILIENCE.md`.
+//! A block of seeds for a batched engine is just an item, so the runner
+//! has no block-width knob.
 
 // `deny` rather than `forbid`: the `interrupt` module registers one
 // SIGINT handler through libc and carries the only `allow(unsafe_code)`.
@@ -41,46 +39,8 @@ pub mod supervise;
 
 pub use checkpoint::atomic_write;
 pub use supervise::{
-    run_blocks_supervised, run_many_supervised, supervise_map, supervise_map_with_sink,
-    supervise_unit, CellResult, Outcome, Quarantine, RunCtx, RunFailure, SuperviseConfig,
+    CellResult, Ensemble, Outcome, Quarantine, RunCtx, RunFailure, SuperviseConfig,
 };
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// Observability handles for one `par_map_indexed_with` call, resolved
-/// once up front from the global `routesync-obs` registry. With no
-/// collector installed every handle is a no-op and `timed` is false, so
-/// workers never read the wall clock and the hot loop pays a single
-/// predictable branch per record site.
-struct ExecObs {
-    jobs: routesync_obs::Counter,
-    steals: routesync_obs::Counter,
-    busy_ns: routesync_obs::Counter,
-    idle_ns: routesync_obs::Counter,
-    workers: routesync_obs::Counter,
-    timed: bool,
-}
-
-impl ExecObs {
-    fn resolve() -> Self {
-        let collector = routesync_obs::global();
-        ExecObs {
-            jobs: collector.counter("exec.worker.jobs"),
-            steals: collector.counter("exec.worker.steals"),
-            busy_ns: collector.counter("exec.worker.busy_ns"),
-            idle_ns: collector.counter("exec.worker.idle_ns"),
-            workers: collector.counter("exec.workers"),
-            timed: routesync_obs::enabled(),
-        }
-    }
-}
-
-/// Number of chunks each thread should expect to claim on average.
-/// Larger values smooth out uneven item costs; smaller values reduce
-/// contention on the shared counter. Eight is a good middle ground for
-/// ensembles of hundreds of items.
-const CHUNKS_PER_THREAD: usize = 8;
 
 /// Resolve the worker-thread count for an ensemble run.
 ///
@@ -101,244 +61,9 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
-/// The one seed-ensemble entry point: run `run` once per seed on worker
-/// threads, returning results in seed order, bit-identical at any thread
-/// count.
-///
-/// This unifies the `run_many` flavours that grew in `routesync-core`
-/// (per-worker reusable model) and `routesync-netsim` (fresh simulator
-/// per seed, shared precomputed routes): both delegate here. `init`
-/// builds per-worker scratch (a reusable model, or `|| ()` for none);
-/// `run` must derive everything from `(scratch, seed)` alone.
-///
-/// `threads` resolves through [`resolve_threads`]: `Some(n)` forces `n`
-/// workers, `None` honours `ROUTESYNC_THREADS` and then the machine's
-/// available parallelism — the same precedence every `--threads` flag in
-/// the workspace uses.
-pub fn run_many<C, R, I, F>(seeds: &[u64], threads: Option<usize>, init: I, run: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, u64) -> R + Sync,
-{
-    let threads = resolve_threads(threads);
-    par_map_indexed_with(seeds, threads, init, move |scratch, _i, &seed| {
-        run(scratch, seed)
-    })
-}
-
-/// Map `f` over `items` on up to `threads` worker threads, returning
-/// results in input order — bit-identical to the serial
-/// `items.iter().enumerate().map(..).collect()`.
-///
-/// `f` receives the item's index alongside the item so callers can derive
-/// deterministic per-item seeds. With `threads <= 1` (or one item) the
-/// map runs inline on the calling thread with no thread-pool overhead.
-///
-/// # Panics
-///
-/// If `f` panics for any item, the panic propagates to the caller after
-/// all workers have stopped.
-pub fn par_map_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_with(items, threads, || (), move |(), i, item| f(i, item))
-}
-
-/// Like [`par_map_indexed`], but each worker thread first builds scratch
-/// state with `init` and threads it through every item it processes.
-///
-/// This is the zero-allocation hook: a worker can build one simulation
-/// model (heap, buffers, recorder) and reset it per item instead of
-/// reallocating per item. Determinism is unaffected as long as `f`'s
-/// *result* depends only on `(index, item)` — the scratch state must be
-/// fully re-initialised from the item, which `reset`-style APIs enforce.
-pub fn par_map_indexed_with<T, R, S, F, I>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let _span = routesync_obs::span!("exec.par_map");
-    let obs = ExecObs::resolve();
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        obs.workers.inc();
-        obs.jobs.add(items.len() as u64);
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
-            .collect();
-    }
-
-    let chunk = items.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    let cursor = AtomicUsize::new(0);
-    obs.workers.add(threads as u64);
-
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| {
-                let worker_start = obs.timed.then(Instant::now);
-                let mut busy_ns = 0u64;
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    obs.steals.inc();
-                    obs.jobs
-                        .add((items.len().min(start + chunk) - start) as u64);
-                    let chunk_start = obs.timed.then(Instant::now);
-                    let end = (start + chunk).min(items.len());
-                    local.reserve(end - start);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        local.push((start + i, f(&mut state, start + i, item)));
-                    }
-                    if let Some(t0) = chunk_start {
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                if let Some(t0) = worker_start {
-                    let lifetime_ns = t0.elapsed().as_nanos() as u64;
-                    obs.busy_ns.add(busy_ns);
-                    obs.idle_ns.add(lifetime_ns.saturating_sub(busy_ns));
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            // join() returns Err only when the worker panicked; resume the
-            // panic on the caller (scope waits for the rest first).
-            match handle.join() {
-                Ok(local) => tagged.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    debug_assert_eq!(tagged.len(), items.len());
-    // Merge back into input order. Chunks are contiguous, so an unstable
-    // sort by index is both cheap (mostly-sorted runs) and exact (indices
-    // are unique).
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn matches_serial_map_in_order() {
-        let items: Vec<u64> = (0..503).collect();
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x * 3 + i as u64)
-            .collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let parallel = par_map_indexed(&items, threads, |i, &x| x * 3 + i as u64);
-            assert_eq!(parallel, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn handles_empty_and_single_item() {
-        let empty: Vec<u32> = Vec::new();
-        assert_eq!(par_map_indexed(&empty, 4, |_, &x| x), Vec::<u32>::new());
-        assert_eq!(par_map_indexed(&[7u32], 4, |i, &x| x + i as u32), vec![7]);
-    }
-
-    #[test]
-    fn uses_all_requested_threads_for_large_inputs() {
-        let items: Vec<u32> = (0..1024).collect();
-        let peak = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        par_map_indexed(&items, 4, |_, &x| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(50));
-            live.fetch_sub(1, Ordering::SeqCst);
-            x
-        });
-        assert!(peak.load(Ordering::SeqCst) >= 2, "never ran concurrently");
-    }
-
-    #[test]
-    fn worker_state_is_reused_within_a_thread() {
-        let items: Vec<u64> = (0..256).collect();
-        let inits = AtomicUsize::new(0);
-        let out = par_map_indexed_with(
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                Vec::<u64>::new()
-            },
-            |scratch, i, &x| {
-                scratch.clear();
-                scratch.extend([x, x + 1]);
-                scratch.iter().sum::<u64>() + i as u64
-            },
-        );
-        assert_eq!(out[10], 10 + 11 + 10);
-        let n = inits.load(Ordering::SeqCst);
-        assert!(n <= 4, "one init per worker at most, got {n}");
-    }
-
-    #[test]
-    fn panics_propagate_to_caller() {
-        let items: Vec<u32> = (0..100).collect();
-        let caught = std::panic::catch_unwind(|| {
-            par_map_indexed(&items, 4, |_, &x| {
-                assert!(x != 37, "injected failure");
-                x
-            })
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn run_many_is_thread_count_invariant() {
-        let seeds: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = seeds.iter().map(|&s| s.wrapping_mul(31) ^ 7).collect();
-        for threads in [Some(1), Some(2), Some(8), None] {
-            let got = run_many(&seeds, threads, || (), |(), s| s.wrapping_mul(31) ^ 7);
-            assert_eq!(got, expect, "threads={threads:?}");
-        }
-    }
-
-    #[test]
-    fn run_many_reuses_worker_scratch() {
-        let seeds: Vec<u64> = (0..64).collect();
-        let inits = AtomicUsize::new(0);
-        let got = run_many(
-            &seeds,
-            Some(4),
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                Vec::<u64>::with_capacity(8)
-            },
-            |scratch, seed| {
-                scratch.clear();
-                scratch.push(seed);
-                scratch[0] + 1
-            },
-        );
-        assert_eq!(got[5], 6);
-        assert!(inits.load(Ordering::SeqCst) <= 4);
-    }
 
     #[test]
     fn resolve_threads_precedence() {

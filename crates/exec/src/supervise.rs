@@ -1,15 +1,14 @@
-//! Supervised execution: panic quarantine, watchdogs, and drainable
-//! ensembles.
+//! The ensemble runner: [`Ensemble`], its panic boundary, guards and
+//! drain.
 //!
-//! The plain runner ([`crate::par_map_indexed_with`]) propagates the
-//! first worker panic — correct for unit tests, catastrophic for a
-//! 10 000-run sweep where one pathological `(seed, spec)` cell destroys
-//! every completed result. The supervised executor inverts that: each
-//! **cell** (one unit of ensemble work) runs inside a panic boundary
-//! with optional resource guards, and a failing cell is *quarantined* —
-//! recorded with a [`RunFailure`] taxonomy and a caller-supplied
-//! reproducer string — while the rest of the ensemble completes.
-//! Downstream statistics see the censoring explicitly instead of dying.
+//! Each **cell** (one item of ensemble work: a seed, a block of seeds, a
+//! sweep grid point, a figure) runs inside a panic boundary with
+//! optional resource guards. A failing cell is *quarantined*: recorded
+//! with a [`RunFailure`] taxonomy and a caller-supplied reproducer
+//! string, while the rest of the ensemble completes. Downstream
+//! statistics see the censoring explicitly instead of dying. Callers
+//! that configure no limits read the values back with
+//! [`Outcome::into_values`], which re-raises a failed cell as a panic.
 //!
 //! Guards, all opt-in via [`SuperviseConfig`]:
 //!
@@ -25,17 +24,18 @@
 //!   [`RunCtx::charge_bytes`]; exceeding the budget quarantines the cell
 //!   before the allocation happens.
 //!
-//! Interruption: when [`SuperviseConfig::heed_interrupt`] is set (the
-//! default) workers stop claiming new cells once
+//! Interruption: when [`SuperviseConfig::heed_interrupt`] is set
+//! (as by [`SuperviseConfig::new`]) workers stop claiming new cells once
 //! [`crate::interrupt::interrupted`] reports a pending Ctrl-C; in-flight
 //! cells finish and reach the caller's sink, so a checkpointing driver
 //! drains gracefully. [`SuperviseConfig::drain_after`] is the
 //! deterministic test hook for the same path.
 //!
-//! Everything is instrumented under `exec.supervisor.*` (see
-//! `docs/OBSERVABILITY.md`); with no collector installed the overhead is
-//! one `catch_unwind` frame and a few branches per cell — measured at
-//! well under 2% on the ensemble hot path by the `bench` binary.
+//! Everything is instrumented under `exec.worker.*` and
+//! `exec.supervisor.*` (see `docs/OBSERVABILITY.md`); with no collector
+//! installed the overhead is one `catch_unwind` frame and a few branches
+//! per cell — measured at well under 2% on the ensemble hot path by the
+//! `bench` binary.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -149,8 +149,9 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Supervision policy for one ensemble. Everything defaults to off: the
-/// zero-config supervisor only adds the panic boundary.
+/// Limits for one ensemble. Everything defaults to off: with
+/// `SuperviseConfig::default()` (what an [`Ensemble`] uses unless given
+/// [`Ensemble::limits`]) a cell only gets the panic boundary.
 #[derive(Debug, Clone, Default)]
 pub struct SuperviseConfig {
     /// Deterministic simulated-step budget per cell (see [`RunCtx::tick`]).
@@ -319,6 +320,46 @@ pub struct Outcome<R> {
 }
 
 impl<R> Outcome<R> {
+    /// Every cell's value in input order, or the first quarantined cell
+    /// (lowest index).
+    ///
+    /// # Panics
+    ///
+    /// If a drain left a cell unattempted.
+    pub fn into_result(self) -> Result<Vec<R>, Quarantine> {
+        if let Some(q) = self.quarantined.into_iter().next() {
+            return Err(q);
+        }
+        Ok(self
+            .results
+            .into_iter()
+            .enumerate()
+            .map(|(i, cell)| match cell {
+                CellResult::Done(r) => r,
+                _ => panic!("ensemble drained before cell {i} ran"),
+            })
+            .collect())
+    }
+
+    /// Every cell's value in input order, for callers that set no limits
+    /// and expect every cell to complete.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a failed cell (the lowest-index one) as a panic naming
+    /// its index, failure kind and message; also panics if a drain left
+    /// a cell unattempted.
+    pub fn into_values(self) -> Vec<R> {
+        self.into_result().unwrap_or_else(|q| {
+            panic!(
+                "ensemble cell {} failed ({}): {}",
+                q.index,
+                q.failure.kind(),
+                q.failure.detail()
+            )
+        })
+    }
+
     /// Cells that completed.
     pub fn completed(&self) -> usize {
         self.results
@@ -388,8 +429,15 @@ fn classify(payload: Box<dyn Any + Send>) -> RunFailure {
     RunFailure::Panic { message }
 }
 
-/// Observability handles for one supervised run.
-struct SupObs {
+/// Observability handles for one ensemble run, resolved once up front
+/// from the global `routesync-obs` registry. With no collector installed
+/// every handle is a no-op and `timed` is false, so workers never read
+/// the wall clock for it.
+struct Obs {
+    workers: routesync_obs::Counter,
+    jobs: routesync_obs::Counter,
+    busy_ns: routesync_obs::Counter,
+    idle_ns: routesync_obs::Counter,
     cells: routesync_obs::Counter,
     completed: routesync_obs::Counter,
     quarantined: routesync_obs::Counter,
@@ -398,12 +446,17 @@ struct SupObs {
     deadline_trips: routesync_obs::Counter,
     oom_trips: routesync_obs::Counter,
     drains: routesync_obs::Counter,
+    timed: bool,
 }
 
-impl SupObs {
+impl Obs {
     fn resolve() -> Self {
         let c = routesync_obs::global();
-        SupObs {
+        Obs {
+            workers: c.counter("exec.workers"),
+            jobs: c.counter("exec.worker.jobs"),
+            busy_ns: c.counter("exec.worker.busy_ns"),
+            idle_ns: c.counter("exec.worker.idle_ns"),
             cells: c.counter("exec.supervisor.cells"),
             completed: c.counter("exec.supervisor.completed"),
             quarantined: c.counter("exec.supervisor.quarantined"),
@@ -412,6 +465,7 @@ impl SupObs {
             deadline_trips: c.counter("exec.supervisor.deadline_trips"),
             oom_trips: c.counter("exec.supervisor.oom_trips"),
             drains: c.counter("exec.supervisor.drains"),
+            timed: routesync_obs::enabled(),
         }
     }
 
@@ -426,315 +480,225 @@ impl SupObs {
     }
 }
 
-/// Run one closure under the supervision boundary on the current thread.
+type Describe<'a, T> = Box<dyn Fn(usize, &T) -> String + Sync + 'a>;
+type Sink<'a, R> = Box<dyn Fn(usize, Result<&R, &Quarantine>) + Sync + 'a>;
+
+/// The one ensemble runner: map a function over `items` on worker
+/// threads, each item a supervised cell, results in input order.
 ///
-/// The single-cell building block behind [`supervise_map`], also used
-/// directly by drivers whose units are too coarse for an ensemble (each
-/// `experiments` figure, each conformance case).
-pub fn supervise_unit<R>(
-    cfg: &SuperviseConfig,
-    reproducer: &str,
-    f: impl FnOnce(&mut RunCtx) -> R,
-) -> Result<R, Quarantine> {
-    install_quiet_hook();
-    let obs = SupObs::resolve();
-    obs.cells.inc();
-    let mut ctx = RunCtx::new(cfg);
-    IN_SUPERVISED_CELL.with(|c| c.set(true));
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-    IN_SUPERVISED_CELL.with(|c| c.set(false));
-    match outcome {
-        Ok(r) => {
-            obs.completed.inc();
-            Ok(r)
-        }
-        Err(payload) => {
-            let failure = classify(payload);
-            obs.record_failure(&failure);
-            Err(Quarantine {
-                index: 0,
-                failure,
-                reproducer: reproducer.to_string(),
-            })
-        }
-    }
+/// ```
+/// use routesync_exec::Ensemble;
+/// let seeds: Vec<u64> = (0..100).collect();
+/// let squares = Ensemble::new(&seeds)
+///     .threads(4)
+///     .run(|| (), |_scratch, _ctx, _i, &s| s * s)
+///     .into_values();
+/// assert_eq!(squares[9], 81);
+/// ```
+///
+/// Workers claim one item at a time from a shared atomic counter, so
+/// threads never idle while work remains. Each completed value is tagged
+/// with its input index and placed back in input order, so the
+/// [`Outcome`] is identical at any thread count as long as a cell's
+/// value depends only on `(index, item)`. With one thread (or one item)
+/// the cells run inline on the calling thread.
+///
+/// Builder knobs, all optional:
+///
+/// * [`threads`](Ensemble::threads) — worker count; unset means
+///   [`crate::resolve_threads`]`(None)`.
+/// * [`limits`](Ensemble::limits) — watchdog, deadline, allocation
+///   guard and drain policy; unset means none of them.
+/// * [`describe`](Ensemble::describe) — renders a quarantined cell's
+///   reproducer; unset means `{"index":N}`.
+/// * [`sink`](Ensemble::sink) — observes every *finished* cell
+///   (completed or quarantined) as it happens, from worker threads: the
+///   checkpoint streaming hook. Calls are serialized per cell but
+///   unordered across cells.
+pub struct Ensemble<'a, T, R> {
+    items: &'a [T],
+    threads: Option<usize>,
+    limits: SuperviseConfig,
+    describe: Describe<'a, T>,
+    sink: Sink<'a, R>,
 }
 
-/// Supervised ensemble map: like [`crate::par_map_indexed_with`], but
-/// each cell runs inside the panic boundary with the configured guards,
-/// failures are quarantined instead of propagated, and the run drains
-/// gracefully on interruption.
-///
-/// * `init` builds per-worker scratch, rebuilt after any quarantined cell
-///   (the scratch may be poisoned mid-panic).
-/// * `run` executes one cell; it must derive everything from
-///   `(scratch, ctx, index, item)` so completed results are bit-identical
-///   at any thread count.
-/// * `describe` renders the cell's `(seed, spec)` reproducer, called only
-///   for quarantined cells.
-/// * `sink` observes every *finished* cell (completed or quarantined) as
-///   it happens, from worker threads — the checkpoint streaming hook.
-///   Calls are serialized per cell but unordered across cells.
-pub fn supervise_map_with_sink<T, R, S, I, F, D, K>(
-    items: &[T],
-    threads: usize,
-    cfg: &SuperviseConfig,
-    init: I,
-    run: F,
-    describe: D,
-    sink: K,
-) -> Outcome<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &mut RunCtx, usize, &T) -> R + Sync,
-    D: Fn(usize, &T) -> String + Sync,
-    K: Fn(usize, Result<&R, &Quarantine>) + Sync,
-{
-    let _span = routesync_obs::span!("exec.supervise");
-    install_quiet_hook();
-    let obs = SupObs::resolve();
-    let threads = threads.max(1).min(items.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let finished = AtomicUsize::new(0);
-    let drained = AtomicUsize::new(0);
+impl<'a, T, R> Ensemble<'a, T, R> {
+    /// An ensemble with one cell per item.
+    pub fn new(items: &'a [T]) -> Self {
+        Ensemble {
+            items,
+            threads: None,
+            limits: SuperviseConfig::default(),
+            describe: Box::new(|i, _| format!("{{\"index\":{i}}}")),
+            sink: Box::new(|_, _| {}),
+        }
+    }
 
-    // One worker body shared by the serial and parallel paths.
-    let worker = || {
-        let mut state = init();
-        let mut local: Vec<(usize, Result<R, Quarantine>)> = Vec::new();
-        loop {
-            if cfg.heed_interrupt && crate::interrupt::interrupted() {
-                drained.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            if let Some(limit) = cfg.drain_after {
-                if finished.load(Ordering::SeqCst) >= limit {
+    /// Run on `n` worker threads (at least 1, at most one per item).
+    pub fn threads(mut self, n: usize) -> Self {
+        self.threads = Some(n);
+        self
+    }
+
+    /// Apply these per-cell limits and drain policy.
+    pub fn limits(mut self, limits: SuperviseConfig) -> Self {
+        self.limits = limits;
+        self
+    }
+
+    /// Render the `(seed, spec)` reproducer of a quarantined cell.
+    pub fn describe(mut self, f: impl Fn(usize, &T) -> String + Sync + 'a) -> Self {
+        self.describe = Box::new(f);
+        self
+    }
+
+    /// Observe every finished cell as it finishes.
+    pub fn sink(mut self, f: impl Fn(usize, Result<&R, &Quarantine>) + Sync + 'a) -> Self {
+        self.sink = Box::new(f);
+        self
+    }
+
+    /// Run every cell and collect the outcome.
+    ///
+    /// * `init` builds per-worker scratch (a reusable model, or `|| ()`),
+    ///   rebuilt after any quarantined cell since a panic may leave it
+    ///   mid-mutation.
+    /// * `run` executes one cell from `(scratch, ctx, index, item)`. Its
+    ///   value must not depend on what the scratch held before, which
+    ///   `reset`-style APIs enforce.
+    pub fn run<S, I, F>(self, init: I, run: F) -> Outcome<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &mut RunCtx, usize, &T) -> R + Sync,
+    {
+        let _span = routesync_obs::span!("exec.ensemble");
+        install_quiet_hook();
+        let Ensemble {
+            items,
+            threads,
+            limits: cfg,
+            describe,
+            sink,
+        } = self;
+        let obs = Obs::resolve();
+        let threads = crate::resolve_threads(threads).min(items.len().max(1));
+        obs.workers.add(threads as u64);
+        let cursor = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let drained = AtomicUsize::new(0);
+
+        // One worker body shared by the serial and parallel paths.
+        let worker = || {
+            let worker_start = obs.timed.then(Instant::now);
+            let mut busy_ns = 0u64;
+            let mut state = init();
+            let mut local: Vec<(usize, Result<R, Quarantine>)> = Vec::new();
+            loop {
+                if cfg.heed_interrupt && crate::interrupt::interrupted() {
                     drained.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            obs.cells.inc();
-            let mut ctx = RunCtx::new(cfg);
-            IN_SUPERVISED_CELL.with(|c| c.set(true));
-            let outcome =
-                panic::catch_unwind(AssertUnwindSafe(|| run(&mut state, &mut ctx, i, &items[i])));
-            IN_SUPERVISED_CELL.with(|c| c.set(false));
-            let entry = match outcome {
-                Ok(r) => {
-                    obs.completed.inc();
-                    sink(i, Ok(&r));
-                    (i, Ok(r))
+                if let Some(limit) = cfg.drain_after {
+                    if finished.load(Ordering::SeqCst) >= limit {
+                        drained.fetch_add(1, Ordering::Relaxed);
+                        break;
+                    }
                 }
-                Err(payload) => {
-                    let failure = classify(payload);
-                    obs.record_failure(&failure);
-                    let q = Quarantine {
-                        index: i,
-                        failure,
-                        reproducer: describe(i, &items[i]),
-                    };
-                    sink(i, Err(&q));
-                    // Scratch may be mid-mutation; rebuild it.
-                    state = init();
-                    (i, Err(q))
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
-            };
-            local.push(entry);
-            finished.fetch_add(1, Ordering::SeqCst);
+                obs.jobs.inc();
+                obs.cells.inc();
+                let cell_start = obs.timed.then(Instant::now);
+                let mut ctx = RunCtx::new(&cfg);
+                let outer = IN_SUPERVISED_CELL.with(|c| c.replace(true));
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    run(&mut state, &mut ctx, i, &items[i])
+                }));
+                IN_SUPERVISED_CELL.with(|c| c.set(outer));
+                let entry = match outcome {
+                    Ok(r) => {
+                        obs.completed.inc();
+                        sink(i, Ok(&r));
+                        Ok(r)
+                    }
+                    Err(payload) => {
+                        let failure = classify(payload);
+                        obs.record_failure(&failure);
+                        let q = Quarantine {
+                            index: i,
+                            failure,
+                            reproducer: describe(i, &items[i]),
+                        };
+                        sink(i, Err(&q));
+                        // Scratch may be mid-mutation; rebuild it.
+                        state = init();
+                        Err(q)
+                    }
+                };
+                if let Some(t0) = cell_start {
+                    busy_ns += t0.elapsed().as_nanos() as u64;
+                }
+                local.push((i, entry));
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+            if let Some(t0) = worker_start {
+                let lifetime_ns = t0.elapsed().as_nanos() as u64;
+                obs.busy_ns.add(busy_ns);
+                obs.idle_ns.add(lifetime_ns.saturating_sub(busy_ns));
+            }
+            local
+        };
+
+        let mut collected: Vec<(usize, Result<R, Quarantine>)> = Vec::with_capacity(items.len());
+        if threads == 1 {
+            collected = worker();
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+                for handle in handles {
+                    match handle.join() {
+                        Ok(local) => collected.extend(local),
+                        // Only `init`, `describe` or `sink` can panic here
+                        // (cells are caught); that is a caller bug, propagate.
+                        Err(payload) => panic::resume_unwind(payload),
+                    }
+                }
+            });
         }
-        local
-    };
 
-    let mut collected: Vec<(usize, Result<R, Quarantine>)> = Vec::with_capacity(items.len());
-    if threads == 1 {
-        collected = worker();
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(worker));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => collected.extend(local),
-                    // Only `init`, `describe` or `sink` can panic here
-                    // (cells are caught); that is a driver bug, propagate.
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        });
-    }
-
-    let interrupted = drained.load(Ordering::Relaxed) > 0;
-    if interrupted {
-        obs.drains.inc();
-    }
-    let mut results: Vec<CellResult<R>> = items.iter().map(|_| CellResult::NotRun).collect();
-    let mut quarantined = Vec::new();
-    for (i, entry) in collected {
-        match entry {
-            Ok(r) => results[i] = CellResult::Done(r),
-            Err(q) => {
-                results[i] = CellResult::Quarantined;
-                quarantined.push(q);
-            }
+        let interrupted = drained.load(Ordering::Relaxed) > 0;
+        if interrupted {
+            obs.drains.inc();
         }
-    }
-    quarantined.sort_by_key(|q| q.index);
-    Outcome {
-        results,
-        quarantined,
-        interrupted,
-    }
-}
-
-/// [`supervise_map_with_sink`] without a streaming sink.
-pub fn supervise_map<T, R, S, I, F, D>(
-    items: &[T],
-    threads: usize,
-    cfg: &SuperviseConfig,
-    init: I,
-    run: F,
-    describe: D,
-) -> Outcome<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &mut RunCtx, usize, &T) -> R + Sync,
-    D: Fn(usize, &T) -> String + Sync,
-{
-    supervise_map_with_sink(items, threads, cfg, init, run, describe, |_, _| {})
-}
-
-/// Supervised flavour of [`crate::run_many`]: one cell per seed, results
-/// in seed order, failed seeds quarantined with a `{"seed":N}`-shaped
-/// reproducer unless `describe` output is richer.
-pub fn run_many_supervised<C, R, I, F>(
-    seeds: &[u64],
-    threads: Option<usize>,
-    cfg: &SuperviseConfig,
-    init: I,
-    run: F,
-) -> Outcome<R>
-where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut RunCtx, u64) -> R + Sync,
-{
-    let threads = crate::resolve_threads(threads);
-    supervise_map(
-        seeds,
-        threads,
-        cfg,
-        init,
-        move |scratch, ctx, _i, &seed| run(scratch, ctx, seed),
-        |_i, &seed| format!("{{\"seed\":{seed}}}"),
-    )
-}
-
-/// Supervised dispatch over fixed-width blocks of seeds, for batched
-/// engines that advance many cells per pass (`routesync-core`'s SoA
-/// kernel). The supervision unit is the *block*: one panic, watchdog
-/// trip or deadline quarantines the whole block, and every member seed
-/// is reported quarantined with the block-shaped reproducer
-/// (`{"seeds":[...]}`) so the block can be replayed as a unit.
-///
-/// The returned [`Outcome`] is expanded back to **per-seed** resolution
-/// (`results.len() == seeds.len()`, seed order), so callers see the same
-/// shape as [`run_many_supervised`] regardless of `block` width.
-///
-/// `run` receives the per-worker scratch, the block's [`RunCtx`], and
-/// the block's seed slice; it must return exactly one result per seed,
-/// in order.
-pub fn run_blocks_supervised<C, R, I, F>(
-    seeds: &[u64],
-    block: usize,
-    threads: Option<usize>,
-    cfg: &SuperviseConfig,
-    init: I,
-    run: F,
-) -> Outcome<R>
-where
-    R: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, &mut RunCtx, &[u64]) -> Vec<R> + Sync,
-{
-    let block = block.max(1);
-    let blocks: Vec<&[u64]> = seeds.chunks(block).collect();
-    let threads = crate::resolve_threads(threads);
-    let block_outcome = supervise_map(
-        &blocks,
-        threads,
-        cfg,
-        init,
-        move |scratch, ctx, _i, chunk: &&[u64]| {
-            let out = run(scratch, ctx, chunk);
-            assert_eq!(
-                out.len(),
-                chunk.len(),
-                "block runner must return one result per seed"
-            );
-            out
-        },
-        |_i, chunk: &&[u64]| {
-            let list = chunk
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{{\"seeds\":[{list}]}}")
-        },
-    );
-
-    // Expand block-level cells back to per-seed resolution.
-    let mut results: Vec<CellResult<R>> = Vec::with_capacity(seeds.len());
-    let mut quarantined = Vec::new();
-    let mut base = 0usize;
-    for (bi, cell) in block_outcome.results.into_iter().enumerate() {
-        let members = blocks[bi].len();
-        match cell {
-            CellResult::Done(vals) => {
-                debug_assert_eq!(vals.len(), members);
-                results.extend(vals.into_iter().map(CellResult::Done));
-            }
-            CellResult::Quarantined => {
-                let q = block_outcome
-                    .quarantined
-                    .iter()
-                    .find(|q| q.index == bi)
-                    .expect("quarantined block has a report");
-                for off in 0..members {
-                    results.push(CellResult::Quarantined);
-                    quarantined.push(Quarantine {
-                        index: base + off,
-                        failure: q.failure.clone(),
-                        reproducer: q.reproducer.clone(),
-                    });
+        let mut results: Vec<CellResult<R>> = items.iter().map(|_| CellResult::NotRun).collect();
+        let mut quarantined = Vec::new();
+        for (i, entry) in collected {
+            match entry {
+                Ok(r) => results[i] = CellResult::Done(r),
+                Err(q) => {
+                    results[i] = CellResult::Quarantined;
+                    quarantined.push(q);
                 }
-            }
-            CellResult::NotRun => {
-                results.extend((0..members).map(|_| CellResult::NotRun));
             }
         }
-        base += members;
-    }
-    Outcome {
-        results,
-        quarantined,
-        interrupted: block_outcome.interrupted,
+        quarantined.sort_by_key(|q| q.index);
+        Outcome {
+            results,
+            quarantined,
+            interrupted,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Test policy with interrupt-heeding off: the interrupt flag is
     /// process-global and another test in this binary exercises it.
@@ -746,18 +710,143 @@ mod tests {
     }
 
     #[test]
+    fn matches_serial_map_in_order() {
+        let items: Vec<u64> = (0..503).collect();
+        let serial: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * 3 + i as u64)
+            .collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let parallel = Ensemble::new(&items)
+                .threads(threads)
+                .run(|| (), |(), _ctx, i, &x| x * 3 + i as u64)
+                .into_values();
+            assert_eq!(parallel, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn handles_empty_and_single_item() {
+        let empty: Vec<u32> = Vec::new();
+        let none = Ensemble::new(&empty)
+            .threads(4)
+            .run(|| (), |(), _ctx, _i, &x| x)
+            .into_values();
+        assert_eq!(none, Vec::<u32>::new());
+        let one = Ensemble::new(&[7u32])
+            .threads(4)
+            .run(|| (), |(), _ctx, i, &x| x + i as u32)
+            .into_values();
+        assert_eq!(one, vec![7]);
+    }
+
+    #[test]
+    fn uses_all_requested_threads_for_large_inputs() {
+        let items: Vec<u32> = (0..1024).collect();
+        let peak = AtomicUsize::new(0);
+        let live = AtomicUsize::new(0);
+        Ensemble::new(&items).threads(4).run(
+            || (),
+            |(), _ctx, _i, &x| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                live.fetch_sub(1, Ordering::SeqCst);
+                x
+            },
+        );
+        assert!(peak.load(Ordering::SeqCst) >= 2, "never ran concurrently");
+    }
+
+    #[test]
+    fn worker_state_is_reused_within_a_thread() {
+        let items: Vec<u64> = (0..256).collect();
+        let inits = AtomicUsize::new(0);
+        let out = Ensemble::new(&items)
+            .threads(4)
+            .run(
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    Vec::<u64>::new()
+                },
+                |scratch, _ctx, i, &x| {
+                    scratch.clear();
+                    scratch.extend([x, x + 1]);
+                    scratch.iter().sum::<u64>() + i as u64
+                },
+            )
+            .into_values();
+        assert_eq!(out[10], 10 + 11 + 10);
+        let n = inits.load(Ordering::SeqCst);
+        assert!(n <= 4, "one init per worker at most, got {n}");
+    }
+
+    /// `into_values` re-raises a failed cell on the caller as a panic
+    /// that names the cell's index and carries its message.
+    #[test]
+    fn into_values_reraises_the_failed_cell() {
+        let items: Vec<u32> = (0..100).collect();
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                Ensemble::new(&items)
+                    .threads(threads)
+                    .run(
+                        || (),
+                        |(), _ctx, _i, &x| {
+                            assert!(x != 37, "injected failure at {x}");
+                            x
+                        },
+                    )
+                    .into_values()
+            })
+            .expect_err("the failed cell must reach the caller");
+            let message = caught
+                .downcast_ref::<String>()
+                .expect("re-raised with a formatted message");
+            assert!(message.contains("cell 37"), "{message}");
+            assert!(message.contains("injected failure at 37"), "{message}");
+        }
+    }
+
+    /// One run emits both the worker timings and the supervisor cell
+    /// accounting. Lower bounds only: the collector is process-global.
+    #[test]
+    fn one_run_emits_worker_and_supervisor_counters() {
+        let previous = routesync_obs::global();
+        let live = routesync_obs::Collector::enabled();
+        routesync_obs::install(live.clone());
+        let items: Vec<u64> = (0..16).collect();
+        let out = Ensemble::new(&items)
+            .threads(2)
+            .run(
+                || (),
+                |(), _ctx, _i, &x| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    x
+                },
+            )
+            .into_values();
+        let snap = live.snapshot();
+        routesync_obs::install(previous);
+        assert_eq!(out, items);
+        let counter = |name: &str| snap.counters.get(name).copied();
+        assert!(counter("exec.worker.busy_ns").unwrap_or(0) >= 16 * 1_000_000);
+        assert!(counter("exec.worker.idle_ns").is_some(), "idle_ns missing");
+        assert!(counter("exec.supervisor.cells").unwrap_or(0) >= 16);
+        assert!(counter("exec.supervisor.completed").unwrap_or(0) >= 16);
+    }
+
+    #[test]
     fn completes_and_matches_serial_without_failures() {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(31) ^ 5).collect();
         for threads in [1, 2, 4] {
-            let out = supervise_map(
-                &items,
-                threads,
-                &quiet(),
-                || (),
-                |(), _ctx, _i, &x| x.wrapping_mul(31) ^ 5,
-                |i, _| format!("{i}"),
-            );
+            let out = Ensemble::new(&items)
+                .threads(threads)
+                .limits(quiet())
+                .describe(|i, _| format!("{i}"))
+                .run(|| (), |(), _ctx, _i, &x| x.wrapping_mul(31) ^ 5);
             assert!(!out.interrupted);
             assert!(out.quarantined.is_empty());
             let got: Vec<u64> = out
@@ -772,17 +861,17 @@ mod tests {
     #[test]
     fn panicking_cell_is_quarantined_and_rest_complete() {
         let items: Vec<u64> = (0..100).collect();
-        let out = supervise_map(
-            &items,
-            4,
-            &quiet(),
-            || (),
-            |(), _ctx, _i, &x| {
-                assert!(x != 37, "injected failure at {x}");
-                x
-            },
-            |_i, &x| format!("{{\"seed\":{x}}}"),
-        );
+        let out = Ensemble::new(&items)
+            .threads(4)
+            .limits(quiet())
+            .describe(|_i, &x| format!("{{\"seed\":{x}}}"))
+            .run(
+                || (),
+                |(), _ctx, _i, &x| {
+                    assert!(x != 37, "injected failure at {x}");
+                    x
+                },
+            );
         assert_eq!(out.completed(), 99);
         assert_eq!(out.quarantined.len(), 1);
         let q = &out.quarantined[0];
@@ -798,21 +887,21 @@ mod tests {
         let items: Vec<u64> = (0..8).collect();
         let cfg = quiet().with_watchdog_steps(100);
         for threads in [1, 4] {
-            let out = supervise_map(
-                &items,
-                threads,
-                &cfg,
-                || (),
-                |(), ctx, _i, &x| {
-                    // Cell 3 claims to simulate forever.
-                    let steps = if x == 3 { 1_000 } else { 10 };
-                    for _ in 0..steps {
-                        ctx.tick();
-                    }
-                    x
-                },
-                |_i, &x| format!("{x}"),
-            );
+            let out = Ensemble::new(&items)
+                .threads(threads)
+                .limits(cfg.clone())
+                .describe(|_i, &x| format!("{x}"))
+                .run(
+                    || (),
+                    |(), ctx, _i, &x| {
+                        // Cell 3 claims to simulate forever.
+                        let steps = if x == 3 { 1_000 } else { 10 };
+                        for _ in 0..steps {
+                            ctx.tick();
+                        }
+                        x
+                    },
+                );
             assert_eq!(out.quarantined.len(), 1, "threads={threads}");
             assert_eq!(
                 out.quarantined[0].failure,
@@ -824,19 +913,19 @@ mod tests {
 
     #[test]
     fn oom_guard_trips_on_charged_bytes() {
-        let out = supervise_map(
-            &[1u64],
-            1,
-            &SuperviseConfig {
+        let out = Ensemble::new(&[1u64])
+            .threads(1)
+            .limits(SuperviseConfig {
                 mem_bytes: Some(1_000),
                 ..quiet()
-            },
-            || (),
-            |(), ctx, _i, _| {
-                ctx.charge_bytes(4_096);
-            },
-            |_i, _| String::new(),
-        );
+            })
+            .describe(|_i, _| String::new())
+            .run(
+                || (),
+                |(), ctx, _i, _| {
+                    ctx.charge_bytes(4_096);
+                },
+            );
         assert_eq!(out.quarantined.len(), 1);
         assert!(matches!(
             out.quarantined[0].failure,
@@ -854,14 +943,11 @@ mod tests {
             drain_after: Some(10),
             ..quiet()
         };
-        let out = supervise_map(
-            &items,
-            2,
-            &cfg,
-            || (),
-            |(), _ctx, _i, &x| x,
-            |_i, _| String::new(),
-        );
+        let out = Ensemble::new(&items)
+            .threads(2)
+            .limits(cfg)
+            .describe(|_i, _| String::new())
+            .run(|| (), |(), _ctx, _i, &x| x);
         assert!(out.interrupted);
         assert!(out.completed() >= 10, "at least the drain threshold");
         assert!(out.not_run() > 0, "drain left work unattempted");
@@ -872,20 +958,20 @@ mod tests {
         use std::sync::Mutex;
         let items: Vec<u64> = (0..50).collect();
         let seen = Mutex::new(Vec::new());
-        let out = supervise_map_with_sink(
-            &items,
-            4,
-            &quiet(),
-            || (),
-            |(), _ctx, _i, &x| {
-                assert!(x != 7, "boom");
-                x * 2
-            },
-            |_i, &x| format!("{x}"),
-            |i, result| {
+        let out = Ensemble::new(&items)
+            .threads(4)
+            .limits(quiet())
+            .describe(|_i, &x| format!("{x}"))
+            .sink(|i, result| {
                 seen.lock().unwrap().push((i, result.is_ok()));
-            },
-        );
+            })
+            .run(
+                || (),
+                |(), _ctx, _i, &x| {
+                    assert!(x != 7, "boom");
+                    x * 2
+                },
+            );
         let mut seen = seen.into_inner().unwrap();
         seen.sort();
         assert_eq!(seen.len(), 50);
@@ -894,117 +980,20 @@ mod tests {
     }
 
     #[test]
-    fn supervise_unit_classifies_and_passes_through() {
-        let cfg = quiet();
-        let ok = supervise_unit(&cfg, "r", |_ctx| 42u32);
-        assert_eq!(ok.expect("completes"), 42);
-        let err = supervise_unit(&cfg, "{\"id\":\"x\"}", |_ctx| -> u32 {
-            panic!("unit blew up");
-        })
-        .expect_err("quarantined");
+    fn single_cell_classifies_and_passes_through() {
+        let ok = Ensemble::new(&[()])
+            .limits(quiet())
+            .run(|| (), |(), _ctx, _i, _| 42u32)
+            .into_result();
+        assert_eq!(ok.expect("completes"), vec![42]);
+        let err = Ensemble::new(&[()])
+            .limits(quiet())
+            .describe(|_i, _| "{\"id\":\"x\"}".to_string())
+            .run(|| (), |(), _ctx, _i, _| -> u32 { panic!("unit blew up") })
+            .into_result()
+            .expect_err("quarantined");
         assert_eq!(err.failure.kind(), "panic");
         assert!(err.to_line().contains("unit blew up"));
         assert!(err.to_line().contains("{\"id\":\"x\"}"));
-    }
-
-    #[test]
-    fn run_many_supervised_matches_run_many_when_clean() {
-        let seeds: Vec<u64> = (0..97).collect();
-        let expect = crate::run_many(&seeds, Some(2), || (), |(), s| s.wrapping_mul(31) ^ 7);
-        for threads in [Some(1), Some(2), Some(4)] {
-            let out = run_many_supervised(
-                &seeds,
-                threads,
-                &quiet(),
-                || (),
-                |(), _ctx, s| s.wrapping_mul(31) ^ 7,
-            );
-            let got: Vec<u64> = out.results.iter().map(|r| *r.done().unwrap()).collect();
-            assert_eq!(got, expect, "threads={threads:?}");
-        }
-    }
-
-    #[test]
-    fn run_blocks_supervised_matches_run_many_when_clean() {
-        let seeds: Vec<u64> = (0..97).collect();
-        let expect = crate::run_many(&seeds, Some(2), || (), |(), s| s.wrapping_mul(31) ^ 7);
-        for block in [1usize, 8, 64, 200] {
-            for threads in [Some(1), Some(2), Some(4)] {
-                let out = run_blocks_supervised(
-                    &seeds,
-                    block,
-                    threads,
-                    &quiet(),
-                    || (),
-                    |(), _ctx, chunk: &[u64]| {
-                        chunk.iter().map(|s| s.wrapping_mul(31) ^ 7).collect()
-                    },
-                );
-                assert_eq!(out.results.len(), seeds.len());
-                let got: Vec<u64> = out.results.iter().map(|r| *r.done().unwrap()).collect();
-                assert_eq!(got, expect, "block={block} threads={threads:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_blocks_supervised_quarantines_only_the_failing_block() {
-        let seeds: Vec<u64> = (0..24).collect();
-        // Block width 8: seeds 8..16 form the poisoned middle block.
-        let out = run_blocks_supervised(
-            &seeds,
-            8,
-            Some(2),
-            &quiet(),
-            || (),
-            |(), _ctx, chunk: &[u64]| {
-                if chunk.contains(&11) {
-                    panic!("block with seed 11 blows up");
-                }
-                chunk.iter().map(|s| s + 100).collect()
-            },
-        );
-        assert_eq!(out.results.len(), 24);
-        assert_eq!(out.completed(), 16);
-        assert_eq!(out.quarantined.len(), 8);
-        for (i, r) in out.results.iter().enumerate() {
-            if (8..16).contains(&i) {
-                assert!(matches!(r, CellResult::Quarantined), "seed {i}");
-            } else {
-                assert_eq!(*r.done().unwrap(), i as u64 + 100, "seed {i}");
-            }
-        }
-        // Every member of the failed block carries the block reproducer
-        // and its own per-seed index.
-        let idx: Vec<usize> = out.quarantined.iter().map(|q| q.index).collect();
-        assert_eq!(idx, (8..16).collect::<Vec<_>>());
-        for q in &out.quarantined {
-            assert_eq!(q.failure.kind(), "panic");
-            assert_eq!(q.reproducer, "{\"seeds\":[8,9,10,11,12,13,14,15]}");
-        }
-    }
-
-    #[test]
-    fn run_blocks_supervised_drain_marks_whole_blocks_not_run() {
-        let seeds: Vec<u64> = (0..32).collect();
-        let mut cfg = quiet();
-        cfg.drain_after = Some(1);
-        let out = run_blocks_supervised(
-            &seeds,
-            8,
-            Some(1),
-            &cfg,
-            || (),
-            |(), _ctx, chunk: &[u64]| chunk.to_vec(),
-        );
-        assert!(out.interrupted);
-        assert_eq!(out.results.len(), 32);
-        // drain_after=1 lets exactly one block through on one thread.
-        assert_eq!(out.completed(), 8);
-        assert!(out
-            .results
-            .iter()
-            .skip(8)
-            .all(|r| matches!(r, CellResult::NotRun)));
     }
 }

@@ -92,7 +92,13 @@ fn figure7_ordering_holds_at_both_levels() {
     for mult in [0.6, 1.0] {
         let tr = mult * 0.11;
         let seeds: Vec<u64> = (0..6).collect();
-        let profiles = experiment::parallel_passage_up(core_params(tr), &seeds, 3e6);
+        let profiles = experiment::run_many(
+            core_params(tr),
+            StartState::Unsynchronized,
+            &seeds,
+            2,
+            |model, _| experiment::passage_up_profile(model, 3e6),
+        );
         let avg = experiment::average_profiles(profiles);
         // At Tr = Tc some seeds can outlast the horizon (the paper's own
         // Figure 7 run at this Tr took 7,796 rounds and the variance is

@@ -2,7 +2,7 @@
 //! path must be byte-identical to the scalar path for every recorder
 //! event — across block widths, worker-thread counts, with and without
 //! a live obs collector, and straight through a kill-and-resume
-//! checkpoint cycle driven by `run_blocks_supervised`.
+//! checkpoint cycle driven by `Ensemble` over blocks of seeds.
 //!
 //! "Byte-identical" here is literal: full `SendTrace` and `ClusterLog`
 //! contents plus the cell summaries, not canonicalized or tail-trimmed.
@@ -16,11 +16,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use routesync_core::{
-    BatchedEngine, BatchedEnsemble, ClusterLog, EnsembleEngine, FastModel, FirstPassageUp, NodeId,
-    PeriodicParams, ScalarEngine, SendTrace, StartState,
+    batch, experiment, BatchedEnsemble, CellOut, ClusterLog, Engine, FastModel, FirstPassageUp,
+    NodeId, PeriodicParams, SendTrace, StartState,
 };
 use routesync_desim::{Duration, SimTime};
-use routesync_exec::{checkpoint, run_blocks_supervised, SuperviseConfig};
+use routesync_exec::{checkpoint, Ensemble, SuperviseConfig};
 
 const N: usize = 5;
 const HORIZON_S: u64 = 2_500;
@@ -49,23 +49,56 @@ struct CellTrace {
     groups: Vec<(SimTime, u64, u32)>,
 }
 
-/// Run `seeds` through `engine` and collect full traces, in seed order.
-fn traces_of<E: EnsembleEngine>(engine: &E, seeds: &[u64], threads: usize) -> Vec<CellTrace> {
-    engine.run_cells(
-        params(),
-        &StartState::Unsynchronized,
-        seeds,
-        horizon(),
-        threads,
-        |_seed| (SendTrace::new(), ClusterLog::new()),
-        |out, rec| CellTrace {
-            seed: out.seed,
-            end_ns: out.now.as_nanos(),
-            total_sends: out.sends,
-            sends: rec.0.sends().to_vec(),
-            groups: rec.1.groups().to_vec(),
-        },
-    )
+/// The ensemble path under test.
+#[derive(Clone, Copy)]
+enum Route {
+    /// `run_ensemble` with `Engine::Scalar`.
+    Scalar,
+    /// `batch::run_blocks` at this block width.
+    Blocks(usize),
+}
+
+type Traced = (SendTrace, ClusterLog);
+
+fn make_trace(_seed: u64) -> Traced {
+    (SendTrace::new(), ClusterLog::new())
+}
+
+fn finish_trace(out: CellOut, rec: Traced) -> CellTrace {
+    CellTrace {
+        seed: out.seed,
+        end_ns: out.now.as_nanos(),
+        total_sends: out.sends,
+        sends: rec.0.sends().to_vec(),
+        groups: rec.1.groups().to_vec(),
+    }
+}
+
+/// Run `seeds` through `route` and collect full traces, in seed order.
+fn traces_of(route: Route, seeds: &[u64], threads: usize) -> Vec<CellTrace> {
+    let start = StartState::Unsynchronized;
+    match route {
+        Route::Scalar => experiment::run_ensemble(
+            Engine::Scalar,
+            params(),
+            &start,
+            seeds,
+            horizon(),
+            threads,
+            make_trace,
+            finish_trace,
+        ),
+        Route::Blocks(width) => batch::run_blocks(
+            params(),
+            &start,
+            seeds,
+            horizon(),
+            threads,
+            width,
+            make_trace,
+            finish_trace,
+        ),
+    }
 }
 
 /// The tentpole contract: batched output is byte-identical to scalar for
@@ -74,11 +107,11 @@ fn traces_of<E: EnsembleEngine>(engine: &E, seeds: &[u64], threads: usize) -> Ve
 #[test]
 fn batched_is_byte_identical_to_scalar_across_widths_and_threads() {
     let seeds: Vec<u64> = (0..40).map(|i| 1_000 + 17 * i).collect();
-    let reference = traces_of(&ScalarEngine, &seeds, 1);
+    let reference = traces_of(Route::Scalar, &seeds, 1);
     assert_eq!(reference.len(), seeds.len());
     for width in [1usize, 8, 64] {
         for threads in [1usize, 2, 4] {
-            let got = traces_of(&BatchedEngine::with_width(width), &seeds, threads);
+            let got = traces_of(Route::Blocks(width), &seeds, threads);
             assert_eq!(
                 got, reference,
                 "batched diverged from scalar (width={width}, threads={threads})"
@@ -87,7 +120,7 @@ fn batched_is_byte_identical_to_scalar_across_widths_and_threads() {
     }
     // And the scalar engine itself is thread-count invariant, so the
     // reference above is not an artifact of running it serially.
-    assert_eq!(traces_of(&ScalarEngine, &seeds, 4), reference);
+    assert_eq!(traces_of(Route::Scalar, &seeds, 4), reference);
 }
 
 /// A live obs collector must observe, never perturb: the batched traces
@@ -96,11 +129,11 @@ fn batched_is_byte_identical_to_scalar_across_widths_and_threads() {
 #[test]
 fn obs_instrumentation_does_not_perturb_batched_traces() {
     let seeds: Vec<u64> = (0..16).map(|i| 7_000 + 13 * i).collect();
-    let reference = traces_of(&BatchedEngine::with_width(8), &seeds, 2);
+    let reference = traces_of(Route::Blocks(8), &seeds, 2);
 
     let previous = routesync_obs::global();
     routesync_obs::install(routesync_obs::Collector::enabled());
-    let instrumented = traces_of(&BatchedEngine::with_width(8), &seeds, 2);
+    let instrumented = traces_of(Route::Blocks(8), &seeds, 2);
     let snap = routesync_obs::global().snapshot();
     routesync_obs::install(previous);
 
@@ -157,13 +190,10 @@ fn run_batched_checkpointed(
         drain_after: drain_after_blocks,
         ..SuperviseConfig::new()
     };
-    let out = run_blocks_supervised(
-        &pending,
-        width,
-        Some(threads),
-        &cfg,
+    let blocks: Vec<&[u64]> = pending.chunks(width).collect();
+    let out = Ensemble::new(&blocks).threads(threads).limits(cfg).run(
         || BatchedEnsemble::new(params(), width),
-        |ens, _ctx, chunk: &[u64]| {
+        |ens, _ctx, _i, chunk| {
             ens.reset(&StartState::Unsynchronized, chunk);
             let mut recs: Vec<FirstPassageUp> =
                 chunk.iter().map(|_| FirstPassageUp::new(N)).collect();
@@ -177,15 +207,21 @@ fn run_batched_checkpointed(
                         .unwrap_or_else(|| "none".to_string());
                     format!("{}:{}", ens.now(c).as_nanos(), first)
                 })
-                .collect()
+                .collect::<Vec<String>>()
         },
     );
+    // Completed blocks, expanded back to (seed, value) pairs.
+    let done: Vec<(u64, &String)> = out
+        .results
+        .iter()
+        .zip(&blocks)
+        .filter_map(|(slot, chunk)| slot.done().map(|values| chunk.iter().copied().zip(values)))
+        .flatten()
+        .collect();
     {
         let mut w = writer.lock().unwrap();
-        for (i, slot) in out.results.iter().enumerate() {
-            if let Some(v) = slot.done() {
-                w.append(&pending[i].to_string(), v).expect("append");
-            }
+        for (seed, v) in &done {
+            w.append(&seed.to_string(), v).expect("append");
         }
         w.sync()?;
     }
@@ -194,10 +230,8 @@ fn run_batched_checkpointed(
         .into_iter()
         .map(|(k, v)| (k.parse::<u64>().expect("numeric key"), v))
         .collect();
-    for (i, slot) in out.results.iter().enumerate() {
-        if let Some(v) = slot.done() {
-            complete.insert(pending[i], v.clone());
-        }
+    for (seed, v) in done {
+        complete.insert(seed, v.clone());
     }
     if out.interrupted || complete.len() < seeds.len() {
         return Ok(None);

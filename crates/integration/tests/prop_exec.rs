@@ -1,14 +1,15 @@
 //! Property tests for the deterministic parallel runner: at every thread
-//! count, `par_map_indexed` must be indistinguishable from the serial
-//! map — same values, same order — and worker panics must reach the
-//! caller instead of vanishing or wedging the pool.
+//! count, `Ensemble` must be indistinguishable from the serial map —
+//! same values, same order — and worker panics must reach the caller
+//! (through `Outcome::into_values`) instead of vanishing or wedging the
+//! pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use routesync_core::{experiment, FastModel, FirstPassageUp, PeriodicParams, StartState};
 use routesync_desim::{Duration, SimTime};
-use routesync_exec::{par_map_indexed, par_map_indexed_with};
+use routesync_exec::Ensemble;
 
 proptest! {
     /// The parallel map equals the serial map for any items and thread
@@ -20,7 +21,10 @@ proptest! {
     ) {
         let f = |i: usize, &x: &u64| x.wrapping_mul(2654435761).rotate_left((i % 64) as u32);
         let serial: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        let parallel = par_map_indexed(&items, threads, f);
+        let parallel = Ensemble::new(&items)
+            .threads(threads)
+            .run(|| (), |(), _ctx, i, x| f(i, x))
+            .into_values();
         prop_assert_eq!(parallel, serial);
     }
 
@@ -32,15 +36,16 @@ proptest! {
         threads in 1usize..12,
     ) {
         let serial: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        let parallel = par_map_indexed_with(
-            &items,
-            threads,
-            || 0u64, // a scratch accumulator, deliberately stateful
-            |acc, _i, &x| {
-                *acc = acc.wrapping_add(x);
-                x * 3 + 1
-            },
-        );
+        let parallel = Ensemble::new(&items)
+            .threads(threads)
+            .run(
+                || 0u64, // a scratch accumulator, deliberately stateful
+                |acc, _ctx, _i, &x| {
+                    *acc = acc.wrapping_add(x);
+                    x * 3 + 1
+                },
+            )
+            .into_values();
         prop_assert_eq!(parallel, serial);
     }
 
@@ -54,10 +59,13 @@ proptest! {
         let bomb = bomb % len;
         let items: Vec<usize> = (0..len).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed(&items, threads, |i, &x| {
-                assert!(i != bomb, "injected failure at {i}");
-                x
-            })
+            Ensemble::new(&items)
+                .threads(threads)
+                .run(|| (), |(), _ctx, i, &x| {
+                    assert!(i != bomb, "injected failure at {i}");
+                    x
+                })
+                .into_values()
         }));
         prop_assert!(result.is_err(), "panic at index {} was swallowed", bomb);
     }
@@ -68,12 +76,18 @@ proptest! {
     fn runner_survives_a_panicking_batch(threads in 1usize..8) {
         let items: Vec<u32> = (0..40).collect();
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed(&items, threads, |_, &x| {
-                assert!(x != 17, "boom");
-                x
-            })
+            Ensemble::new(&items)
+                .threads(threads)
+                .run(|| (), |(), _ctx, _, &x| {
+                    assert!(x != 17, "boom");
+                    x
+                })
+                .into_values()
         }));
-        let ok = par_map_indexed(&items, threads, |_, &x| x + 1);
+        let ok = Ensemble::new(&items)
+            .threads(threads)
+            .run(|| (), |(), _ctx, _, &x| x + 1)
+            .into_values();
         let want: Vec<u32> = (1..41).collect();
         prop_assert_eq!(ok, want);
     }

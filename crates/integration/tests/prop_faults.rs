@@ -55,12 +55,10 @@ fn lan_fingerprint(seed: u64) -> (u64, u64, usize, u64) {
 #[test]
 fn empty_plan_lan_matches_pre_redesign_golden_at_any_thread_count() {
     for threads in [1usize, 2, 4] {
-        let results = routesync_exec::run_many(
-            &[1993u64],
-            Some(threads),
-            || (),
-            |(), seed| lan_fingerprint(seed),
-        );
+        let results = routesync_exec::Ensemble::new(&[1993u64])
+            .threads(threads)
+            .run(|| (), |(), _ctx, _, &seed| lan_fingerprint(seed))
+            .into_values();
         let (sent, processed, resets, fnv) = results[0];
         assert_eq!(sent, LAN_GOLDEN_UPDATES_SENT, "threads={threads}");
         assert_eq!(processed, LAN_GOLDEN_UPDATES_PROCESSED, "threads={threads}");

@@ -239,13 +239,13 @@ proptest! {
     }
 
     /// Thread-invariance: an ensemble of phenomena runs fanned out with
-    /// `par_map_indexed` yields identical reports at 1, 2 and 4 worker
+    /// `Ensemble` yields identical reports at 1, 2 and 4 worker
     /// threads.
     #[test]
     fn ensembles_are_thread_invariant(base in 1u32..10_000) {
         let seeds: Vec<u32> = (0..6).map(|i| base + i * 1_013).collect();
         let run_all = |threads: usize| {
-            routesync_exec::par_map_indexed(&seeds, threads, |_, &s| {
+            routesync_exec::Ensemble::new(&seeds).threads(threads).run(|| (), |(), _ctx, _, &s| {
                 let mut rng = MinStd::new(s);
                 let mut b =
                     TcpBottleneck::new(TcpParams::classic(5, DropPolicy::TailDrop), &mut rng);
@@ -261,7 +261,7 @@ proptest! {
                     &mut rng,
                 );
                 (tcp, storm, clock)
-            })
+            }).into_values()
         };
         let one = run_all(1);
         prop_assert_eq!(&one, &run_all(2), "two threads must match one");

@@ -52,12 +52,10 @@ fn hierarchy_fingerprint(seed: u64) -> (u64, u64, u64, u64) {
 fn hierarchy_is_thread_count_invariant() {
     let baseline = hierarchy_fingerprint(1993);
     for threads in [1usize, 2, 4] {
-        let results = routesync_exec::run_many(
-            &[1993u64],
-            Some(threads),
-            || (),
-            |(), seed| hierarchy_fingerprint(seed),
-        );
+        let results = routesync_exec::Ensemble::new(&[1993u64])
+            .threads(threads)
+            .run(|| (), |(), _ctx, _, &seed| hierarchy_fingerprint(seed))
+            .into_values();
         assert_eq!(results[0], baseline, "threads={threads}");
     }
 }

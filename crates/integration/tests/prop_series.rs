@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use routesync_core::{
-    analysis, BatchedEngine, BatchedEnsemble, EnsembleEngine, FastModel, FirstPassageUp,
-    PeriodicParams, Recorder, ScalarEngine, SendTrace, StartState, Telemetry,
+    analysis, experiment, BatchedEnsemble, Engine, FastModel, FirstPassageUp, PeriodicParams,
+    Recorder, SendTrace, StartState, Telemetry,
 };
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::ScenarioSpec;
@@ -33,14 +33,10 @@ fn paper_params(n: usize) -> PeriodicParams {
 
 /// Run an ensemble with the full telemetry recorder attached and render
 /// the simulation results as the CSV an experiment would write.
-fn ensemble_csv<E: EnsembleEngine>(
-    engine: &E,
-    params: PeriodicParams,
-    seeds: &[u64],
-    threads: usize,
-) -> String {
+fn ensemble_csv(engine: Engine, params: PeriodicParams, seeds: &[u64], threads: usize) -> String {
     let n = params.n;
-    let rows = engine.run_cells(
+    let rows = experiment::run_ensemble(
+        engine,
         params,
         &StartState::Unsynchronized,
         seeds,
@@ -75,15 +71,15 @@ fn full_telemetry_leaves_ensemble_output_byte_identical() {
 
     for threads in [1usize, 2, 4] {
         routesync_obs::install(Collector::disabled());
-        let off_scalar = ensemble_csv(&ScalarEngine, params, &seeds, threads);
-        let off_batched = ensemble_csv(&BatchedEngine::default(), params, &seeds, threads);
+        let off_scalar = ensemble_csv(Engine::Scalar, params, &seeds, threads);
+        let off_batched = ensemble_csv(Engine::Batched, params, &seeds, threads);
 
         let live = Collector::enabled();
         live.configure_series(SeriesConfig::every(1_000_000_000));
         routesync_obs::install(live.clone());
         let server = ObsServer::serve("127.0.0.1:0", live.clone()).expect("bind loopback");
-        let on_scalar = ensemble_csv(&ScalarEngine, params, &seeds, threads);
-        let on_batched = ensemble_csv(&BatchedEngine::default(), params, &seeds, threads);
+        let on_scalar = ensemble_csv(Engine::Scalar, params, &seeds, threads);
+        let on_batched = ensemble_csv(Engine::Batched, params, &seeds, threads);
         let snap = live.snapshot();
         server.shutdown();
         routesync_obs::install(Collector::disabled());
@@ -125,7 +121,7 @@ fn series_deltas_sum_exactly_to_final_counters() {
             capacity: 8,
         });
         routesync_obs::install(live.clone());
-        ensemble_csv(&ScalarEngine, params, &seeds, threads);
+        ensemble_csv(Engine::Scalar, params, &seeds, threads);
         let snap = live.snapshot();
         routesync_obs::install(Collector::disabled());
 

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use routesync_core::{FastModel, FirstPassageUp, PeriodicParams, StartState};
 use routesync_desim::{Duration, SimTime};
-use routesync_exec::{checkpoint, supervise_map_with_sink, RunFailure, SuperviseConfig};
+use routesync_exec::{checkpoint, Ensemble, RunFailure, SuperviseConfig};
 
 const N: usize = 4;
 const META: &str = "prop-supervise-v1 n=4 tp=121 tc=0.11 tr=2 horizon=2000";
@@ -76,20 +76,20 @@ fn run_checkpointed(
         drain_after,
         ..quiet()
     };
-    let out = supervise_map_with_sink(
-        &pending,
-        threads,
-        &cfg,
-        || FastModel::new(params(), StartState::Unsynchronized, 0),
-        |model, _ctx, _i, &seed| cell_value(model, seed),
-        |_i, &seed| format!("{{\"seed\":{seed}}}"),
-        |i, result| {
+    let out = Ensemble::new(&pending)
+        .threads(threads)
+        .limits(cfg)
+        .describe(|_i, &seed| format!("{{\"seed\":{seed}}}"))
+        .sink(|i, result: Result<&String, _>| {
             if let Ok(value) = result {
                 let mut w = writer.lock().unwrap();
                 w.append(&pending[i].to_string(), value).expect("append");
             }
-        },
-    );
+        })
+        .run(
+            || FastModel::new(params(), StartState::Unsynchronized, 0),
+            |model, _ctx, _i, &seed| cell_value(model, seed),
+        );
     writer.lock().unwrap().sync()?;
 
     let mut complete: BTreeMap<u64, String> = cached
@@ -166,19 +166,18 @@ fn kill_after_k_and_resume_is_byte_identical_at_every_thread_count() {
 fn panicking_scenario_is_quarantined_with_correct_taxonomy() {
     let seeds: Vec<u64> = (0..32).collect();
     let bomb = 13u64;
-    let out = supervise_map_with_sink(
-        &seeds,
-        4,
-        &quiet(),
-        || FastModel::new(params(), StartState::Unsynchronized, 0),
-        |model, _ctx, _i, &seed| {
-            let v = cell_value(model, seed);
-            assert!(seed != bomb, "injected scenario failure at seed {seed}");
-            v
-        },
-        |_i, &seed| format!("{{\"seed\":{seed}}}"),
-        |_, _| {},
-    );
+    let out = Ensemble::new(&seeds)
+        .threads(4)
+        .limits(quiet())
+        .describe(|_i, &seed| format!("{{\"seed\":{seed}}}"))
+        .run(
+            || FastModel::new(params(), StartState::Unsynchronized, 0),
+            |model, _ctx, _i, &seed| {
+                let v = cell_value(model, seed);
+                assert!(seed != bomb, "injected scenario failure at seed {seed}");
+                v
+            },
+        );
     assert_eq!(out.completed(), seeds.len() - 1);
     assert_eq!(out.quarantined.len(), 1);
     let q = &out.quarantined[0];
@@ -191,15 +190,14 @@ fn panicking_scenario_is_quarantined_with_correct_taxonomy() {
 
     // The survivors are unperturbed by their neighbour's panic: they
     // match a run with no bomb at all (worker scratch was rebuilt).
-    let clean = supervise_map_with_sink(
-        &seeds,
-        4,
-        &quiet(),
-        || FastModel::new(params(), StartState::Unsynchronized, 0),
-        |model, _ctx, _i, &seed| cell_value(model, seed),
-        |_i, &seed| format!("{{\"seed\":{seed}}}"),
-        |_, _| {},
-    );
+    let clean = Ensemble::new(&seeds)
+        .threads(4)
+        .limits(quiet())
+        .describe(|_i, &seed| format!("{{\"seed\":{seed}}}"))
+        .run(
+            || FastModel::new(params(), StartState::Unsynchronized, 0),
+            |model, _ctx, _i, &seed| cell_value(model, seed),
+        );
     for (i, seed) in seeds.iter().enumerate() {
         if *seed == bomb {
             continue;
@@ -223,22 +221,21 @@ fn runaway_scenario_trips_the_watchdog_deterministically() {
         ..quiet()
     };
     for threads in [1usize, 4] {
-        let out = supervise_map_with_sink(
-            &seeds,
-            threads,
-            &cfg,
-            || (),
-            |(), ctx, _i, &seed| {
-                // Seed 5 "simulates" forever; the others stay in budget.
-                let steps = if seed == 5 { 10_000u64 } else { 100 };
-                for _ in 0..steps {
-                    ctx.tick();
-                }
-                seed
-            },
-            |_i, &seed| format!("{{\"seed\":{seed}}}"),
-            |_, _| {},
-        );
+        let out = Ensemble::new(&seeds)
+            .threads(threads)
+            .limits(cfg.clone())
+            .describe(|_i, &seed| format!("{{\"seed\":{seed}}}"))
+            .run(
+                || (),
+                |(), ctx, _i, &seed| {
+                    // Seed 5 "simulates" forever; the others stay in budget.
+                    let steps = if seed == 5 { 10_000u64 } else { 100 };
+                    for _ in 0..steps {
+                        ctx.tick();
+                    }
+                    seed
+                },
+            );
         assert_eq!(out.quarantined.len(), 1, "threads={threads}");
         assert_eq!(
             out.quarantined[0].failure,

@@ -93,9 +93,7 @@ pub use faults::{
 };
 pub use packet::{Packet, Payload};
 pub use scenario::{Scenario, ScenarioSpec};
-pub use sim::{
-    run_many, Counters, ForwardingMode, NetSim, PrecomputedRoutes, RouterConfig, TimerStart,
-};
+pub use sim::{Counters, ForwardingMode, NetSim, RouterConfig, TimerStart};
 pub use topology::{
     Backing, CsrStorage, DenseStorage, LinkId, LinkRef, NodeId, NodeKind, Topology, TopologyStorage,
 };

@@ -409,20 +409,7 @@ impl NetSim {
     /// Build a simulator over `topo`. Every router shares `cfg`; `seed`
     /// fixes all randomness.
     pub fn new(topo: Topology, cfg: RouterConfig, seed: u64) -> Self {
-        Self::build(topo, cfg, seed, None, None)
-    }
-
-    /// Like [`NetSim::new`], but install shortest-path routes from a
-    /// [`PrecomputedRoutes`] computed once for the topology instead of
-    /// re-running the per-destination BFS — the ensemble amortization
-    /// behind [`run_many`]. Ignored unless `cfg.prepopulate` is set.
-    pub fn with_routes(
-        topo: Topology,
-        cfg: RouterConfig,
-        seed: u64,
-        routes: &PrecomputedRoutes,
-    ) -> Self {
-        Self::build(topo, cfg, seed, Some(routes), None)
+        Self::build(topo, cfg, seed, None)
     }
 
     /// Build a simulator with the hierarchical area model: routers carry
@@ -441,14 +428,13 @@ impl NetSim {
         layout: AreaLayout,
         mode: AreaMode,
     ) -> Self {
-        Self::build(topo, cfg, seed, None, Some((layout, mode)))
+        Self::build(topo, cfg, seed, Some((layout, mode)))
     }
 
     fn build(
         topo: Topology,
         cfg: RouterConfig,
         seed: u64,
-        routes: Option<&PrecomputedRoutes>,
         areas: Option<(AreaLayout, AreaMode)>,
     ) -> Self {
         let n = topo.node_count();
@@ -550,13 +536,7 @@ impl NetSim {
             if sim.areas.is_some() {
                 sim.install_hierarchy();
             } else {
-                match routes {
-                    Some(r) => sim.install_routes(r),
-                    None => {
-                        let r = PrecomputedRoutes::compute(&sim.topo);
-                        sim.install_routes(&r);
-                    }
-                }
+                sim.install_routes();
             }
         }
         // Arm the routing timers.
@@ -594,10 +574,10 @@ impl NetSim {
         sim
     }
 
-    /// Install `routes` (shortest-path, hop count) on every router, for
+    /// Install shortest-path (hop count) routes on every router, for
     /// steady-state experiments that should not wait for convergence.
-    fn install_routes(&mut self, routes: &PrecomputedRoutes) {
-        for &(r, dst, metric, next_hop) in &routes.entries {
+    fn install_routes(&mut self) {
+        for (r, dst, metric, next_hop) in shortest_paths(&self.topo) {
             self.nodes[r].table.install(dst, metric, next_hop);
         }
     }
@@ -2006,150 +1986,40 @@ fn exp_duration(mean: Duration, rng: &mut MinStd) -> Duration {
     Duration::from_secs_f64(secs.max(1e-3))
 }
 
-/// Shortest-path (hop count) routes for a topology, computed once and
-/// installable on any number of simulators over the same topology — see
-/// [`NetSim::with_routes`] and [`run_many`]. Hosts can terminate paths but
-/// never relay.
-#[derive(Debug, Clone)]
-pub struct PrecomputedRoutes {
-    /// `(router, dst, metric, next_hop)` install tuples.
-    entries: Vec<(NodeId, NodeId, u32, NodeId)>,
-}
-
-impl PrecomputedRoutes {
-    /// Run the per-destination BFS over `topo` (buffers reused across
-    /// destinations).
-    pub fn compute(topo: &Topology) -> Self {
-        let n = topo.node_count();
-        let routers = topo.routers();
-        let mut entries = Vec::new();
-        let mut dist = vec![u32::MAX; n];
-        let mut next_hop = vec![usize::MAX; n];
-        let mut queue = VecDeque::with_capacity(n);
-        for dst in 0..n {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            next_hop.iter_mut().for_each(|h| *h = usize::MAX);
-            queue.clear();
-            // BFS from the destination; expand only through routers.
-            dist[dst] = 0;
-            queue.push_back(dst);
-            while let Some(u) = queue.pop_front() {
-                if u != dst && topo.kind(u) != NodeKind::Router {
-                    continue; // hosts don't relay
-                }
-                for (v, _) in topo.neighbors_iter(u) {
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        next_hop[v] = u;
-                        queue.push_back(v);
-                    }
-                }
+/// Shortest-path (hop count) routes for a topology, as `(router, dst,
+/// metric, next_hop)` install tuples: one BFS per destination, buffers
+/// reused across destinations. Hosts can terminate paths but never relay.
+fn shortest_paths(topo: &Topology) -> Vec<(NodeId, NodeId, u32, NodeId)> {
+    let n = topo.node_count();
+    let routers = topo.routers();
+    let mut entries = Vec::new();
+    let mut dist = vec![u32::MAX; n];
+    let mut next_hop = vec![usize::MAX; n];
+    let mut queue = VecDeque::with_capacity(n);
+    for dst in 0..n {
+        dist.iter_mut().for_each(|d| *d = u32::MAX);
+        next_hop.iter_mut().for_each(|h| *h = usize::MAX);
+        queue.clear();
+        // BFS from the destination; expand only through routers.
+        dist[dst] = 0;
+        queue.push_back(dst);
+        while let Some(u) = queue.pop_front() {
+            if u != dst && topo.kind(u) != NodeKind::Router {
+                continue; // hosts don't relay
             }
-            for &r in &routers {
-                if r != dst && dist[r] != u32::MAX {
-                    entries.push((r, dst, dist[r], next_hop[r]));
+            for (v, _) in topo.neighbors_iter(u) {
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    next_hop[v] = u;
+                    queue.push_back(v);
                 }
             }
         }
-        PrecomputedRoutes { entries }
-    }
-}
-
-/// Run one simulation per seed, in parallel, amortizing the per-run setup:
-/// the shortest-path BFS runs once for the whole ensemble and the topology
-/// is cloned (not rebuilt) per run. `threads ≤ 1` runs serially; any
-/// thread count produces the results in seed order, bit-identical to the
-/// serial run (see `routesync-exec`).
-///
-/// `build_and_run` gets a fresh simulator plus its seed, attaches traffic,
-/// runs it, and returns whatever measurement the caller wants.
-pub fn run_many<R: Send>(
-    topo: &Topology,
-    cfg: RouterConfig,
-    seeds: &[u64],
-    threads: usize,
-    build_and_run: impl Fn(NetSim, u64) -> R + Sync,
-) -> Vec<R> {
-    let routes = if cfg.prepopulate {
-        Some(PrecomputedRoutes::compute(topo))
-    } else {
-        None
-    };
-    let routes = &routes;
-    routesync_exec::run_many(
-        seeds,
-        Some(threads),
-        || (),
-        move |(), seed| {
-            let sim = match routes {
-                Some(r) => NetSim::with_routes(topo.clone(), cfg, seed, r),
-                None => NetSim::new(topo.clone(), cfg, seed),
-            };
-            build_and_run(sim, seed)
-        },
-    )
-}
-
-#[cfg(test)]
-mod ensemble_tests {
-    use super::*;
-    use crate::dv::DvConfig;
-
-    fn chain() -> Topology {
-        let mut t = Topology::new();
-        let a = t.add_host("a");
-        let r0 = t.add_router("r0");
-        let r1 = t.add_router("r1");
-        let b = t.add_host("b");
-        t.add_link(a, r0, Duration::from_millis(1), 10_000_000, 50);
-        t.add_link(r0, r1, Duration::from_millis(10), 1_544_000, 50);
-        t.add_link(r1, b, Duration::from_millis(1), 10_000_000, 50);
-        t
-    }
-
-    fn measure(mut sim: NetSim, _seed: u64) -> (Counters, usize) {
-        sim.add_ping(
-            0,
-            3,
-            Duration::from_secs_f64(1.01),
-            20,
-            SimTime::from_secs(1),
-        );
-        sim.run_until(SimTime::from_secs(60));
-        (sim.counters().clone(), sim.ping_stats(0).lost())
-    }
-
-    #[test]
-    fn run_many_matches_fresh_sims_at_any_thread_count() {
-        let topo = chain();
-        let cfg = RouterConfig::new(DvConfig::rip());
-        let seeds: Vec<u64> = (0..6).collect();
-        // Reference: a fresh simulator per seed, no sharing at all.
-        let fresh: Vec<(Counters, usize)> = seeds
-            .iter()
-            .map(|&s| measure(NetSim::new(topo.clone(), cfg, s), s))
-            .collect();
-        for threads in [1, 2, 4] {
-            let got = run_many(&topo, cfg, &seeds, threads, measure);
-            assert_eq!(got, fresh, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn precomputed_routes_match_the_builtin_bfs() {
-        let topo = chain();
-        let cfg = RouterConfig::new(DvConfig::rip());
-        let routes = PrecomputedRoutes::compute(&topo);
-        let plain = NetSim::new(topo.clone(), cfg, 9);
-        let shared = NetSim::with_routes(topo, cfg, 9, &routes);
-        for r in [1usize, 2] {
-            for dst in 0..4 {
-                assert_eq!(
-                    plain.table(r).metric(dst),
-                    shared.table(r).metric(dst),
-                    "router {r} dst {dst}"
-                );
+        for &r in &routers {
+            if r != dst && dist[r] != u32::MAX {
+                entries.push((r, dst, dist[r], next_hop[r]));
             }
         }
     }
+    entries
 }

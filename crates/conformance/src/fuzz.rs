@@ -475,27 +475,19 @@ fn mutate_faults(spec: &mut CaseSpec, rng: &mut SplitMix64) {
     spec.faults.push(op);
 }
 
-/// Restores the previously installed obs collector on drop, so a
-/// panicking oracle (caught by the supervision boundary) cannot leave the
-/// case-local collector installed process-wide.
-struct RestoreCollector(Option<routesync_obs::Collector>);
-
-impl Drop for RestoreCollector {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            routesync_obs::install(prev);
-        }
-    }
-}
-
-/// Run one case under a fresh obs collector; returns the oracle verdict,
-/// the case's deterministic coverage features, and its deterministic
-/// step count ([`coverage::deterministic_steps`]).
+/// Run one case under a fresh case-local obs collector; returns the
+/// oracle verdict, the case's deterministic coverage features, and its
+/// deterministic step count ([`coverage::deterministic_steps`]). The
+/// collector is [`routesync_obs::scoped`] to this thread (and the
+/// ensemble workers the oracle fans out to), so concurrent installs and
+/// other threads' recording cannot leak into the coverage.
 pub fn run_case(spec: &CaseSpec, seed: u64) -> (Result<(), String>, BTreeSet<String>, u64) {
-    let _restore = RestoreCollector(Some(routesync_obs::global()));
-    routesync_obs::install(routesync_obs::Collector::enabled());
-    let result = oracles::check(spec, seed);
-    let snap = routesync_obs::global().snapshot();
+    let case = routesync_obs::Collector::enabled();
+    let result = {
+        let _scope = routesync_obs::scoped(case.clone());
+        oracles::check(spec, seed)
+    };
+    let snap = case.snapshot();
     (
         result,
         coverage::features_of(&snap),

@@ -29,9 +29,16 @@
 //!
 //! * [`BinaryHeapScheduler`] — a plain binary heap, `O(log n)` per
 //!   operation, the default.
-//! * [`CalendarQueue`] — Brown's calendar queue, amortized `O(1)` for the
-//!   heavily periodic workloads produced by routing timers. Kept as an
-//!   ablation target (`routesync-bench/benches/scheduler.rs`).
+//! * [`CalendarQueue`] — Brown's calendar queue. Its `push` and `pop` are
+//!   amortized `O(1)` only while event times spread evenly enough for its
+//!   bucket-width estimate, as in a hold loop started from uniform timer
+//!   phases; but `peek_time` scans every bucket, so a caller that peeks
+//!   once per event (as `NetSim::run_until` does) pays `O(buckets)` per
+//!   event. On the packet simulator's 100k-router scenario, whose
+//!   synchronized start packs 100k timers into one millisecond, it runs
+//!   more than 20× slower than the heap, and still about 40× slower with
+//!   an `O(1)` peek (2-vCPU host). Kept as an ablation target
+//!   (`routesync-bench/benches/scheduler.rs`).
 //!
 //! ## Example
 //!

@@ -589,9 +589,12 @@ impl<'a, T, R> Ensemble<'a, T, R> {
         let cursor = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
         let drained = AtomicUsize::new(0);
+        // Workers record into the caller's scoped collector, if any.
+        let scope = routesync_obs::current_scope();
 
         // One worker body shared by the serial and parallel paths.
         let worker = || {
+            let _scope = scope.clone().map(routesync_obs::scoped);
             let worker_start = obs.timed.then(Instant::now);
             let mut busy_ns = 0u64;
             let mut state = init();

@@ -2,12 +2,15 @@
 //! backings must be simulation-invariant, and the hierarchical area
 //! model must stay deterministic across worker-thread counts and cope
 //! with degenerate layouts (empty areas, single-router areas,
-//! cross-area point-to-point links).
+//! cross-area point-to-point links). The two-phase area-advertisement
+//! builder must match a one-pass reference model byte for byte.
 
 use proptest::prelude::*;
 use routesync_desim::{Duration, SimTime};
+use routesync_netsim::dv::area_link_advertisement;
 use routesync_netsim::{
-    AreaLayout, AreaMode, Backing, DvConfig, NetSim, NodeId, RouterConfig, ScenarioSpec, Topology,
+    AreaLayout, AreaMode, Backing, DvConfig, NetSim, NodeId, RouteEntry, RouterConfig,
+    RoutingTable, ScenarioSpec, Topology, DEFAULT_DST,
 };
 
 /// FNV-1a over the update timeline — equal hash ⇒ equal timeline file.
@@ -20,6 +23,101 @@ fn update_log_fnv(log: &[(SimTime, NodeId)]) -> u64 {
         }
     }
     h
+}
+
+/// Reference model of the area-aggregated advertisement for one link: a
+/// single pass over the table per link, applying the link-independent
+/// rules and split horizon together.
+#[allow(clippy::too_many_arguments)]
+fn advertisement_area_into(
+    table: &RoutingTable,
+    layout: &AreaLayout,
+    mode: AreaMode,
+    link_area: Option<usize>,
+    originate_default: bool,
+    link_peers: &[NodeId],
+    split_horizon: bool,
+    infinity: u32,
+    only: Option<&[NodeId]>,
+    out: &mut Vec<RouteEntry>,
+) {
+    let rows: Vec<_> = table.iter().collect();
+    let first = out.len();
+    let mut emit = |table: &RoutingTable, i: usize| {
+        let (dst, route) = rows[i];
+        let metric = route.metric;
+        let next_hop = route.next_hop;
+        let on_link = link_peers.contains(&next_hop);
+        if dst == table.me() {
+            out.push(RouteEntry { dst, metric });
+            return;
+        }
+        if dst == DEFAULT_DST {
+            // Held default routes chain outward on intra-area links
+            // only; an originated default supersedes a held one.
+            if link_area.is_some() && !originate_default && !(split_horizon && on_link) {
+                out.push(RouteEntry { dst, metric });
+            }
+            return;
+        }
+        if let Some(agg) = layout.agg_area(dst) {
+            let into_own_area = link_area == Some(agg);
+            let stubbed = link_area.is_some() && mode == AreaMode::TotallyStubby;
+            if !(into_own_area || stubbed || split_horizon && on_link) {
+                out.push(RouteEntry { dst, metric });
+            }
+            return;
+        }
+        // Exact (physical) route: only inside its own area, and only
+        // in Stub mode.
+        if mode == AreaMode::Stub && link_area.is_some() && layout.area_of(dst) == link_area {
+            let poisoned = split_horizon && on_link;
+            out.push(RouteEntry {
+                dst,
+                metric: if poisoned { infinity } else { metric },
+            });
+        }
+    };
+    match only {
+        None => {
+            for i in 0..rows.len() {
+                emit(table, i);
+            }
+        }
+        Some(only) => {
+            for &dst in only {
+                if let Ok(i) = rows.binary_search_by_key(&dst, |r| r.0) {
+                    emit(table, i);
+                }
+            }
+        }
+    }
+    if originate_default && link_area.is_some() {
+        out.push(RouteEntry {
+            dst: DEFAULT_DST,
+            metric: 0,
+        });
+    }
+    out[first..].sort_unstable_by_key(|e| e.dst);
+}
+
+/// A random table on `layout` for router `me`: exact routes to members
+/// and to ids past the layout, aggregates of real and unknown areas, and
+/// a held default, with next hops among a few nearby ids.
+fn random_table(layout: &AreaLayout, me: NodeId, picks: &[(u8, u64, u32, u64)]) -> RoutingTable {
+    let n = layout.node_count() as u64;
+    let mut t = RoutingTable::new(me);
+    for &(kind, raw, metric, hop) in picks {
+        let dst = match kind {
+            0 => AreaLayout::agg_dst((raw % (layout.areas() as u64 + 1)) as usize),
+            1 => DEFAULT_DST,
+            _ => (raw % (n + 2)) as NodeId,
+        };
+        if dst != me {
+            t.install(dst, metric, (hop % (n + 2)) as NodeId);
+        }
+    }
+    t
 }
 
 /// Run a hierarchical scenario and fingerprint everything observable.
@@ -158,5 +256,81 @@ proptest! {
         s.sim.run_until(SimTime::from_secs(200));
         prop_assert_eq!(s.sim.ping_stats(src).lost(), 0);
         prop_assert_eq!(s.sim.counters().drop_no_route, 0);
+    }
+}
+
+prop_compose! {
+    /// One table route for [`random_table`]: kind, destination draw,
+    /// metric, next-hop draw.
+    fn route_pick()(kind in 0u8..4, raw in 0u64..1_000, metric in 0u32..17, hop in 0u64..1_000)
+        -> (u8, u64, u32, u64) {
+        (kind, raw, metric, hop)
+    }
+}
+
+prop_compose! {
+    /// One dirty destination: a route the table holds, or any id.
+    fn dirty_pick()(held in proptest::bool::ANY, raw in 0u64..1_000) -> (bool, u64) {
+        (held, raw)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The two-phase builder (candidates once per link area, split
+    /// horizon once per link) writes exactly what the one-pass reference
+    /// writes, for every rule combination: both area modes, backbone /
+    /// own-area / other-area links, origination and split horizon on and
+    /// off, peers that do and do not hold next hops, and full or delta
+    /// updates whose dirty set names destinations the table lacks.
+    #[test]
+    fn two_phase_area_advertisement_matches_reference(
+        sizes in proptest::collection::vec(0usize..6, 1..6),
+        stub in proptest::bool::ANY,
+        me_raw in 0u64..1_000,
+        picks in proptest::collection::vec(route_pick(), 0..30),
+        link_kind in 0u8..3,
+        originate_default in proptest::bool::ANY,
+        split_horizon in proptest::bool::ANY,
+        peers in proptest::collection::vec(0u64..1_000, 0..4),
+        delta in proptest::bool::ANY,
+        dirty in proptest::collection::vec(dirty_pick(), 0..12),
+    ) {
+        let layout = AreaLayout::from_sizes(&sizes);
+        let n = layout.node_count();
+        prop_assume!(n > 0);
+        let mode = if stub { AreaMode::Stub } else { AreaMode::TotallyStubby };
+        let me = me_raw as usize % n;
+        let table = random_table(&layout, me, &picks);
+        let own = layout.area_of(me).expect("me is a member");
+        let link_area = match link_kind {
+            0 => None,
+            1 => Some(own),
+            _ => Some((own + 1) % layout.areas()),
+        };
+        let link_peers: Vec<NodeId> = peers.iter().map(|&p| (p % (n as u64 + 2)) as NodeId).collect();
+        // Dirty sets mix destinations the table holds with arbitrary ones.
+        let rows: Vec<NodeId> = table.iter().map(|(d, _)| d).collect();
+        let mut only: Vec<NodeId> = dirty
+            .iter()
+            .map(|&(held, raw)| if held { rows[raw as usize % rows.len()] } else { raw as NodeId })
+            .collect();
+        only.sort_unstable();
+        only.dedup();
+        let only = delta.then_some(only.as_slice());
+
+        let mut want = Vec::new();
+        advertisement_area_into(
+            &table, &layout, mode, link_area, originate_default, &link_peers,
+            split_horizon, 16, only, &mut want,
+        );
+        let mut candidates = Vec::new();
+        table.area_candidates_into(
+            &layout, mode, link_area, originate_default, split_horizon, only, &mut candidates,
+        );
+        let got = area_link_advertisement(&candidates, &link_peers, 16, 3);
+        prop_assert_eq!(&got, &want);
+        prop_assert!(got.capacity() >= candidates.len() + 3, "room for the padding");
     }
 }

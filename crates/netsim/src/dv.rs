@@ -693,8 +693,13 @@ impl RoutingTable {
         }
     }
 
-    /// The area-aggregated advertisement for one interface, the scaling
-    /// counterpart of [`RoutingTable::advertisement_into`]:
+    /// The candidates of an area-aggregated advertisement: the entries it
+    /// may carry on any link whose area is `link_area`, before split
+    /// horizon. This is the first of two phases, and the scaling
+    /// counterpart of [`RoutingTable::advertisement_into`]. A router runs
+    /// it once per update for each distinct `link_area` among its up links
+    /// (a border router has two, its own area and the backbone), then
+    /// [`area_link_advertisement`] once per link. The rules:
     ///
     /// * exact routes are advertised only on links inside their own area
     ///   (and in [`AreaMode::TotallyStubby`] not even there — only the
@@ -710,78 +715,135 @@ impl RoutingTable {
     ///
     /// With `only = Some(dirty)` the same rules apply restricted to the
     /// dirtied destinations (incremental triggered updates). Appended
-    /// entries are sorted by destination.
+    /// candidates are sorted by destination.
     #[allow(clippy::too_many_arguments)]
-    pub fn advertisement_area_into(
+    pub fn area_candidates_into(
         &self,
         layout: &AreaLayout,
         mode: AreaMode,
         link_area: Option<usize>,
         originate_default: bool,
-        link_peers: &[NodeId],
         split_horizon: bool,
-        infinity: u32,
         only: Option<&[NodeId]>,
-        out: &mut Vec<RouteEntry>,
+        out: &mut Vec<AreaCandidate>,
     ) {
         let first = out.len();
-        let mut emit = |table: &Self, i: usize| {
-            let dst = table.dsts[i];
-            let metric = table.metrics[i];
-            let next_hop = table.next_hops[i];
-            let on_link = link_peers.contains(&next_hop);
-            if dst == table.me {
-                out.push(RouteEntry { dst, metric });
-                return;
-            }
-            if dst == DEFAULT_DST {
+        let mut consider = |i: usize| {
+            let dst = self.dsts[i];
+            let split = if dst == self.me {
+                SplitHorizon::Keep
+            } else if dst == DEFAULT_DST {
                 // Held default routes chain outward on intra-area links
                 // only; an originated default supersedes a held one.
-                if link_area.is_some() && !originate_default && !(split_horizon && on_link) {
-                    out.push(RouteEntry { dst, metric });
+                if link_area.is_none() || originate_default {
+                    return;
                 }
-                return;
-            }
-            if let Some(agg) = layout.agg_area(dst) {
+                SplitHorizon::Omit
+            } else if let Some(agg) = layout.agg_area(dst) {
                 let into_own_area = link_area == Some(agg);
                 let stubbed = link_area.is_some() && mode == AreaMode::TotallyStubby;
-                if !(into_own_area || stubbed || split_horizon && on_link) {
-                    out.push(RouteEntry { dst, metric });
+                if into_own_area || stubbed {
+                    return;
                 }
+                SplitHorizon::Omit
+            } else if mode == AreaMode::Stub
+                && link_area.is_some()
+                && layout.area_of(dst) == link_area
+            {
+                // Exact (physical) route: only inside its own area, and
+                // only in Stub mode.
+                SplitHorizon::Poison
+            } else {
                 return;
-            }
-            // Exact (physical) route: only inside its own area, and only
-            // in Stub mode.
-            if mode == AreaMode::Stub && link_area.is_some() && layout.area_of(dst) == link_area {
-                let poisoned = split_horizon && on_link;
-                out.push(RouteEntry {
+            };
+            out.push(AreaCandidate {
+                entry: RouteEntry {
                     dst,
-                    metric: if poisoned { infinity } else { metric },
-                });
-            }
+                    metric: self.metrics[i],
+                },
+                next_hop: self.next_hops[i],
+                split: if split_horizon {
+                    split
+                } else {
+                    SplitHorizon::Keep
+                },
+            });
         };
         match only {
             None => {
                 for i in 0..self.dsts.len() {
-                    emit(self, i);
+                    consider(i);
                 }
             }
             Some(only) => {
                 for &dst in only {
                     if let Ok(i) = self.find(dst) {
-                        emit(self, i);
+                        consider(i);
                     }
                 }
             }
         }
         if originate_default && link_area.is_some() {
-            out.push(RouteEntry {
-                dst: DEFAULT_DST,
-                metric: 0,
+            out.push(AreaCandidate {
+                entry: RouteEntry {
+                    dst: DEFAULT_DST,
+                    metric: 0,
+                },
+                next_hop: self.me,
+                split: SplitHorizon::Keep,
             });
         }
-        out[first..].sort_unstable_by_key(|e| e.dst);
+        out[first..].sort_unstable_by_key(|c| c.entry.dst);
     }
+}
+
+/// What split horizon does to an [`AreaCandidate`] on a link whose peers
+/// include the candidate's next hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SplitHorizon {
+    /// Advertised unchanged: the self route, an originated default, or
+    /// any route with split horizon off.
+    Keep,
+    /// Suppressed (plain split horizon, for logical routes).
+    Omit,
+    /// Advertised at `infinity` (poisoned reverse, for exact routes).
+    Poison,
+}
+
+/// One entry an area-aggregated advertisement may carry, as found by
+/// [`RoutingTable::area_candidates_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AreaCandidate {
+    entry: RouteEntry,
+    next_hop: NodeId,
+    split: SplitHorizon,
+}
+
+/// The area-aggregated advertisement for one interface whose set of
+/// on-link neighbours is `link_peers`: the second phase after
+/// [`RoutingTable::area_candidates_into`], applying split horizon to each
+/// candidate. The result keeps the candidates' destination order and has
+/// room for `pad` more entries, so a caller can append padding without
+/// reallocating.
+pub fn area_link_advertisement(
+    candidates: &[AreaCandidate],
+    link_peers: &[NodeId],
+    infinity: u32,
+    pad: usize,
+) -> Vec<RouteEntry> {
+    let mut out = Vec::with_capacity(candidates.len() + pad);
+    for c in candidates {
+        match c.split {
+            SplitHorizon::Keep => out.push(c.entry),
+            _ if !link_peers.contains(&c.next_hop) => out.push(c.entry),
+            SplitHorizon::Omit => {}
+            SplitHorizon::Poison => out.push(RouteEntry {
+                dst: c.entry.dst,
+                metric: infinity,
+            }),
+        }
+    }
+    out
 }
 
 // Serde: the stable wire form is the sorted `(dst, route)` pair list —
@@ -1095,6 +1157,33 @@ mod area_tests {
         AreaLayout::from_sizes(&[3, 3])
     }
 
+    /// Both phases for one link: candidates for `link_area`, then split
+    /// horizon against `link_peers`.
+    #[allow(clippy::too_many_arguments)]
+    fn advertise(
+        t: &RoutingTable,
+        layout: &AreaLayout,
+        mode: AreaMode,
+        link_area: Option<usize>,
+        originate_default: bool,
+        link_peers: &[NodeId],
+        split_horizon: bool,
+        infinity: u32,
+        only: Option<&[NodeId]>,
+    ) -> Vec<RouteEntry> {
+        let mut candidates = Vec::new();
+        t.area_candidates_into(
+            layout,
+            mode,
+            link_area,
+            originate_default,
+            split_horizon,
+            only,
+            &mut candidates,
+        );
+        area_link_advertisement(&candidates, link_peers, infinity, 0)
+    }
+
     fn border_table() -> RoutingTable {
         // Border router 0 of area 0: members 1,2 direct; backbone peer 3
         // direct; aggregate for area 1 via 3; own aggregate at 0.
@@ -1110,8 +1199,8 @@ mod area_tests {
     #[test]
     fn stub_link_advertisement_is_self_plus_default_when_totally_stubby() {
         let t = border_table();
-        let mut out = Vec::new();
-        t.advertisement_area_into(
+        let out = advertise(
+            &t,
             &layout(),
             AreaMode::TotallyStubby,
             Some(0),
@@ -1120,7 +1209,6 @@ mod area_tests {
             true,
             16,
             None,
-            &mut out,
         );
         assert_eq!(
             out,
@@ -1137,8 +1225,8 @@ mod area_tests {
     #[test]
     fn stub_mode_adds_intra_area_exacts() {
         let t = border_table();
-        let mut out = Vec::new();
-        t.advertisement_area_into(
+        let out = advertise(
+            &t,
             &layout(),
             AreaMode::Stub,
             Some(0),
@@ -1147,7 +1235,6 @@ mod area_tests {
             true,
             16,
             None,
-            &mut out,
         );
         let get = |d: NodeId| out.iter().find(|e| e.dst == d).map(|e| e.metric);
         assert_eq!(get(0), Some(0), "self");
@@ -1165,9 +1252,9 @@ mod area_tests {
     #[test]
     fn backbone_advertisement_carries_own_aggregate_only() {
         let t = border_table();
-        let mut out = Vec::new();
         // Backbone link to router 3 (spans areas → link_area None).
-        t.advertisement_area_into(
+        let out = advertise(
+            &t,
             &layout(),
             AreaMode::TotallyStubby,
             None,
@@ -1176,7 +1263,6 @@ mod area_tests {
             true,
             16,
             None,
-            &mut out,
         );
         assert_eq!(
             out,
@@ -1216,9 +1302,9 @@ mod area_tests {
     #[test]
     fn delta_area_advertisement_respects_both_filters() {
         let t = border_table();
-        let mut out = Vec::new();
         // Only member 2 dirtied; stub link in Stub mode, no origination.
-        t.advertisement_area_into(
+        let out = advertise(
+            &t,
             &layout(),
             AreaMode::Stub,
             Some(0),
@@ -1227,7 +1313,6 @@ mod area_tests {
             true,
             16,
             Some(&[2]),
-            &mut out,
         );
         assert_eq!(out, vec![RouteEntry { dst: 2, metric: 1 }]);
     }

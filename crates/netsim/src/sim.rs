@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::app::{App, CbrReceiverStats, PingStats};
 use crate::area::{AreaLayout, AreaMode, DEFAULT_DST};
-use crate::dv::{DvConfig, RouteEntry, RoutingTable, UpdateMode};
+use crate::dv::{
+    area_link_advertisement, AreaCandidate, DvConfig, RouteEntry, RoutingTable, UpdateMode,
+};
 use crate::faults::{
     FaultKind, FaultPlan, FaultRecord, LinkFlapProfile, RouterFlapProfile, IMPAIR_STREAM,
     LINK_FLAP_STREAM, ROUTER_FLAP_STREAM,
@@ -209,6 +211,13 @@ struct NetObs {
     /// Forwarding decisions resolved through an aggregate or default
     /// route instead of an exact entry (hierarchical mode).
     scale_agg_hits: routesync_obs::Counter,
+    /// Table rows (or dirtied destinations) read by advertisement-builder
+    /// passes: one pass per link for flat tables, one per link area per
+    /// update for area tables.
+    advert_rows_scanned: routesync_obs::Counter,
+    /// Route entries the advertisement builders wrote into update packets
+    /// (padding excluded).
+    advert_entries: routesync_obs::Counter,
     /// Per-router busy attribution: `(sim-time, node)` trace events.
     trace: routesync_obs::Tracer,
     /// Online synchronization detector over periodic (non-triggered)
@@ -245,6 +254,8 @@ impl NetObs {
             updates_triggered: obs.counter("netsim.updates.triggered"),
             scale_delta_updates: obs.counter("netsim.scale.delta_updates"),
             scale_agg_hits: obs.counter("netsim.scale.agg_hits"),
+            advert_rows_scanned: obs.counter("netsim.advert.rows_scanned"),
+            advert_entries: obs.counter("netsim.advert.entries"),
             trace: obs.tracer(),
             sync,
         }
@@ -396,6 +407,10 @@ pub struct NetSim {
     scratch_peers: Vec<NodeId>,
     scratch_nodes: Vec<NodeId>,
     scratch_entries: Vec<RouteEntry>,
+    scratch_candidates: Vec<AreaCandidate>,
+    /// `(link area, start, end)`: each link area's range in
+    /// `scratch_candidates` during one area-advertisement update.
+    scratch_classes: Vec<(Option<usize>, usize, usize)>,
     /// The master seed (fault-plan RNG streams derive from it).
     seed: u64,
     /// Installed fault plan, if any ([`NetSim::install_faults`]).
@@ -415,7 +430,7 @@ impl NetSim {
     /// Build a simulator with the hierarchical area model: routers carry
     /// aggregate routes for remote areas and (on edge routers) a default
     /// route instead of per-destination exacts, and advertisements follow
-    /// the [`RoutingTable::advertisement_area_into`] aggregation rules.
+    /// the [`RoutingTable::area_candidates_into`] aggregation rules.
     /// With `cfg.prepopulate`, tables start in the converged hierarchical
     /// state directly — no O(N²) all-pairs BFS, which is what admits
     /// N = 100 000+ routers. Expects star-shaped areas (every non-border
@@ -527,6 +542,8 @@ impl NetSim {
             scratch_peers: Vec::new(),
             scratch_nodes: Vec::new(),
             scratch_entries: Vec::new(),
+            scratch_candidates: Vec::new(),
+            scratch_classes: Vec::new(),
             seed,
             faults: None,
             areas,
@@ -1374,6 +1391,14 @@ impl NetSim {
         };
         let prep = self.cfg.cost_per_route * (basis + pad) as u64;
         self.cpu_add(now, node, prep);
+        let only = delta.then_some(dirty.as_slice());
+        // Area advertisements are built in two phases: the candidates once
+        // per distinct link area (`classes` maps each area seen so far to
+        // its range in `candidates`), then split horizon once per link.
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        let mut classes = std::mem::take(&mut self.scratch_classes);
+        candidates.clear();
+        classes.clear();
         for li in 0..self.topo.links_of(node).len() {
             let link = self.topo.links_of(node)[li];
             if !self.links[link].up {
@@ -1388,35 +1413,60 @@ impl NetSim {
                     .copied()
                     .filter(|&m| m != node),
             );
+            let table = &self.nodes[node].table;
             // The entry list is owned by the packet, so an allocation is
             // inherent — but size it exactly once instead of growing.
-            let mut entries = Vec::with_capacity(basis + pad);
-            match self.areas.as_deref() {
-                Some(st) => self.nodes[node].table.advertisement_area_into(
-                    &st.layout,
-                    st.mode,
-                    st.link_area[link],
-                    st.border[node],
-                    &self.scratch_peers,
-                    self.cfg.dv.split_horizon,
-                    self.cfg.dv.infinity,
-                    delta.then_some(dirty.as_slice()),
-                    &mut entries,
-                ),
-                None if delta => self.nodes[node].table.advertisement_delta_into(
-                    &dirty,
-                    &self.scratch_peers,
-                    self.cfg.dv.split_horizon,
-                    self.cfg.dv.infinity,
-                    &mut entries,
-                ),
-                None => self.nodes[node].table.advertisement_into(
-                    &self.scratch_peers,
-                    self.cfg.dv.split_horizon,
-                    self.cfg.dv.infinity,
-                    &mut entries,
-                ),
-            }
+            let mut entries = match self.areas.as_deref() {
+                Some(st) => {
+                    let area = st.link_area[link];
+                    let class = match classes.iter().position(|c| c.0 == area) {
+                        Some(class) => class,
+                        None => {
+                            let start = candidates.len();
+                            table.area_candidates_into(
+                                &st.layout,
+                                st.mode,
+                                area,
+                                st.border[node],
+                                self.cfg.dv.split_horizon,
+                                only,
+                                &mut candidates,
+                            );
+                            self.obs.advert_rows_scanned.add(basis as u64);
+                            classes.push((area, start, candidates.len()));
+                            classes.len() - 1
+                        }
+                    };
+                    let (_, start, end) = classes[class];
+                    area_link_advertisement(
+                        &candidates[start..end],
+                        &self.scratch_peers,
+                        self.cfg.dv.infinity,
+                        pad,
+                    )
+                }
+                None => {
+                    let mut entries = Vec::with_capacity(basis + pad);
+                    match only {
+                        Some(dirty) => table.advertisement_delta_into(
+                            dirty,
+                            &self.scratch_peers,
+                            self.cfg.dv.split_horizon,
+                            self.cfg.dv.infinity,
+                            &mut entries,
+                        ),
+                        None => table.advertisement_into(
+                            &self.scratch_peers,
+                            self.cfg.dv.split_horizon,
+                            self.cfg.dv.infinity,
+                            &mut entries,
+                        ),
+                    }
+                    self.obs.advert_rows_scanned.add(basis as u64);
+                    entries
+                }
+            };
+            self.obs.advert_entries.add(entries.len() as u64);
             // Padding entries model the ~300-route backbone tables; they
             // carry an out-of-range dst and are filtered by receivers (but
             // still cost wire time and CPU).
@@ -1442,6 +1492,8 @@ impl NetSim {
             self.transmit(now, node, link, pkt, None);
         }
         self.scratch_nodes = dirty;
+        self.scratch_candidates = candidates;
+        self.scratch_classes = classes;
     }
 
     /// Periodic hello tick: greet every router neighbour and check for

@@ -43,6 +43,24 @@
 //! resolved before an install stay no-op — construct instruments after
 //! installing.
 //!
+//! A caller that needs metrics of its own work only — the conformance
+//! fuzzer reads each case's coverage back from them — enters a
+//! [`scoped`] collector instead. [`global`] on that thread returns it
+//! until the guard drops, so neither a concurrent [`install`] nor another
+//! thread's recording can reach it:
+//!
+//! ```
+//! use routesync_obs::Collector;
+//!
+//! let case = Collector::enabled();
+//! {
+//!     let _scope = routesync_obs::scoped(case.clone());
+//!     routesync_obs::global().counter("core.events").inc();
+//! }
+//! assert_eq!(case.snapshot().counters["core.events"], 1);
+//! assert!(routesync_obs::global().snapshot().counters.is_empty());
+//! ```
+//!
 //! ## Determinism
 //!
 //! Instrumentation must never change simulation output. Nothing in this
@@ -62,7 +80,9 @@ pub mod timeseries;
 pub mod trace;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use export::{
@@ -333,32 +353,92 @@ impl Collector {
 // The global collector
 // ---------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Live collectors that recording sites may reach: one for an enabled
+/// global collector plus one per entered enabled [`scoped`] collector.
+/// Keeping both in one atomic keeps [`enabled`] a single load.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 static EPOCH: AtomicU64 = AtomicU64::new(1);
 static GLOBAL: Mutex<Collector> = Mutex::new(Collector::disabled());
+
+thread_local! {
+    static SCOPED: RefCell<Option<Collector>> = const { RefCell::new(None) };
+}
 
 /// Install `collector` as the process-wide collector that instrumented
 /// constructors (and [`span!`] call sites) resolve against.
 ///
 /// Handles resolved from the previous collector keep recording into it;
 /// install **before** constructing the simulators you want observed.
+/// Threads inside a [`scoped`] collector do not see the install.
 pub fn install(collector: Collector) {
-    ENABLED.store(collector.is_enabled(), Ordering::Release);
-    *lock(&GLOBAL) = collector;
+    let mut global = lock(&GLOBAL);
+    if collector.is_enabled() {
+        LIVE.fetch_add(1, Ordering::AcqRel);
+    }
+    if global.is_enabled() {
+        LIVE.fetch_sub(1, Ordering::AcqRel);
+    }
+    *global = collector;
     EPOCH.fetch_add(1, Ordering::AcqRel);
 }
 
-/// Whether the global collector is live — the single static-bool branch
-/// gate for instrumentation that must cost nothing when off (e.g. clock
-/// reads in `routesync-exec` workers).
+/// Whether any collector is live — the single static branch gate for
+/// instrumentation that must cost nothing when off (e.g. clock reads in
+/// `routesync-exec` workers). True while the global collector is enabled
+/// or any thread is inside an enabled [`scoped`] collector; the handles
+/// [`global`] returns decide where (and whether) recording lands.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LIVE.load(Ordering::Relaxed) > 0
 }
 
-/// The current global collector (disabled by default).
+/// The collector instrumented code on this thread records into: the
+/// innermost [`scoped`] collector if one is entered, else the global one
+/// (disabled by default).
 pub fn global() -> Collector {
-    lock(&GLOBAL).clone()
+    current_scope().unwrap_or_else(|| lock(&GLOBAL).clone())
+}
+
+/// The [`scoped`] collector entered on this thread, if any. Code that fans
+/// work out to other threads passes it on, so workers record into the
+/// same scope.
+pub fn current_scope() -> Option<Collector> {
+    SCOPED.with(|s| s.borrow().clone())
+}
+
+/// Make `collector` this thread's collector until the returned guard drops
+/// (panics included), shadowing the global one. Scopes nest; dropping a
+/// guard restores whatever was entered before it.
+pub fn scoped(collector: Collector) -> ScopeGuard {
+    if collector.is_enabled() {
+        LIVE.fetch_add(1, Ordering::AcqRel);
+    }
+    let live = collector.is_enabled();
+    let previous = SCOPED.with(|s| s.replace(Some(collector)));
+    ScopeGuard {
+        previous,
+        live,
+        _not_send: PhantomData,
+    }
+}
+
+/// Leaves a [`scoped`] collector on drop. Bound to the thread that
+/// entered it.
+#[must_use = "the scope ends when the guard drops; binding it to _ ends it immediately"]
+pub struct ScopeGuard {
+    previous: Option<Collector>,
+    live: bool,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        SCOPED.with(|s| *s.borrow_mut() = previous);
+        if self.live {
+            LIVE.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
 }
 
 /// Monotone install counter; bumps on every [`install`]. Lets call-site
@@ -443,6 +523,43 @@ mod tests {
         assert_eq!(second.span("test.span_macro").count(), 1);
         assert_eq!(live.span("test.span_macro").count(), 2);
         install(Collector::disabled());
+    }
+
+    #[test]
+    fn scoped_collector_shadows_installs_on_its_own_thread_only() {
+        let _guard = global_lock();
+        let process = Collector::enabled();
+        install(process.clone());
+        let case = Collector::enabled();
+        {
+            let _scope = scoped(case.clone());
+            global().counter("scoped.mine").inc();
+            // Another thread keeps recording into the global collector,
+            // and an install there does not reach into the scope.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(current_scope().is_none());
+                    global().counter("scoped.other").inc();
+                    install(process.clone());
+                });
+            });
+            {
+                let _inner = scoped(Collector::disabled());
+                global().counter("scoped.mine").inc();
+            }
+            global().counter("scoped.mine").inc();
+            let _s = crate::span!("scoped.span");
+        }
+        assert!(current_scope().is_none());
+        let mine = case.snapshot();
+        assert_eq!(mine.counters["scoped.mine"], 2);
+        assert!(!mine.counters.contains_key("scoped.other"));
+        assert_eq!(mine.spans["scoped.span"].count, 1);
+        let theirs = process.snapshot();
+        assert_eq!(theirs.counters["scoped.other"], 1);
+        assert!(!theirs.counters.contains_key("scoped.mine"));
+        install(Collector::disabled());
+        assert!(!enabled());
     }
 
     #[test]

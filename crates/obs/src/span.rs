@@ -100,11 +100,16 @@ impl SpanCache {
     }
 
     /// Start a guard, re-resolving the cached handle if the global
-    /// collector changed since last time.
+    /// collector changed since last time. Inside a [`crate::scoped`]
+    /// collector the span resolves from the scope and the shared cache is
+    /// left alone.
     #[inline]
     pub fn start(&self) -> SpanGuard {
         if !crate::enabled() {
             return SpanGuard(None);
+        }
+        if let Some(scope) = crate::current_scope() {
+            return scope.span(self.name).start();
         }
         let epoch = crate::epoch();
         let mut handle = self.handle.lock().unwrap_or_else(|e| e.into_inner());

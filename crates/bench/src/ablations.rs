@@ -1,7 +1,7 @@
 //! Ablations of the design choices called out in DESIGN.md.
 
 use routesync_core::{ClusterLog, PeriodicModel, PeriodicParams, StartState};
-use routesync_desim::{BinaryHeapScheduler, CalendarQueue, Duration, Scheduler, SimTime};
+use routesync_desim::{Duration, SimTime};
 use routesync_netsim::{ForwardingMode, ScenarioSpec};
 use routesync_rng::{JitterPolicy, TimerResetPolicy};
 use routesync_stats::ascii;
@@ -200,65 +200,6 @@ pub fn forwarding(cfg: &Config) -> Outcome {
     }
 }
 
-/// Scheduler ablation: binary heap vs calendar queue produce identical
-/// simulations; report relative wall-clock for a fixed workload.
-pub fn scheduler(cfg: &Config) -> Outcome {
-    let n_events = if cfg.fast { 200_000u64 } else { 2_000_000 };
-    // Identical periodic workload on both schedulers.
-    fn drive<S: Scheduler<u64>>(mut s: S, n_events: u64) -> (u64, std::time::Duration) {
-        let mut x = 99u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let period = 121_000_000_000u64;
-        for node in 0..20u64 {
-            s.push(SimTime(rng() % period), node);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..n_events {
-            let (t, node) = s.pop().expect("queue never drains");
-            acc = acc.wrapping_add(t.0 ^ node);
-            s.push(
-                SimTime(t.0 + period - 100_000_000 + rng() % 200_000_000),
-                node,
-            );
-        }
-        (acc, start.elapsed())
-    }
-    let (acc_heap, t_heap) = drive(BinaryHeapScheduler::new(), n_events);
-    let (acc_cal, t_cal) = drive(CalendarQueue::new(), n_events);
-    let file = write_csv(
-        cfg,
-        "ablation_scheduler.csv",
-        "scheduler,events,wall_seconds",
-        vec![
-            format!("binary_heap,{n_events},{}", t_heap.as_secs_f64()),
-            format!("calendar_queue,{n_events},{}", t_cal.as_secs_f64()),
-        ],
-    );
-    // Also confirm a real model run gives identical results on both —
-    // covered structurally by desim's conformance tests; here we check the
-    // checksum of the synthetic workload.
-    Outcome {
-        id: "ablation_scheduler".into(),
-        title: "binary heap vs calendar queue on the periodic timer workload".into(),
-        files: vec![file],
-        rendering: format!(
-            "heap: {:?} for {n_events} events; calendar: {:?}\n",
-            t_heap, t_cal
-        ),
-        checks: vec![Check {
-            claim: "both schedulers produce identical event orderings".into(),
-            measured: format!("checksums {acc_heap:#x} vs {acc_cal:#x}"),
-            pass: acc_heap == acc_cal,
-        }],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,12 +213,6 @@ mod tests {
     #[test]
     fn reset_policy_ablation_passes() {
         let o = reset_policy(&cfg());
-        assert!(o.passed(), "{}", o.report());
-    }
-
-    #[test]
-    fn scheduler_ablation_checksums_match() {
-        let o = scheduler(&cfg());
         assert!(o.passed(), "{}", o.report());
     }
 

@@ -10,7 +10,7 @@
 //! * `core_events_per_sec` — timer events/second through the fast
 //!   (heap-only) Periodic Messages engine.
 //! * `desim_events_per_sec` — the same model through the full desim
-//!   engine (calendar/heap scheduler behind [`routesync_core::PeriodicModel`]).
+//!   engine (its radix-queue scheduler behind [`routesync_core::PeriodicModel`]).
 //! * `netsim_packets_per_sec` — packet events/second through the
 //!   packet-level simulator on a LAN scenario with ping + Poisson load.
 //! * `netsim_scale` — the internet-scale leg: the hierarchical scenario

@@ -41,7 +41,6 @@ pub const ALL: &[&str] = &[
     "ablation_reset_policy",
     "ablation_jitter_policy",
     "ablation_forwarding",
-    "ablation_scheduler",
     "ext_tcp",
     "ext_client_server",
     "ext_clock",
@@ -78,7 +77,6 @@ pub fn run(id: &str, cfg: &Config) -> Outcome {
         "ablation_reset_policy" => ablations::reset_policy(cfg),
         "ablation_jitter_policy" => ablations::jitter_policy(cfg),
         "ablation_forwarding" => ablations::forwarding(cfg),
-        "ablation_scheduler" => ablations::scheduler(cfg),
         "ext_tcp" => extensions::tcp_windows(cfg),
         "ext_client_server" => extensions::client_server(cfg),
         "ext_clock" => extensions::external_clock(cfg),

@@ -4,9 +4,9 @@
 //! scheduled roughly one period ahead of the current time. A calendar queue
 //! exploits that by hashing events into time buckets ("days") of a "year"
 //! sized to the event population, giving amortized `O(1)` push/pop. It is
-//! provided as an alternative to [`crate::BinaryHeapScheduler`] and compared
-//! against it in the scheduler ablation bench; results must be identical,
-//! only speed may differ.
+//! provided as an alternative to [`crate::RadixQueue`] and measured against
+//! it by routebench's hold probes; results must be identical, only speed
+//! may differ.
 
 use crate::scheduler::Scheduler;
 use crate::time::SimTime;
@@ -136,7 +136,9 @@ impl<E> CalendarQueue<E> {
     /// Point the cursor at the bucket/day that contains instant `t`.
     fn aim_cursor_at(&mut self, t: u64) {
         self.cursor = self.bucket_index(t);
-        self.bucket_top = (t / self.width + 1) * self.width;
+        self.bucket_top = (t / self.width)
+            .saturating_add(1)
+            .saturating_mul(self.width);
     }
 
     /// Estimate a bucket width as ~the average separation of the earliest
@@ -174,13 +176,12 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if time.0 < self.last_time {
-            // A push earlier than the last pop (legal at the queue layer;
-            // the engine rejects it for simulations). Rewind the cursor so
-            // the year scan cannot skip past the new event.
-            self.last_time = time.0;
-            self.aim_cursor_at(time.0);
-        }
+        assert!(
+            time.0 >= self.last_time,
+            "pushed below the last popped time: {} < {}",
+            time,
+            SimTime(self.last_time)
+        );
         let idx = self.bucket_index(time.0);
         Self::insert_sorted(&mut self.buckets[idx], Entry { time, seq, event });
         self.len += 1;
@@ -210,7 +211,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
                 }
             }
             self.cursor = (self.cursor + 1) % self.buckets.len();
-            self.bucket_top += self.width;
+            self.bucket_top = self.bucket_top.saturating_add(self.width);
         }
         // Nothing in the coming year: jump straight to the earliest event.
         let min = self.global_min_time().expect("len > 0 but no entries");
@@ -276,12 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_heap_on_periodic_workload() {
+    fn matches_radix_queue_on_periodic_workload() {
         // The workload the queue is built for: N timers firing with period
         // ~121 s plus jitter, resets scheduled one period ahead.
-        use crate::heap::BinaryHeapScheduler;
+        use crate::radix::RadixQueue;
         let mut cal = CalendarQueue::new();
-        let mut heap = BinaryHeapScheduler::new();
+        let mut radix = RadixQueue::new();
         let mut x = 42u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -293,15 +294,15 @@ mod tests {
         for node in 0..20u64 {
             let t = SimTime(rng() % period);
             cal.push(t, node);
-            heap.push(t, node);
+            radix.push(t, node);
         }
         for _ in 0..5_000 {
             let (tc, ec) = cal.pop().expect("calendar non-empty");
-            let (th, eh) = heap.pop().expect("heap non-empty");
-            assert_eq!((tc, ec), (th, eh));
+            let (tr, er) = radix.pop().expect("radix queue non-empty");
+            assert_eq!((tc, ec), (tr, er));
             let next = SimTime(tc.0 + period - 100_000_000 + rng() % 200_000_000);
             cal.push(next, ec);
-            heap.push(next, eh);
+            radix.push(next, er);
         }
     }
 

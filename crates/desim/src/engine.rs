@@ -5,7 +5,7 @@
 //! drive it with a `while let Some((t, ev)) = engine.pop()` loop, or use
 //! [`Engine::run`] with a handler closure and a stopping condition.
 
-use crate::heap::BinaryHeapScheduler;
+use crate::radix::RadixQueue;
 use crate::scheduler::Scheduler;
 use crate::time::{Duration, SimTime};
 
@@ -25,7 +25,7 @@ pub enum RunOutcome {
 
 /// A discrete-event simulation engine over an arbitrary event payload `E`
 /// and scheduler `S`.
-pub struct Engine<E, S = BinaryHeapScheduler<E>> {
+pub struct Engine<E, S = RadixQueue<E>> {
     queue: S,
     now: SimTime,
     processed: u64,
@@ -41,14 +41,14 @@ pub struct Engine<E, S = BinaryHeapScheduler<E>> {
     _marker: std::marker::PhantomData<E>,
 }
 
-impl<E> Engine<E, BinaryHeapScheduler<E>> {
-    /// An engine with the default binary-heap scheduler, at time zero.
+impl<E> Engine<E, RadixQueue<E>> {
+    /// An engine with the default radix-queue scheduler, at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(BinaryHeapScheduler::new())
+        Self::with_scheduler(RadixQueue::new())
     }
 }
 
-impl<E> Default for Engine<E, BinaryHeapScheduler<E>> {
+impl<E> Default for Engine<E, RadixQueue<E>> {
     fn default() -> Self {
         Self::new()
     }
@@ -102,9 +102,7 @@ impl<E, S: Scheduler<E>> Engine<E, S> {
 
     /// Schedule `event` a span `after` from now.
     pub fn schedule_in(&mut self, after: Duration, event: E) {
-        let at = self.now + after;
-        self.queue.push(at, event);
-        self.obs_pending_high.record_max(self.queue.len() as u64);
+        self.schedule(self.now + after, event);
     }
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
@@ -245,15 +243,15 @@ mod tests {
 
     #[test]
     fn engine_is_scheduler_agnostic() {
-        let mut heap: Engine<u32> = Engine::new();
+        let mut radix: Engine<u32> = Engine::new();
         let mut cal: Engine<u32, CalendarQueue<u32>> = Engine::with_scheduler(CalendarQueue::new());
         for k in 0..100u32 {
             let t = SimTime(((k as u64) * 7919) % 1000);
-            heap.schedule(t, k);
+            radix.schedule(t, k);
             cal.schedule(t, k);
         }
         loop {
-            match (heap.pop(), cal.pop()) {
+            match (radix.pop(), cal.pop()) {
                 (None, None) => break,
                 (a, b) => assert_eq!(a, b),
             }

@@ -18,27 +18,32 @@
 //!    model of Floyd & Jacobson defines a *cluster* as a set of routers that
 //!    reset their timers at the **same instant**; integer time makes "same
 //!    instant" a well-defined equality instead of a floating-point tolerance.
-//! 2. Events scheduled for the same instant pop in FIFO order of scheduling
-//!    (a monotone sequence number breaks ties), for every scheduler
-//!    implementation.
+//! 2. Events scheduled for the same instant pop in FIFO order of scheduling,
+//!    for every scheduler implementation.
 //!
 //! ## Schedulers
 //!
-//! Two pending-event-set implementations are provided behind the
-//! [`Scheduler`] trait:
+//! A simulation never schedules before the instant it last popped
+//! ([`Engine::schedule`] asserts this), so the [`Scheduler`] contract is a
+//! *monotone* priority queue: a push must not be earlier than the last
+//! popped time. Two implementations are provided:
 //!
-//! * [`BinaryHeapScheduler`] — a plain binary heap, `O(log n)` per
-//!   operation, the default.
+//! * [`RadixQueue`] — the default. A monotone radix queue (Ahuja et al.,
+//!   JACM 1990): `O(1)` push and `peek_time`, and a pop costs the entries
+//!   it moves down between buckets, counted in `desim.engine.moves` —
+//!   about four per pop on the packet simulator's 100k-router scenario,
+//!   where a binary heap sifted through ~19 levels at ~600k pending.
+//!   Ties pop FIFO by construction, with no sequence numbers. A push below
+//!   the last popped time panics.
 //! * [`CalendarQueue`] — Brown's calendar queue. Its `push` and `pop` are
 //!   amortized `O(1)` only while event times spread evenly enough for its
 //!   bucket-width estimate, as in a hold loop started from uniform timer
 //!   phases; but `peek_time` scans every bucket, so a caller that peeks
 //!   once per event (as `NetSim::run_until` does) pays `O(buckets)` per
 //!   event. On the packet simulator's 100k-router scenario, whose
-//!   synchronized start packs 100k timers into one millisecond, it runs
-//!   more than 20× slower than the heap, and still about 40× slower with
-//!   an `O(1)` peek (2-vCPU host). Kept as an ablation target
-//!   (`routesync-bench/benches/scheduler.rs`).
+//!   synchronized start packs 100k timers into one millisecond, it ran
+//!   more than 20× slower than a binary heap (2-vCPU host). Kept only for
+//!   routebench's `desim.calendar.holds_per_s` probe.
 //!
 //! ## Example
 //!
@@ -71,14 +76,14 @@
 
 pub mod calendar;
 pub mod engine;
-pub mod heap;
+pub mod radix;
 pub mod scheduler;
 pub mod time;
 pub mod token;
 
 pub use calendar::CalendarQueue;
 pub use engine::{Engine, RunOutcome};
-pub use heap::BinaryHeapScheduler;
+pub use radix::RadixQueue;
 pub use scheduler::Scheduler;
 pub use time::{Duration, SimTime};
 pub use token::{TokenGen, TokenSlab};

@@ -8,18 +8,18 @@
 
 use crate::time::SimTime;
 
-/// A priority queue of timestamped events.
+/// A monotone priority queue of timestamped events.
 ///
 /// Implementations must be *stable*: events with equal timestamps pop in
 /// insertion order. This is what makes runs reproducible across scheduler
-/// implementations (see `routesync-bench/benches/scheduler.rs` for the
-/// ablation comparing them).
+/// implementations.
 pub trait Scheduler<E> {
     /// Insert an event at `time`.
     ///
-    /// `time` may be in the past relative to previously popped events; the
-    /// engine layer is responsible for rejecting that (it is a logic error in
-    /// the model, not in the queue).
+    /// `time` must not be earlier than the last popped time (any time is
+    /// allowed before the first pop). Simulations never schedule into the
+    /// past, and the default [`crate::RadixQueue`] relies on it: it panics
+    /// on such a push rather than misorder its events.
     fn push(&mut self, time: SimTime, event: E);
 
     /// Remove and return the earliest event, or `None` if empty.

@@ -124,11 +124,11 @@ mod tests {
     fn cancellation_pattern_with_queue() {
         // The canonical use: schedule, cancel, reschedule; only the live
         // event fires.
-        use crate::heap::BinaryHeapScheduler;
+        use crate::radix::RadixQueue;
         use crate::scheduler::Scheduler;
         use crate::time::SimTime;
 
-        let mut q = BinaryHeapScheduler::new();
+        let mut q = RadixQueue::new();
         let mut gen = TokenGen::new();
         q.push(SimTime(10), ("expiry", gen.current()));
         let g = gen.bump(); // triggered update cancels the pending expiry

@@ -23,10 +23,11 @@
 //! * `parallel_speedup` — serial vs all-cores wall-time ratio for a seed
 //!   ensemble through `routesync_exec`, after asserting the outputs are
 //!   bit-identical.
-//! * `batched` — the SoA block kernel (`routesync_core::BatchedEnsemble`)
-//!   against the scalar fast engine on the same single-thread ensemble,
-//!   outputs asserted identical, `speedup_vs_scalar` reported honestly
-//!   (see `docs/PERFORMANCE.md` for what this number can and cannot be).
+//! * `batched` — blocks of cells (`routesync_core::BatchedEnsemble`, each
+//!   block's cells run through one reused `FastModel`) against one cell
+//!   per work item on the same single-thread ensemble, outputs asserted
+//!   identical; expect `speedup_vs_scalar` near 1 (see
+//!   `docs/PERFORMANCE.md`).
 //! * `thread_sweep` — both engines at 1/2/4/8 workers with per-thread
 //!   speedups; `effective_cores` says how many of those workers can
 //!   actually run at once on this host.
@@ -119,7 +120,7 @@ struct ScaleEntry {
     peak_rss_mb: f64,
 }
 
-/// Batched SoA kernel vs the scalar fast engine on the same single-thread
+/// Blocks of cells vs one cell per work item on the same single-thread
 /// ensemble workload, interleaved best-of reps, outputs asserted
 /// identical before any throughput is reported.
 #[derive(Serialize)]
@@ -472,12 +473,12 @@ fn main() {
     );
     let parallel_speedup = serial_wall / parallel_wall;
 
-    // --- batched SoA kernel vs scalar ------------------------------------
+    // --- batched blocks vs scalar cells -----------------------------------
     // The same ensemble workload through both engines at one thread, so
-    // the ratio isolates the kernel (SoA layout, two-smallest pass,
-    // branch-light burst phases) from parallelism. Interleaved best-of
-    // reps cancel frequency drift; outputs are compared before any
-    // throughput is believed.
+    // the ratio isolates how work is split (blocks of cells vs one cell
+    // per item, both on the one FastModel kernel) from parallelism.
+    // Interleaved best-of reps cancel frequency drift; outputs are
+    // compared before any throughput is believed.
     let batch_seeds: Vec<u64> = (0..if fast { 64 } else { 256 }).collect();
     let batch_width = routesync_core::batch::DEFAULT_WIDTH;
     let run_engine = |engine: &dyn Fn(usize) -> Vec<(u64, u64, u64)>, threads: usize| {

@@ -62,7 +62,7 @@ usage: sweep [--param tr|tc|tp|n] [--from X] [--to X] [--steps K]
   --metric   fraction | f | g | sync-time | resync-time | net-events
              (default: fraction)
   --engine   simulation engine for the sync-time metric (default: scalar;
-             batched uses the SoA block kernel — trace-identical output)
+             batched runs cells in blocks of 32 — trace-identical output)
   --threads  worker threads for simulated metrics, at least 1 (default:
              all cores; honours the ROUTESYNC_THREADS env var when unset)
   --obs      enable instrumentation and write a metrics snapshot

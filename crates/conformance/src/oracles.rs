@@ -150,11 +150,12 @@ pub fn engine_equivalence(spec: &CaseSpec, seed: u64) -> Result<(), String> {
         ));
     }
 
-    // Batched leg: the SoA block kernel claims *exact* trace identity
-    // with FastModel (same burst order, same tie order, no tail slack),
-    // so cell 0 of a width-`batch_width` block must reproduce `fast_rec`
-    // byte for byte — with the other cells churning through unrelated
-    // seeds in the same columns to stress cross-cell isolation.
+    // Batched leg: a block runs its cells through one reused FastModel
+    // and claims *exact* trace identity with it (same burst order, same
+    // tie order, no tail slack), so cell 0 of a width-`batch_width` block
+    // must reproduce `fast_rec` byte for byte — with the other cells
+    // run through the same model after it, so state leaking from one
+    // cell into the next shows up below.
     let width = spec.batch_width.max(1);
     let mut seeds = vec![seed];
     seeds.extend(derive_seeds(seed, width - 1));
@@ -187,7 +188,7 @@ pub fn engine_equivalence(spec: &CaseSpec, seed: u64) -> Result<(), String> {
     }
     if width > 1 {
         // The last cell must match a fresh scalar run of its own seed:
-        // lanes must not leak between cells sharing a block.
+        // no state may leak between cells sharing a block.
         let last_seed = seeds[width - 1];
         let mut lone = FastModel::new(p, spec.start(), last_seed);
         let mut lone_rec = (SendTrace::new(), ClusterLog::new());

@@ -172,7 +172,7 @@ pub struct CaseSpec {
     pub horizon_s: u64,
     /// Scheduled faults (packet-level oracles only; empty elsewhere).
     pub faults: Vec<FaultOp>,
-    /// Block width for the batched SoA engine leg of
+    /// Block width for the batched engine leg of
     /// [`Oracle::EngineEquivalence`] (1 = a single-cell block).
     /// Reproducer lines written before the batched engine existed lack
     /// the field and deserialize to 0, which every consumer treats as 1

@@ -96,13 +96,12 @@ fn fuzzer_catches_and_shrinks_the_injected_merge_bug() {
     let _ = std::fs::remove_dir_all(&out_dir);
 }
 
-/// The batched SoA kernel calls the same `joins_burst` merge rule as
-/// `FastModel`, so the injected off-by-one must perturb both engines in
-/// exactly the same way: with the defect on, the batched trace stays
-/// byte-identical to the fast trace while both drift off the event
-/// engine. A batched kernel with its own (correct) copy of the rule
-/// would dodge the defect and break trace identity — this is the guard
-/// the issue asks for.
+/// `BatchedEnsemble` runs its cells through `FastModel`, so the injected
+/// off-by-one must perturb both engines in exactly the same way: with
+/// the defect on, the batched trace stays byte-identical to the fast
+/// trace while both drift off the event engine. A batched path with its
+/// own (correct) copy of the merge rule would dodge the defect and break
+/// trace identity — this test guards against one coming back.
 #[test]
 fn batched_kernel_shares_the_injected_merge_rule() {
     let spec = CaseSpec {

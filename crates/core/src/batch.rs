@@ -1,147 +1,39 @@
-//! Structure-of-arrays batched ensemble engine.
+//! Block-of-cells ensemble wrapper around the one burst kernel.
 //!
 //! Every headline statistic in the paper is an *ensemble* quantity:
 //! hundreds to thousands of independent runs of the same `(params, seed_i)`
-//! system, differing only in the seed. [`crate::FastModel`] executes one
-//! such cell at a time from a `BinaryHeap` of expiries — branchy
-//! comparison-driven code whose per-event cost is dominated by heap
-//! reshuffling and branch mispredictions. [`BatchedEnsemble`] instead lays
-//! the whole block of cells out as flat columns and advances **W cells per
-//! inner-loop pass**:
+//! system, differing only in the seed. [`BatchedEnsemble`] takes a block of
+//! up to `width` such cells and runs them one after another through a
+//! single reused [`crate::FastModel`], so its traces are the scalar
+//! engine's by construction: for any `(params, seed)` the per-cell send
+//! log, cluster log, round accounting and final counters are byte-for-byte
+//! the same. [`run_blocks`] fans blocks out over the supervised ensemble
+//! runner.
 //!
-//! * `expiry[node * W + cell]` — next timer expiry in nanoseconds,
-//!   node-major so the per-pass argmin scans contiguous rows and
-//!   auto-vectorizes across cells;
-//! * `rng[node * W + cell]` — raw MinStd states (`routesync_rng::raw`),
-//!   advanced with exactly the scalar arithmetic;
-//! * per-cell columns for send counters, the buffered reset group, and the
-//!   cluster high-water mark.
-//!
-//! One *pass* executes one burst per active cell: a vectorizable
-//! expiry-select (argmin over the node lanes of every cell at once), a
-//! lockstep burst-join loop (each round extends every still-open burst by
-//! its next-smallest expiry, using the same [`crate::fast::joins_burst`]
-//! rule — including any injected defect), then a scalar writeback phase
-//! (send emission, cluster flush, simultaneous reset, re-arm draws).
-//!
-//! The engine is **trace-identical** to [`crate::FastModel`]: for any
-//! `(params, seed)` the per-cell send log, cluster log, round accounting
-//! and final counters are byte-for-byte the same, because the burst rule,
-//! tie ordering (time, then node id), buffered one-burst-delayed cluster
-//! flush, and every RNG draw are replicated exactly. The equivalence is
-//! enforced by unit tests here, property tests in `routesync-integration`,
-//! and the `EngineEquivalence` oracle in `routesync-conformance`.
-//!
-//! Like the scalar fast path, the batched engine covers the paper's
-//! Section 4-5 measurement configuration only (`AfterProcessing` resets,
-//! no injected triggered updates); anything else needs the event-driven
-//! [`crate::PeriodicModel`].
+//! Blocks add no speed over one cell per work item, and no semantics:
+//! the block API and [`Engine::Batched`] exist because benchmark and CLI
+//! surfaces name them (`docs/PERFORMANCE.md` has the measurements).
 
-use routesync_desim::{Duration, SimTime};
-use routesync_rng::{JitterPolicy, TimerResetPolicy, UniformDuration};
+use routesync_desim::SimTime;
 
-use crate::fast::joins_burst;
-use crate::model::NodeId;
+use crate::fast::FastModel;
 use crate::params::{PeriodicParams, StartState};
 use crate::record::Recorder;
 
-/// Default cells-per-block width: big enough to fill SIMD lanes and hide
-/// RNG latency, small enough that a block's columns stay in L1.
+/// Default cells-per-block width.
 pub const DEFAULT_WIDTH: usize = 32;
 
-/// Expiry lanes hold *packed keys*: `time_nanos << ID_BITS | node_id`.
-/// One unsigned compare on keys IS the scalar heap's `(time, node id)`
-/// lexicographic order, so the per-pass minima reduce to pure `min`/`max`
-/// chains with no index bookkeeping (AVX-friendly), and ties break
-/// identically to `BinaryHeap<Reverse<(SimTime, NodeId)>>` by construction.
-const ID_BITS: u32 = 8;
-
-/// Largest packable time: 2^56 ns ≈ 2.28 simulated years, far beyond any
-/// horizon the experiments use. Times past it saturate to [`BUSY`], which
-/// still orders after every real key and trips the horizon retire check.
-const MAX_KEY_TIME: u64 = u64::MAX >> ID_BITS;
-
-/// Sentinel key for a node that is mid-burst (popped from its lane).
-/// Orders after every live key, so it loses every strict comparison.
-const BUSY: u64 = u64::MAX;
-
-/// Pack an expiry into its lane key.
-#[inline]
-fn key(t: u64, id: u64) -> u64 {
-    if t >= MAX_KEY_TIME {
-        BUSY
-    } else {
-        (t << ID_BITS) | id
-    }
-}
-
-/// Sentinel for "no buffered reset group".
-const NO_PENDING: u64 = u64::MAX;
-
-/// Instrumentation handles, resolved once at construction from the global
-/// `routesync-obs` collector; metric-only, so instrumented and bare runs
-/// are bit-identical.
-struct BatchObs {
-    /// Ensemble cells started (`core.batch.cells`).
-    cells: routesync_obs::Counter,
-    /// Lockstep passes executed (`core.batch.passes`).
-    passes: routesync_obs::Counter,
-    /// Bursts executed across all cells (`core.batch.bursts`).
-    bursts: routesync_obs::Counter,
-    /// Routing messages sent across all cells (`core.batch.sends`).
-    sends: routesync_obs::Counter,
-}
-
-impl BatchObs {
-    fn resolve() -> Self {
-        let obs = routesync_obs::global();
-        BatchObs {
-            cells: obs.counter("core.batch.cells"),
-            passes: obs.counter("core.batch.passes"),
-            bursts: obs.counter("core.batch.bursts"),
-            sends: obs.counter("core.batch.sends"),
-        }
-    }
-}
-
-/// A block of up to `width` independent Periodic Messages systems advanced
-/// in lockstep over structure-of-arrays state.
+/// A block of up to `width` independent Periodic Messages systems, run
+/// cell by cell through one [`FastModel`].
 pub struct BatchedEnsemble {
-    params: PeriodicParams,
-    /// Capacity: cells per block. Fixed at construction; column strides.
     width: usize,
-    /// Cells live in the current block (set by [`BatchedEnsemble::reset`]).
-    cells: usize,
-    n: usize,
-    tc: u64,
-    // --- node-major columns, index = node * width + cell ---
-    expiry: Vec<u64>,
-    rng: Vec<u32>,
-    jit_lo: Vec<u64>,
-    jit_span: Vec<u64>,
-    // --- per-cell columns ---
-    now: Vec<u64>,
-    sends: Vec<u64>,
-    /// `sends / n`, maintained incrementally (no division on the hot path).
-    rounds_done: Vec<u64>,
-    sends_into_round: Vec<u32>,
-    pending_at: Vec<u64>,
-    pending_len: Vec<u32>,
-    /// Buffered reset-group members, stride `n` per cell.
-    pending: Vec<NodeId>,
-    high_water: Vec<u32>,
-    /// Cell still short of its horizon / stop condition (1 = live, 0 =
-    /// retired; a u64 mask so the columnar passes stay branchless).
-    active: Vec<u64>,
-    /// Per-pass scratch: 1 for cells taking the single-sender fast path.
-    fast: Vec<u64>,
-    // --- per-pass scratch: the two smallest lane keys per cell ---
-    min1_k: Vec<u64>,
-    min2_k: Vec<u64>,
-    /// Burst members in join order (single burst; the block sweep is
-    /// per-cell, so one buffer serves all cells).
-    members: Vec<(u64, u64)>,
-    obs: BatchObs,
+    model: FastModel,
+    start: StartState,
+    seeds: Vec<u64>,
+    /// `(now, sends)` per loaded cell, as of its last run.
+    out: Vec<(SimTime, u64)>,
+    /// Ensemble cells loaded (`core.batch.cells`).
+    obs_cells: routesync_obs::Counter,
 }
 
 impl BatchedEnsemble {
@@ -150,97 +42,29 @@ impl BatchedEnsemble {
     /// Panics if the configuration needs the event-driven engine
     /// (non-`AfterProcessing` reset policy) or `width == 0`.
     pub fn new(params: PeriodicParams, width: usize) -> Self {
-        assert_eq!(
-            params.reset_policy,
-            TimerResetPolicy::AfterProcessing,
-            "BatchedEnsemble implements the paper's AfterProcessing semantics only"
-        );
         assert!(width > 0, "need at least one cell per block");
-        assert!(
-            params.n <= 1 << ID_BITS,
-            "packed lane keys carry {}-bit node ids (N <= {})",
-            ID_BITS,
-            1u64 << ID_BITS
-        );
-        let n = params.n;
         BatchedEnsemble {
-            params,
             width,
-            cells: 0,
-            n,
-            tc: params.tc.as_nanos(),
-            expiry: vec![0; n * width],
-            rng: vec![1; n * width],
-            jit_lo: vec![0; n * width],
-            jit_span: vec![0; n * width],
-            now: vec![0; width],
-            sends: vec![0; width],
-            rounds_done: vec![0; width],
-            sends_into_round: vec![0; width],
-            pending_at: vec![NO_PENDING; width],
-            pending_len: vec![0; width],
-            pending: vec![0; n * width],
-            high_water: vec![0; width],
-            active: vec![0; width],
-            fast: vec![0; width],
-            min1_k: vec![BUSY; width],
-            min2_k: vec![BUSY; width],
-            members: Vec::with_capacity(n),
-            obs: BatchObs::resolve(),
+            model: FastModel::new(params, StartState::Synchronized, 0),
+            start: StartState::Synchronized,
+            seeds: Vec::with_capacity(width),
+            out: Vec::with_capacity(width),
+            obs_cells: routesync_obs::global().counter("core.batch.cells"),
         }
-    }
-
-    /// The model parameters.
-    pub fn params(&self) -> &PeriodicParams {
-        &self.params
-    }
-
-    /// Block capacity (cells per block).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Cells live in the current block.
-    pub fn cells(&self) -> usize {
-        self.cells
     }
 
     /// Current simulated time of cell `c` (its last burst's reset instant).
     pub fn now(&self, c: usize) -> SimTime {
-        SimTime(self.now[c])
+        self.out[c].0
     }
 
     /// Total routing messages sent by cell `c`.
     pub fn sends(&self, c: usize) -> u64 {
-        self.sends[c]
+        self.out[c].1
     }
 
-    /// Largest simultaneous-reset group cell `c` has produced.
-    pub fn high_water(&self, c: usize) -> u32 {
-        self.high_water[c]
-    }
-
-    /// The current phase vector of cell `c`: each router's pending timer
-    /// expiry modulo `period`, in nanoseconds, indexed by node id — the
-    /// SoA counterpart of [`crate::FastModel::phase_offsets_into`],
-    /// byte-identical to it after identical runs (lane `j` is node `j`;
-    /// `BUSY` markers never survive a pass). Behind the Kuramoto order
-    /// parameter R(t).
-    pub fn phase_offsets_into(&self, c: usize, period: Duration, out: &mut Vec<u64>) {
-        assert!(c < self.cells, "cell {c} out of range ({})", self.cells);
-        assert!(period.as_nanos() > 0, "period must be positive");
-        out.clear();
-        let w = self.width;
-        let p = period.as_nanos();
-        for j in 0..self.n {
-            out.push((self.expiry[j * w + c] >> ID_BITS) % p);
-        }
-    }
-
-    /// Load one cell per seed (at most `width`), each initialised exactly
-    /// like `FastModel::new(params, start, seed)`: per-node streams from
-    /// [`routesync_rng::stream`], configuration-time jitter materialised,
-    /// first expiries drawn per the start state. Reuses every column.
+    /// Load one cell per seed (at most `width`), each to be run exactly
+    /// like `FastModel::new(params, start, seed)`.
     pub fn reset(&mut self, start: &StartState, seeds: &[u64]) {
         assert!(
             !seeds.is_empty() && seeds.len() <= self.width,
@@ -248,331 +72,35 @@ impl BatchedEnsemble {
             seeds.len(),
             self.width
         );
-        self.cells = seeds.len();
-        self.obs.cells.add(seeds.len() as u64);
-        let w = self.width;
-        let tp = self.params.tp();
         if let StartState::Offsets(offsets) = start {
-            assert_eq!(offsets.len(), self.n, "one offset per router");
+            assert_eq!(
+                offsets.len(),
+                self.model.params().n,
+                "one offset per router"
+            );
         }
-        for (c, &seed) in seeds.iter().enumerate() {
-            self.now[c] = 0;
-            self.sends[c] = 0;
-            self.rounds_done[c] = 0;
-            self.sends_into_round[c] = 0;
-            self.pending_at[c] = NO_PENDING;
-            self.pending_len[c] = 0;
-            self.high_water[c] = 0;
-            self.active[c] = 1;
-            for id in 0..self.n {
-                // Identical draw order to FastModel::reset: stream, then
-                // materialize (FixedPerRouter consumes draws here), then
-                // the start-state draw.
-                let mut rng = routesync_rng::stream(seed, id as u64);
-                let jitter = self.params.jitter.materialize(&mut rng);
-                let first = match start {
-                    StartState::Unsynchronized => {
-                        UniformDuration::new(routesync_desim::Duration::ZERO, tp).sample(&mut rng)
-                    }
-                    StartState::Synchronized => tp,
-                    StartState::Offsets(offsets) => offsets[id],
-                };
-                let idx = id * w + c;
-                self.expiry[idx] = key(first.as_nanos(), id as u64);
-                self.rng[idx] = rng.state();
-                // Flatten the (materialized) policy into draw bounds so the
-                // hot loop samples without matching on the policy enum. A
-                // zero span means "no draw", matching JitterPolicy::sample.
-                let (lo, span) = match jitter {
-                    JitterPolicy::None { tp } => (tp.as_nanos(), 0),
-                    JitterPolicy::Uniform { tp, tr } => {
-                        let d = UniformDuration::centered(tp, tr);
-                        (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
-                    }
-                    JitterPolicy::UniformHalf { tp } => {
-                        let d = UniformDuration::new(tp / 2, tp + tp / 2);
-                        (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
-                    }
-                    // materialize() never returns FixedPerRouter.
-                    JitterPolicy::FixedPerRouter { tp, .. } => (tp.as_nanos(), 0),
-                };
-                self.jit_lo[idx] = lo;
-                self.jit_span[idx] = span;
-            }
-        }
+        self.obs_cells.add(seeds.len() as u64);
+        self.start.clone_from(start);
+        self.seeds.clear();
+        self.seeds.extend_from_slice(seeds);
+        self.out.clear();
+        self.out.resize(seeds.len(), (SimTime::ZERO, 0));
     }
 
-    /// The vectorizable expiry-select: for every cell in the block, the
-    /// two smallest lane keys. Cells are processed in fixed-width register
-    /// blocks: the running minima live in locals sized to a SIMD register,
-    /// so the node loop is a pure load/min/max chain with no round trips
-    /// through the scratch columns.
-    ///
-    /// Keys are unique (the node id is packed into the low bits), so the
-    /// textbook two-smallest recurrence over keys is exact, and key order
-    /// IS the scalar heap's `(time, node id)` order.
-    #[inline]
-    fn twomin_pass(&mut self) {
-        /// Cells per register block: 8 × u64 = one AVX-512 register (two
-        /// AVX2 registers), the sweet spot for the accumulator chain.
-        const CHUNK: usize = 8;
-        let w = self.width;
-        let cells = self.cells;
-        let n = self.n;
-        let expiry = &self.expiry[..n * w];
-        let mut base = 0;
-        while base + CHUNK <= cells {
-            let mut m1 = [BUSY; CHUNK];
-            let mut m2 = [BUSY; CHUNK];
-            for j in 0..n {
-                let row = &expiry[j * w + base..j * w + base + CHUNK];
-                for k in 0..CHUNK {
-                    let t = row[k];
-                    let hi = if t > m1[k] { t } else { m1[k] };
-                    m2[k] = if hi < m2[k] { hi } else { m2[k] };
-                    m1[k] = if t < m1[k] { t } else { m1[k] };
-                }
-            }
-            self.min1_k[base..base + CHUNK].copy_from_slice(&m1);
-            self.min2_k[base..base + CHUNK].copy_from_slice(&m2);
-            base += CHUNK;
-        }
-        // Remainder cells (blocks narrower than CHUNK), one at a time.
-        for c in base..cells {
-            let mut m1 = BUSY;
-            let mut m2 = BUSY;
-            for j in 0..n {
-                let t = expiry[j * w + c];
-                let hi = if t > m1 { t } else { m1 };
-                m2 = if hi < m2 { hi } else { m2 };
-                m1 = if t < m1 { t } else { m1 };
-            }
-            self.min1_k[c] = m1;
-            self.min2_k[c] = m2;
-        }
-    }
-
-    /// Run every cell until its next burst would start at/after `horizon`
-    /// or its recorder stops it. Bursts are atomic, exactly as in
-    /// [`crate::FastModel::run`]. `recorders[c]` observes cell `c`.
+    /// Run every loaded cell from its seed until its next burst would
+    /// start at/after `horizon` or its recorder stops it, exactly as
+    /// [`FastModel::run`]. `recorders[c]` observes cell `c`.
     pub fn run<R: Recorder>(&mut self, horizon: SimTime, recorders: &mut [R]) {
-        assert_eq!(recorders.len(), self.cells, "one recorder per loaded cell");
+        assert_eq!(
+            recorders.len(),
+            self.seeds.len(),
+            "one recorder per loaded cell"
+        );
         let _span = routesync_obs::span!("core.batch.run");
-        let obs_live = self.obs.passes.is_live();
-        let mut local_passes = 0u64;
-        let mut local_bursts = 0u64;
-        let mut local_sends = 0u64;
-        let horizon = horizon.as_nanos();
-        let w = self.width;
-        let n = self.n;
-        let tc = self.params.tc;
-        let tc_n = self.tc;
-        let idm = (1u64 << ID_BITS) - 1;
-        let n32 = n as u32;
-        let cells = self.cells;
-        let mut live = cells;
-        while live > 0 {
-            local_passes += 1;
-            // Phase 1: the vectorized select. One sweep yields, for every
-            // cell, the burst seed (first minimum) *and* the key the join
-            // rule must test next (second minimum) -- so the dominant
-            // single-sender burst costs exactly one lane scan.
-            self.twomin_pass();
-            // The per-pass phases below index disjoint columns; binding
-            // them as exact-length slices lets the bounds checks fold away
-            // and keeps the masked passes branch-free.
-            let min1_k = &self.min1_k[..cells];
-            let min2_k = &self.min2_k[..cells];
-            let fast = &mut self.fast[..cells];
-            let active = &mut self.active[..cells];
-            let sends_col = &mut self.sends[..cells];
-            let sir = &mut self.sends_into_round[..cells];
-            let rounds = &mut self.rounds_done[..cells];
-            let pat = &mut self.pending_at[..cells];
-            let plen = &mut self.pending_len[..cells];
-            let pend = &mut self.pending[..cells * n];
-            let hw = &mut self.high_water[..cells];
-            let nowc = &mut self.now[..cells];
-            let expiry = &mut self.expiry[..];
-            let rng = &mut self.rng[..];
-            let jlo = &self.jit_lo[..];
-            let jsp = &self.jit_span[..];
-            let members = &mut self.members;
-            // Phase 2: classify. A cell is *slow* when its burst gains a
-            // second member (min2 joins), it reached the horizon, or its
-            // recorder stops it; everything else takes the branch-free
-            // single-sender path. The loop is a pure mask computation
-            // (vectorizable) whenever `should_stop` inlines to a constant.
-            let mut any_slow = 0u64;
-            for c in 0..cells {
-                let e1 = min1_k[c] >> ID_BITS;
-                let joins = joins_burst(
-                    SimTime(min2_k[c] >> ID_BITS),
-                    SimTime(e1.wrapping_add(tc_n)),
-                    tc,
-                );
-                let slow = (joins | (e1 >= horizon) | recorders[c].should_stop()) as u64;
-                fast[c] = active[c] & (1 - slow);
-                any_slow |= active[c] & slow;
-            }
-            // Phase 3 (rare): slow cells, one at a time — retire-and-flush,
-            // or a multi-member burst collected by rescanning that cell's
-            // lanes (the busy-lane sentinel keeps joined lanes out).
-            if any_slow != 0 {
-                for c in 0..cells {
-                    if active[c] == 0 || fast[c] != 0 {
-                        continue;
-                    }
-                    let k1 = min1_k[c];
-                    let e1 = k1 >> ID_BITS;
-                    if recorders[c].should_stop() || e1 >= horizon {
-                        active[c] = 0;
-                        live -= 1;
-                        if pat[c] != NO_PENDING {
-                            let len = (plen[c] as usize).min(n);
-                            recorders[c].on_cluster(
-                                SimTime(pat[c]),
-                                rounds[c],
-                                &pend[c * n..c * n + len],
-                            );
-                            pat[c] = NO_PENDING;
-                            plen[c] = 0;
-                        }
-                        continue;
-                    }
-                    local_bursts += 1;
-                    // The classify pass saw min2 join, so the burst has at
-                    // least two members.
-                    let i1 = k1 & idm;
-                    let k2 = min2_k[c];
-                    members.clear();
-                    members.push((e1, i1));
-                    members.push((k2 >> ID_BITS, k2 & idm));
-                    expiry[i1 as usize * w + c] = BUSY;
-                    expiry[(k2 & idm) as usize * w + c] = BUSY;
-                    loop {
-                        // Next-smallest live lane; key order is (time,
-                        // node) order.
-                        let mut bk = BUSY;
-                        for j in 0..n {
-                            let t = expiry[j * w + c];
-                            if t < bk {
-                                bk = t;
-                            }
-                        }
-                        let boundary = e1.wrapping_add(tc_n.saturating_mul(members.len() as u64));
-                        if bk != BUSY && joins_burst(SimTime(bk >> ID_BITS), SimTime(boundary), tc)
-                        {
-                            let bi = bk & idm;
-                            members.push((bk >> ID_BITS, bi));
-                            expiry[bi as usize * w + c] = BUSY;
-                        } else {
-                            break;
-                        }
-                    }
-                    let m = members.len();
-                    // Emit sends in expiry order.
-                    for &(t, id) in members.iter() {
-                        recorders[c].on_send(SimTime(t), id as NodeId);
-                    }
-                    sends_col[c] += m as u64;
-                    local_sends += m as u64;
-                    // sends / n without the division: m <= n, one subtract.
-                    let s = sir[c] + m as u32;
-                    let ge = (s >= n32) as u32;
-                    sir[c] = s - ge * n32;
-                    rounds[c] += ge as u64;
-                    // Flush the previous burst's reset group (its round
-                    // counts this burst's sends, like the event engine).
-                    if pat[c] != NO_PENDING {
-                        let len = (plen[c] as usize).min(n);
-                        recorders[c].on_cluster(
-                            SimTime(pat[c]),
-                            rounds[c],
-                            &pend[c * n..c * n + len],
-                        );
-                    }
-                    // Simultaneous reset and re-arm.
-                    let reset = e1.wrapping_add(tc_n.wrapping_mul(m as u64));
-                    nowc[c] = reset;
-                    pat[c] = reset;
-                    plen[c] = m as u32;
-                    hw[c] = hw[c].max(m as u32);
-                    for k in 0..m {
-                        let id = members[k].1;
-                        pend[c * n + k] = id as NodeId;
-                        let idx = id as usize * w + c;
-                        let interval = routesync_rng::raw::sample_uniform_nanos(
-                            &mut rng[idx],
-                            jlo[idx],
-                            jsp[idx],
-                        );
-                        expiry[idx] = key(reset.saturating_add(interval), id);
-                    }
-                }
-                if live == 0 {
-                    break;
-                }
-            }
-            // Phase 4 (columnar, masked): counters for every fast cell.
-            let mut nfast = 0u64;
-            for c in 0..cells {
-                let f = fast[c];
-                nfast += f;
-                sends_col[c] += f;
-                let s = sir[c] + f as u32;
-                let ge = (s >= n32) as u32;
-                sir[c] = s - ge * n32;
-                rounds[c] += ge as u64;
-            }
-            local_bursts += nfast;
-            local_sends += nfast;
-            // Phase 5: recorder callbacks, in the engine-defined per-cell
-            // order (send, then the delayed cluster flush). For observer-
-            // free runs (`NullRecorder`) this loop compiles to nothing.
-            for c in 0..cells {
-                if fast[c] == 0 {
-                    continue;
-                }
-                let k1 = min1_k[c];
-                recorders[c].on_send(SimTime(k1 >> ID_BITS), (k1 & idm) as NodeId);
-                if pat[c] != NO_PENDING {
-                    let len = (plen[c] as usize).min(n);
-                    recorders[c].on_cluster(SimTime(pat[c]), rounds[c], &pend[c * n..c * n + len]);
-                }
-            }
-            // Phase 6 (columnar, masked): the simultaneous reset becomes
-            // the new buffered group; `m = 1` folds the high-water update
-            // into a max with the mask itself.
-            for c in 0..cells {
-                let f = fast[c];
-                let reset = (min1_k[c] >> ID_BITS).wrapping_add(tc_n);
-                pat[c] = if f != 0 { reset } else { pat[c] };
-                nowc[c] = if f != 0 { reset } else { nowc[c] };
-                plen[c] = if f != 0 { 1 } else { plen[c] };
-                hw[c] = hw[c].max(f as u32);
-            }
-            // Phase 7 (scalar, tight): one jitter draw and one lane
-            // re-arm per fast cell. Consecutive cells' generators are
-            // independent, so the draws overlap in flight.
-            for c in 0..cells {
-                if fast[c] == 0 {
-                    continue;
-                }
-                let k1 = min1_k[c];
-                let i1 = (k1 & idm) as usize;
-                pend[c * n] = i1;
-                let idx = i1 * w + c;
-                let interval =
-                    routesync_rng::raw::sample_uniform_nanos(&mut rng[idx], jlo[idx], jsp[idx]);
-                let reset = (k1 >> ID_BITS).wrapping_add(tc_n);
-                expiry[idx] = key(reset.saturating_add(interval), i1 as u64);
-            }
-        }
-        if obs_live {
-            self.obs.passes.add(local_passes);
-            self.obs.bursts.add(local_bursts);
-            self.obs.sends.add(local_sends);
+        for (c, rec) in recorders.iter_mut().enumerate() {
+            self.model.reset(&self.start, self.seeds[c]);
+            let now = self.model.run(horizon, rec);
+            self.out[c] = (now, self.model.sends());
         }
     }
 }
@@ -590,10 +118,9 @@ pub struct CellOut {
     pub sends: u64,
 }
 
-/// Run one cell per seed to `horizon` through the SoA block kernel:
-/// seeds are chunked into blocks of `width` cells, each block is one
-/// [`routesync_exec::Ensemble`] item (each worker reusing one
-/// [`BatchedEnsemble`]), and every block advances its cells in lockstep.
+/// Run one cell per seed to `horizon` in blocks: seeds are chunked into
+/// blocks of `width` cells, each block is one [`routesync_exec::Ensemble`]
+/// item, and each worker reuses one [`BatchedEnsemble`].
 ///
 /// `make` builds each cell's recorder; `finish` maps `(terminal state,
 /// recorder)` to a result. Results are in seed order and byte-identical
@@ -656,7 +183,8 @@ where
 pub enum Engine {
     /// One [`crate::FastModel`] per worker, reset per seed.
     Scalar,
-    /// The SoA block kernel ([`BatchedEnsemble`]) at [`DEFAULT_WIDTH`].
+    /// Blocks of [`DEFAULT_WIDTH`] cells ([`run_blocks`]), each run through
+    /// one reused [`crate::FastModel`].
     Batched,
 }
 
@@ -704,6 +232,7 @@ mod tests {
     use crate::record::{ClusterLog, FirstPassageUp, NullRecorder, SendTrace};
     use crate::FastModel;
     use routesync_desim::Duration;
+    use routesync_rng::{JitterPolicy, TimerResetPolicy};
 
     fn params(n: usize, tr_ms: u64) -> PeriodicParams {
         PeriodicParams::new(
@@ -888,36 +417,6 @@ mod tests {
                 );
                 assert_eq!(scalar, batched, "width {width} threads {threads}");
             }
-        }
-    }
-
-    #[test]
-    fn high_water_tracks_largest_cluster() {
-        let p = params(6, 100);
-        let mut batch = BatchedEnsemble::new(p, 1);
-        batch.reset(&StartState::Synchronized, &[1]);
-        let mut recs = vec![NullRecorder];
-        batch.run(SimTime::from_secs(1_000), &mut recs);
-        assert_eq!(batch.high_water(0), 6, "synchronized start bursts all 6");
-    }
-
-    #[test]
-    fn phase_offsets_match_scalar_engine() {
-        let p = params(12, 100);
-        let period = p.round_len();
-        let seeds = [41, 42, 43];
-        let horizon = SimTime::from_secs(50_000);
-        let mut batch = BatchedEnsemble::new(p, seeds.len());
-        batch.reset(&StartState::Unsynchronized, &seeds);
-        let mut recs: Vec<NullRecorder> = seeds.iter().map(|_| NullRecorder).collect();
-        batch.run(horizon, &mut recs);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for (c, &seed) in seeds.iter().enumerate() {
-            let mut fast = FastModel::new(p, StartState::Unsynchronized, seed);
-            fast.run(horizon, &mut NullRecorder);
-            batch.phase_offsets_into(c, period, &mut got);
-            fast.phase_offsets_into(period, &mut want);
-            assert_eq!(got, want, "phase vector diverges: seed {seed}");
         }
     }
 

@@ -189,11 +189,11 @@ fn count_runs(cells: usize) {
 /// [`crate::Engine`], in parallel.
 ///
 /// The scalar engine is [`run_many`]'s per-worker [`crate::FastModel`]
-/// reuse; the batched engine advances blocks of
-/// [`crate::batch::DEFAULT_WIDTH`] cells through the SoA kernel
-/// ([`crate::batch::run_blocks`]). Both produce bit-identical recorder
-/// traces for any `(params, start, seed)`, so the choice only affects
-/// throughput.
+/// reuse, one seed per work item; the batched engine makes blocks of
+/// [`crate::batch::DEFAULT_WIDTH`] seeds the work items
+/// ([`crate::batch::run_blocks`]) and runs each block's cells through one
+/// reused `FastModel`. Both produce bit-identical recorder traces for any
+/// `(params, start, seed)`, so the choice only affects how work is split.
 ///
 /// `make` builds the recorder for a seed; `finish` folds the finished
 /// recorder plus the cell summary ([`crate::CellOut`]) into the result.
@@ -240,10 +240,15 @@ where
 
 /// Estimate the paper's `f(2)` — the expected number of rounds for the
 /// first cluster of size 2 to form from an unsynchronized start — by Monte
-/// Carlo. Used as the default free parameter of the Markov-chain model.
-pub fn estimate_f2_rounds(params: PeriodicParams, seeds: &[u64], max_secs: f64) -> Option<f64> {
+/// Carlo over `threads` workers, one cell per seed. Used as the default
+/// free parameter of the Markov-chain model.
+pub fn estimate_f2_rounds(
+    params: PeriodicParams,
+    seeds: &[u64],
+    max_secs: f64,
+    threads: usize,
+) -> Option<f64> {
     let round_len = params.round_len().as_secs_f64();
-    let threads = routesync_exec::resolve_threads(None);
     let times: Vec<f64> = run_many(
         params,
         StartState::Unsynchronized,
@@ -366,7 +371,7 @@ mod tests {
     #[test]
     fn f2_estimate_is_positive_and_finite() {
         let params = PeriodicParams::paper_reference();
-        let f2 = estimate_f2_rounds(params, &[1, 2, 3, 4], 500_000.0)
+        let f2 = estimate_f2_rounds(params, &[1, 2, 3, 4], 500_000.0, 2)
             .expect("pairs form quickly at Tr = 0.1 s");
         assert!(f2 > 0.0 && f2 < 500.0, "f2 = {f2}");
     }

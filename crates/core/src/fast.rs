@@ -14,23 +14,38 @@
 //! simultaneously at `e₁ + m·Tc` — that simultaneous reset *is* the
 //! cluster.
 //!
-//! [`FastModel`] executes bursts directly from a heap of expiries:
-//! `O(m log N)` per burst instead of `O(m·N log N)` events. Every
-//! simulation in this crate can use either engine; their equivalence
+//! [`FastModel`] executes bursts directly from a **sorted expiry ring**: a
+//! `VecDeque` of pending `(time, node id)` expiries kept in ascending
+//! order, which is also the tie-break between equal times. A burst pops
+//! its members off the front. Re-arming exploits the model's shape: a
+//! router re-arms at `reset + U[Tp − Tr, Tp + Tr]` with `Tr ≪ Tp`, so a
+//! fresh expiry lands behind nearly every pending one. A lone re-arm is a
+//! `push_back`, or a binary search plus an insert that shifts the `k`
+//! pending expiries later than it: on average `k ≈ (N − 1)·Tr/(3·Tp)`,
+//! and less once busy periods space the resets out. A burst of `m` sorts
+//! its new expiries and merges them into the ring's tail in one backward
+//! pass: `O(m log m + k)`, not `O(m·k)`. The envelope is
+//! `O(log N + k)` per send, against a binary heap's `O(log N)`; the ring
+//! wins wherever `k` is small, which is every `Tr ≪ Tp` configuration,
+//! and loses under wide jitter (`UniformHalf` makes `k ≈ N/6`; see
+//! `docs/PERFORMANCE.md`). `core.fast.ring.moves` counts the `k`s.
+//!
+//! This is the only burst kernel: [`crate::BatchedEnsemble`] runs its
+//! cells through a reused `FastModel`. Equivalence with the event engine
 //! (identical send logs and cluster logs, for any parameters and seed) is
 //! enforced by unit tests here and property tests in the integration
-//! crate.
+//! crate, which also hold the kernel to a naive linear-scan reference and
+//! to full-trace goldens.
 //!
 //! Limitations (by design, asserted at construction): the fast path covers
 //! the paper's Section 4-5 measurement configuration — the
 //! `AfterProcessing` reset policy, no externally injected triggered
 //! updates. For those, use the event-driven model.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use routesync_desim::{Duration, SimTime};
-use routesync_rng::{JitterPolicy, MinStd, TimerResetPolicy};
+use routesync_rng::{JitterPolicy, TimerResetPolicy, UniformDuration};
 
 use crate::model::NodeId;
 use crate::params::{PeriodicParams, StartState};
@@ -64,14 +79,11 @@ pub mod inject {
 
 /// The burst-join rule: an expiry joins the running burst iff it lands
 /// strictly inside the busy period; one exactly at the boundary starts its
-/// own burst (matching the event-driven engine's strict `<`).
-///
-/// Shared with the batched SoA engine (`crate::batch`), so an injected
-/// merge defect perturbs both engines identically — the differential
-/// oracle must catch it through either.
+/// own burst (matching the event-driven engine's strict `<`). An injected
+/// merge defect perturbs it, and with it every ensemble engine.
 #[inline]
 #[cfg_attr(not(feature = "inject"), allow(unused_variables))]
-pub(crate) fn joins_burst(e: SimTime, boundary: SimTime, tc: Duration) -> bool {
+fn joins_burst(e: SimTime, boundary: SimTime, tc: Duration) -> bool {
     #[cfg(feature = "inject")]
     if inject::merge_off_by_one() {
         return e < boundary + tc;
@@ -79,9 +91,42 @@ pub(crate) fn joins_burst(e: SimTime, boundary: SimTime, tc: Duration) -> bool {
     e < boundary
 }
 
+/// One router's re-arm draw, flattened from its (materialized) jitter
+/// policy: a uniform interval on `[lo, lo + span]` nanoseconds from a raw
+/// MinStd state (`routesync_rng::raw`). A zero span draws nothing,
+/// exactly like [`JitterPolicy::sample`].
 struct FastNode {
-    jitter: JitterPolicy,
-    rng: MinStd,
+    lo: u64,
+    span: u64,
+    rng: u32,
+}
+
+impl FastNode {
+    fn new(jitter: JitterPolicy, rng: u32) -> Self {
+        let (lo, span) = match jitter {
+            JitterPolicy::None { tp } => (tp.as_nanos(), 0),
+            JitterPolicy::Uniform { tp, tr } => {
+                let d = UniformDuration::centered(tp, tr);
+                (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
+            }
+            JitterPolicy::UniformHalf { tp } => {
+                let d = UniformDuration::new(tp / 2, tp + tp / 2);
+                (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
+            }
+            // materialize() never returns FixedPerRouter.
+            JitterPolicy::FixedPerRouter { tp, .. } => (tp.as_nanos(), 0),
+        };
+        FastNode { lo, span, rng }
+    }
+
+    #[inline]
+    fn interval(&mut self) -> Duration {
+        Duration::from_nanos(routesync_rng::raw::sample_uniform_nanos(
+            &mut self.rng,
+            self.lo,
+            self.span,
+        ))
+    }
 }
 
 /// Instrumentation handles, resolved once at construction from the global
@@ -93,6 +138,9 @@ struct FastObs {
     bursts: routesync_obs::Counter,
     /// Routing messages sent (`core.fast.sends`).
     sends: routesync_obs::Counter,
+    /// Pending expiries shifted or merged to make room for re-armed ones
+    /// (`core.fast.ring.moves`).
+    ring_moves: routesync_obs::Counter,
     /// Completed N-message rounds (`core.rounds`).
     rounds: routesync_obs::Counter,
     /// Burst-size changes between consecutive bursts
@@ -111,6 +159,7 @@ impl FastObs {
         FastObs {
             bursts: obs.counter("core.fast.bursts"),
             sends: obs.counter("core.fast.sends"),
+            ring_moves: obs.counter("core.fast.ring.moves"),
             rounds: obs.counter("core.rounds"),
             transitions: obs.counter("core.cluster.transitions"),
             cluster_size: obs.histogram("core.cluster.size", &[1, 2, 4, 8, 16, 32, 64, 128, 256]),
@@ -123,11 +172,12 @@ impl FastObs {
 pub struct FastModel {
     params: PeriodicParams,
     nodes: Vec<FastNode>,
-    /// Pending expiries, min-heap by `(time, node)`.
-    heap: BinaryHeap<Reverse<(SimTime, NodeId)>>,
+    /// Pending expiries, one per router, ascending by `(time, node)`.
+    ring: VecDeque<(SimTime, NodeId)>,
     now: SimTime,
     sends: u64,
-    /// Scratch: the current burst's members, reused across bursts and runs.
+    /// Scratch: the current burst's members, then their re-armed
+    /// expiries; reused across bursts and runs.
     members: Vec<(SimTime, NodeId)>,
     /// Scratch: the buffered reset group awaiting flush (see `run`).
     pending_ids: Vec<NodeId>,
@@ -149,7 +199,7 @@ impl FastModel {
         let mut model = FastModel {
             params,
             nodes: Vec::with_capacity(params.n),
-            heap: BinaryHeap::with_capacity(params.n),
+            ring: VecDeque::with_capacity(params.n),
             now: SimTime::ZERO,
             sends: 0,
             members: Vec::with_capacity(params.n),
@@ -163,11 +213,11 @@ impl FastModel {
     }
 
     /// Re-initialise for a fresh run with a new start state and seed,
-    /// reusing every allocation (nodes, heap, scratch buffers). After
+    /// reusing every allocation (nodes, ring, scratch buffers). After
     /// `reset`, the model is indistinguishable from
     /// `FastModel::new(self.params, start, seed)`.
     pub fn reset(&mut self, start: &StartState, seed: u64) {
-        self.heap.clear();
+        self.ring.clear();
         self.nodes.clear();
         self.now = SimTime::ZERO;
         self.sends = 0;
@@ -176,23 +226,25 @@ impl FastModel {
         self.pending_at = None;
         self.last_burst_len = 0;
         let tp = self.params.tp();
+        if let StartState::Offsets(offsets) = start {
+            assert_eq!(offsets.len(), self.params.n, "one offset per router");
+        }
         for id in 0..self.params.n {
+            // Draw order per router: its stream, then materialize
+            // (FixedPerRouter consumes draws here), then the start state.
             let mut rng = routesync_rng::stream(seed, id as u64);
             let jitter = self.params.jitter.materialize(&mut rng);
             let first = match start {
                 StartState::Unsynchronized => {
-                    routesync_rng::dist::UniformDuration::new(routesync_desim::Duration::ZERO, tp)
-                        .sample(&mut rng)
+                    UniformDuration::new(Duration::ZERO, tp).sample(&mut rng)
                 }
                 StartState::Synchronized => tp,
-                StartState::Offsets(offsets) => {
-                    assert_eq!(offsets.len(), self.params.n, "one offset per router");
-                    offsets[id]
-                }
+                StartState::Offsets(offsets) => offsets[id],
             };
-            self.heap.push(Reverse((SimTime::ZERO + first, id)));
-            self.nodes.push(FastNode { jitter, rng });
+            self.ring.push_back((SimTime::ZERO + first, id));
+            self.nodes.push(FastNode::new(jitter, rng.state()));
         }
+        self.ring.make_contiguous().sort_unstable();
     }
 
     /// The model parameters.
@@ -220,9 +272,49 @@ impl FastModel {
         assert!(period.as_nanos() > 0, "period must be positive");
         out.clear();
         out.resize(self.params.n, 0);
-        for &Reverse((t, id)) in self.heap.iter() {
+        for &(t, id) in &self.ring {
             out[id] = t.as_nanos() % period.as_nanos();
         }
+    }
+
+    /// Merge the burst's re-armed expiries (`self.members`, any order)
+    /// into the ring. Returns how many pending expiries had to shift or
+    /// be merged past (`k`, zero for an append).
+    #[inline]
+    fn rearm(&mut self) -> usize {
+        let ring = &mut self.ring;
+        if let [entry] = self.members[..] {
+            // The common case: one router, landing at or near the back.
+            if ring.back().is_none_or(|&last| last < entry) {
+                ring.push_back(entry);
+                return 0;
+            }
+            let at = ring.partition_point(|&e| e < entry);
+            ring.insert(at, entry);
+            return ring.len() - 1 - at;
+        }
+        // A burst of m: sort the new entries, grow the ring by m, and
+        // merge backwards so each pending entry later than the smallest
+        // new one moves exactly once.
+        self.members.sort_unstable();
+        let new = &self.members[..];
+        let mut read = ring.len();
+        ring.resize(read + new.len(), (SimTime::ZERO, 0));
+        let mut write = ring.len();
+        let mut left = new.len();
+        let mut moved = 0;
+        while left > 0 {
+            write -= 1;
+            if read > 0 && ring[read - 1] > new[left - 1] {
+                read -= 1;
+                ring[write] = ring[read];
+                moved += 1;
+            } else {
+                left -= 1;
+                ring[write] = new[left];
+            }
+        }
+        moved
     }
 
     /// Run until the next burst would start at/after `horizon` or the
@@ -236,8 +328,10 @@ impl FastModel {
         let obs_live = self.obs.bursts.is_live();
         let sends_at_entry = self.sends;
         let mut local_bursts = 0u64;
+        let mut local_moves = 0u64;
         let mut local_transitions = 0u64;
         let mut local_largest = 0u64;
+        let mut local_singles = 0u64;
         let mut local_sizes = self.obs.cluster_size.local();
         let tc = self.params.tc;
         // The burst-member and reset-group buffers live on the model so a
@@ -250,7 +344,7 @@ impl FastModel {
             if recorder.should_stop() {
                 break;
             }
-            let Some(&Reverse((e1, _))) = self.heap.peek() else {
+            let Some(&(e1, _)) = self.ring.front() else {
                 break;
             };
             if e1 >= horizon {
@@ -258,14 +352,12 @@ impl FastModel {
             }
             // Collect the burst.
             self.members.clear();
-            let Reverse(first) = self.heap.pop().expect("peeked");
-            self.members.push(first);
+            self.members.push(self.ring.pop_front().expect("peeked"));
             loop {
                 let boundary = e1 + tc.saturating_mul(self.members.len() as u64);
-                match self.heap.peek() {
-                    Some(&Reverse((e, _))) if joins_burst(e, boundary, tc) => {
-                        let Reverse(next) = self.heap.pop().expect("peeked");
-                        self.members.push(next);
+                match self.ring.front() {
+                    Some(&(e, _)) if joins_burst(e, boundary, tc) => {
+                        self.members.push(self.ring.pop_front().expect("peeked"));
                     }
                     _ => break,
                 }
@@ -278,8 +370,14 @@ impl FastModel {
             if obs_live {
                 let size = self.members.len() as u64;
                 local_bursts += 1;
-                local_sizes.record(size);
-                local_largest = local_largest.max(size);
+                // Singletons dominate unsynchronized runs; they go into
+                // the size histogram in one lump at exit.
+                if size == 1 {
+                    local_singles += 1;
+                } else {
+                    local_sizes.record(size);
+                    local_largest = local_largest.max(size);
+                }
                 if self.members.len() != self.last_burst_len {
                     local_transitions += 1;
                     self.last_burst_len = self.members.len();
@@ -298,12 +396,12 @@ impl FastModel {
             self.pending_ids
                 .extend(self.members.iter().map(|&(_, id)| id));
             self.pending_at = Some(reset);
-            // Re-arm everyone.
-            for &(_, id) in &self.members {
-                let node = &mut self.nodes[id];
-                let interval = node.jitter.sample(&mut node.rng);
-                self.heap.push(Reverse((reset + interval, id)));
+            // Re-arm everyone, in member order (each router draws from its
+            // own stream, so only the ring order depends on the sort).
+            for entry in &mut self.members {
+                entry.0 = reset + self.nodes[entry.1].interval();
             }
+            local_moves += self.rearm() as u64;
         }
         if let Some(t) = self.pending_at.take() {
             let round = self.sends / self.params.n as u64;
@@ -314,8 +412,12 @@ impl FastModel {
             let sends_delta = self.sends - sends_at_entry;
             self.obs.bursts.add(local_bursts);
             self.obs.sends.add(sends_delta);
+            self.obs.ring_moves.add(local_moves);
             self.obs.transitions.add(local_transitions);
-            self.obs.cluster_largest.record_max(local_largest);
+            local_sizes.record_n(1, local_singles);
+            self.obs
+                .cluster_largest
+                .record_max(local_largest.max(local_singles.min(1)));
             self.obs.rounds.add(sends_delta / self.params.n as u64);
             local_sizes.flush();
         }
@@ -468,6 +570,45 @@ mod tests {
             assert_eq!(rec_reused.1.groups(), rec_fresh.1.groups(), "seed {seed}");
             assert_eq!(reused.sends(), fresh.sends());
         }
+    }
+
+    /// `core.fast.ring.moves` over `core.fast.sends` for one run under a
+    /// collector scoped to this thread. Also checks the burst metrics
+    /// against each other: one size per burst, sizes summing to sends.
+    fn ring_moves(p: PeriodicParams, start: StartState) -> (u64, u64) {
+        let live = routesync_obs::Collector::enabled();
+        let _scope = routesync_obs::scoped(live.clone());
+        let mut fast = FastModel::new(p, start, 1993);
+        let mut log = ClusterLog::new();
+        fast.run(SimTime::from_secs(200_000), &mut log);
+        let snap = live.snapshot();
+        let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let sizes = &snap.histograms["core.cluster.size"];
+        assert_eq!(count("core.fast.sends"), fast.sends());
+        assert_eq!(sizes.count, count("core.fast.bursts"));
+        assert_eq!(sizes.sum, fast.sends());
+        let largest = snap.gauges["core.cluster.largest"];
+        assert_eq!(largest, u64::from(log.max_size()));
+        (count("core.fast.ring.moves"), fast.sends())
+    }
+
+    /// The ring's work stays within its envelope where the paper's
+    /// configurations put it, and the counter tracks the `k ≈ N/6` cost
+    /// of wide jitter.
+    #[test]
+    fn ring_moves_stay_within_the_envelope() {
+        let (moves, sends) = ring_moves(params(20, 300), StartState::Unsynchronized);
+        assert!(moves <= 2 * sends, "{moves} moves for {sends} sends");
+        let (moves, sends) = ring_moves(params(20, 300), StartState::Synchronized);
+        let bound = 2.0 * sends as f64 * 20f64.log2();
+        assert!(moves as f64 <= bound, "{moves} moves for {sends} sends");
+        let half = params(30, 0).with_jitter(JitterPolicy::UniformHalf {
+            tp: Duration::from_secs(121),
+        });
+        let (moves, sends) = ring_moves(half, StartState::Unsynchronized);
+        // (N − 1)·Tr/(3·Tp) with Tr = Tp/2: about 4.8 per send.
+        let per_send = moves as f64 / sends as f64;
+        assert!((3.0..7.0).contains(&per_send), "{per_send} moves per send");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! `routesync-obs`: every send is fed to an online sync detector
 //! (Kuramoto R(t), cluster count/entropy, sustained-crossing sync onset
 //! — see `routesync_obs::online`) and ticks the simulated-time series
-//! sampler. Because the scalar [`crate::FastModel`] and the batched SoA
-//! engine drive recorders with **identical callback sequences** per cell
-//! (the trace-identity contract of PR 6), a detector fed through this
-//! recorder produces byte-identical R(t) series on either engine — the
-//! property `prop_series.rs` asserts.
+//! sampler. Because [`crate::BatchedEnsemble`] runs each cell through a
+//! [`crate::FastModel`], both ensemble engines drive recorders with
+//! **identical callback sequences** per cell, and a detector fed through
+//! this recorder produces byte-identical R(t) series on either engine —
+//! the property `prop_series.rs` asserts.
 //!
 //! Like every obs component, `Telemetry` only *writes* metrics: with the
 //! collector disabled each callback is one branch, and with it enabled

@@ -74,7 +74,7 @@ fn markov_high_region_matches_simulation() {
 #[test]
 fn f2_estimate_matches_paper_reference() {
     let seeds: Vec<u64> = (0..12).collect();
-    let f2 = experiment::estimate_f2_rounds(core_params(0.1), &seeds, 1e6).expect("pairs form");
+    let f2 = experiment::estimate_f2_rounds(core_params(0.1), &seeds, 1e6, 2).expect("pairs form");
     assert!(
         (4.0..80.0).contains(&f2),
         "f2 = {f2} rounds is far from the paper's 19"

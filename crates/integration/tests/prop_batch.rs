@@ -1,8 +1,9 @@
-//! End-to-end properties of the batched SoA ensemble engine: the batched
-//! path must be byte-identical to the scalar path for every recorder
-//! event — across block widths, worker-thread counts, with and without
-//! a live obs collector, and straight through a kill-and-resume
-//! checkpoint cycle driven by `Ensemble` over blocks of seeds.
+//! End-to-end properties of the batched ensemble engine (blocks of cells
+//! run through one reused `FastModel`): the batched path must be
+//! byte-identical to the scalar path for every recorder event — across
+//! block widths, worker-thread counts, with and without a live obs
+//! collector, and straight through a kill-and-resume checkpoint cycle
+//! driven by `Ensemble` over blocks of seeds.
 //!
 //! "Byte-identical" here is literal: full `SendTrace` and `ClusterLog`
 //! contents plus the cell summaries, not canonicalized or tail-trimmed.

@@ -1,8 +1,12 @@
 //! Property tests for the Periodic Messages model's invariants.
 
 use proptest::prelude::*;
-use routesync_core::{ClusterLog, EventLog, PeriodicModel, PeriodicParams, Recorder, StartState};
+use routesync_core::{
+    BatchedEnsemble, ClusterLog, EventLog, FastModel, PeriodicModel, PeriodicParams, Recorder,
+    StartState,
+};
 use routesync_desim::{Duration, SimTime};
+use routesync_rng::{JitterPolicy, UniformDuration};
 
 /// A recorder asserting structural invariants while the model runs.
 #[derive(Default)]
@@ -197,5 +201,330 @@ proptest! {
         let keep = ca.len().min(cb.len()).saturating_sub(tail);
         prop_assert_eq!(&ca[..keep], &cb[..keep]);
         prop_assert!(keep >= 10, "window too small: {keep}");
+    }
+}
+
+/// Everything an engine reports: every send, and every reset group with
+/// its round and members in the order the engine passed them — a
+/// `SendTrace` and a `ClusterLog` plus the member ids `ClusterLog` drops.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct FullTrace {
+    sends: Vec<(SimTime, usize)>,
+    clusters: Vec<(SimTime, u64, Vec<usize>)>,
+}
+
+impl Recorder for FullTrace {
+    fn on_send(&mut self, t: SimTime, node: usize) {
+        self.sends.push((t, node));
+    }
+
+    fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[usize]) {
+        self.clusters.push((t, round, nodes.to_vec()));
+    }
+}
+
+/// A deliberately naive reference engine for the `AfterProcessing` model:
+/// no queue at all, every step finds the smallest pending `(time, id)` by
+/// a linear scan. It draws through the `MinStd`/`JitterPolicy` object API
+/// and applies the burst rule as the event engine does: the next expiry
+/// joins iff it is strictly before `e₁ + j·Tc`. Reset groups are flushed
+/// one burst late, so a group's round counts the following burst's sends.
+fn reference_run(
+    p: PeriodicParams,
+    start: &StartState,
+    seed: u64,
+    horizon: SimTime,
+    rec: &mut impl Recorder,
+) {
+    let n = p.n;
+    let (mut rngs, mut jitter, mut expiry) = (Vec::new(), Vec::new(), Vec::new());
+    for id in 0..n {
+        let mut rng = routesync_rng::stream(seed, id as u64);
+        jitter.push(p.jitter.materialize(&mut rng));
+        expiry.push(match start {
+            StartState::Unsynchronized => {
+                SimTime::ZERO + UniformDuration::new(Duration::ZERO, p.tp()).sample(&mut rng)
+            }
+            StartState::Synchronized => SimTime::ZERO + p.tp(),
+            StartState::Offsets(offsets) => SimTime::ZERO + offsets[id],
+        });
+        rngs.push(rng);
+    }
+    let mut in_burst = vec![false; n];
+    let mut sends = 0u64;
+    let mut pending: Option<(SimTime, Vec<usize>)> = None;
+    let next = |expiry: &[SimTime], in_burst: &[bool]| {
+        (0..n)
+            .filter(|&i| !in_burst[i])
+            .min_by_key(|&i| (expiry[i], i))
+    };
+    while !rec.should_stop() {
+        let first = next(&expiry, &in_burst).expect("n >= 1");
+        let e1 = expiry[first];
+        if e1 >= horizon {
+            break;
+        }
+        let mut members = vec![first];
+        in_burst[first] = true;
+        while let Some(i) = next(&expiry, &in_burst) {
+            if expiry[i] >= e1 + p.tc * members.len() as u64 {
+                break;
+            }
+            members.push(i);
+            in_burst[i] = true;
+        }
+        for &i in &members {
+            sends += 1;
+            rec.on_send(expiry[i], i);
+        }
+        if let Some((t, ids)) = pending.take() {
+            rec.on_cluster(t, sends / n as u64, &ids);
+        }
+        let reset = e1 + p.tc * members.len() as u64;
+        for &i in &members {
+            in_burst[i] = false;
+            expiry[i] = reset + jitter[i].sample(&mut rngs[i]);
+        }
+        pending = Some((reset, members));
+    }
+    if let Some((t, ids)) = pending {
+        rec.on_cluster(t, sends / n as u64, &ids);
+    }
+}
+
+/// The jitter policy selected by `kind`, centred on `tp` with half-width
+/// `tr` where the policy has one.
+fn jitter_of(kind: u8, tp: Duration, tr: Duration) -> JitterPolicy {
+    match kind {
+        0 => JitterPolicy::Uniform { tp, tr },
+        1 => JitterPolicy::UniformHalf { tp },
+        2 => JitterPolicy::None { tp },
+        _ => JitterPolicy::FixedPerRouter { tp, tr },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `FastModel` reproduces the naive reference engine send for send and
+    /// group for group, with no canonical reordering and no horizon
+    /// tolerance. Synchronized starts and `Offsets` with repeated entries
+    /// put many expiries on the same instant, so the `(time, id)` tie
+    /// order is exercised on every such case.
+    #[test]
+    fn fast_engine_matches_naive_reference(
+        n in 1usize..65,
+        tp_s in 10u64..200,
+        tc_ms in 1u64..500,
+        tr_choice in 0u64..1_200,
+        jitter_kind in 0u8..4,
+        start_kind in 0u8..3,
+        distinct_offsets in 1u64..5,
+        seed in 0u64..100_000,
+    ) {
+        let tp = Duration::from_secs(tp_s);
+        // A sixth of the cases run without any jitter at all.
+        let tr = Duration::from_millis(if tr_choice >= 1_000 { 0 } else { tr_choice });
+        let p = PeriodicParams::new(n, tp, Duration::from_millis(tc_ms), tr)
+            .with_jitter(jitter_of(jitter_kind, tp, tr));
+        let start = match start_kind {
+            0 => StartState::Unsynchronized,
+            1 => StartState::Synchronized,
+            // Few distinct values among n entries: heavy ties.
+            _ => StartState::Offsets(
+                (0..n as u64)
+                    .map(|i| Duration::from_millis(500 + 37 * (i * 7919 % distinct_offsets)))
+                    .collect(),
+            ),
+        };
+        let horizon = SimTime::from_secs(tp_s * 40);
+        let mut want = FullTrace::default();
+        reference_run(p, &start, seed, horizon, &mut want);
+        let mut fast = FastModel::new(p, start, seed);
+        let mut got = FullTrace::default();
+        let now = fast.run(horizon, &mut got);
+        prop_assert!(!want.sends.is_empty());
+        prop_assert_eq!(fast.sends(), want.sends.len() as u64);
+        prop_assert_eq!(now, want.clusters.last().expect("at least one group").0);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// FNV-1a over a full trace's words: every send's `(time, id)`, and every
+/// group's `(time, round, size, ids…)`.
+#[derive(Debug)]
+struct TraceDigest {
+    hash: u64,
+    sends: u64,
+    groups: u64,
+}
+
+impl TraceDigest {
+    fn new() -> Self {
+        TraceDigest {
+            hash: 0xcbf2_9ce4_8422_2325,
+            sends: 0,
+            groups: 0,
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn summary(&self) -> (u64, u64, u64) {
+        (self.sends, self.groups, self.hash)
+    }
+}
+
+impl Recorder for TraceDigest {
+    fn on_send(&mut self, t: SimTime, node: usize) {
+        self.sends += 1;
+        self.word(t.as_nanos());
+        self.word(node as u64);
+    }
+
+    fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[usize]) {
+        self.groups += 1;
+        self.word(t.as_nanos());
+        self.word(round);
+        self.word(nodes.len() as u64);
+        for &id in nodes {
+            self.word(id as u64);
+        }
+    }
+}
+
+/// One pinned run: `(name, params, start, seed, horizon in seconds,
+/// (sends, groups, digest))`.
+type Golden = (
+    &'static str,
+    PeriodicParams,
+    StartState,
+    u64,
+    u64,
+    (u64, u64, u64),
+);
+
+fn goldens() -> Vec<Golden> {
+    let paper = |n: usize, tr_ms: u64| {
+        PeriodicParams::new(
+            n,
+            Duration::from_secs(121),
+            Duration::from_millis(110),
+            Duration::from_millis(tr_ms),
+        )
+    };
+    let tp = Duration::from_secs(121);
+    vec![
+        (
+            "n20 tr100 unsync",
+            paper(20, 100),
+            StartState::Unsynchronized,
+            1993,
+            1_000_000,
+            (162_591, 14_864, 0xdf8b_169d_6d04_e716),
+        ),
+        (
+            "n20 tr300 unsync",
+            paper(20, 300),
+            StartState::Unsynchronized,
+            601,
+            2_000_000,
+            (330_270, 323_767, 0x960e_5b84_028c_a055),
+        ),
+        (
+            "n20 tr300 sync",
+            paper(20, 300),
+            StartState::Synchronized,
+            7,
+            1_000_000,
+            (164_953, 148_740, 0xa3b3_45ab_054e_df4a),
+        ),
+        (
+            "n300 tr300 unsync",
+            paper(300, 300),
+            StartState::Unsynchronized,
+            1993,
+            200_000,
+            (391_398, 3_937, 0xea5c_eeef_418d_7ba8),
+        ),
+        (
+            "n300 tr50 sync",
+            paper(300, 50),
+            StartState::Synchronized,
+            3,
+            100_000,
+            (194_700, 649, 0xb5bd_8548_b850_c0dc),
+        ),
+        (
+            "n300 tc1 tr300 unsync",
+            PeriodicParams::new(
+                300,
+                tp,
+                Duration::from_millis(1),
+                Duration::from_millis(300),
+            ),
+            StartState::Unsynchronized,
+            42,
+            100_000,
+            (247_942, 247_328, 0xce5c_fdcf_2123_0596),
+        ),
+        (
+            "n20 half unsync",
+            paper(20, 0).with_jitter(JitterPolicy::UniformHalf { tp }),
+            StartState::Unsynchronized,
+            11,
+            200_000,
+            (32_996, 32_476, 0x92aa_2f45_fb7f_679e),
+        ),
+        (
+            "n10 fixed unsync",
+            paper(10, 0).with_jitter(JitterPolicy::FixedPerRouter {
+                tp,
+                tr: Duration::from_secs(5),
+            }),
+            StartState::Unsynchronized,
+            4,
+            200_000,
+            (16_777, 16_644, 0x9c5f_ed7b_409c_3f8f),
+        ),
+        (
+            "n6 none tied offsets",
+            paper(6, 0).with_jitter(JitterPolicy::None { tp }),
+            StartState::Offsets(
+                [1_000, 1_000, 1_050, 1_000, 1_200, 1_050]
+                    .map(Duration::from_millis)
+                    .to_vec(),
+            ),
+            5,
+            50_000,
+            (2_466, 411, 0x4dc0_a978_c0a5_1e64),
+        ),
+    ]
+}
+
+/// Full-trace digests recorded with the binary-heap `FastModel` that
+/// preceded the sorted expiry ring. Both ensemble engines must reproduce
+/// them exactly, including at N = 300 and from synchronized starts.
+#[test]
+fn traces_match_pinned_goldens() {
+    for (name, p, start, seed, horizon_s, want) in goldens() {
+        let horizon = SimTime::from_secs(horizon_s);
+        let mut fast = FastModel::new(p, start.clone(), seed);
+        let mut digest = TraceDigest::new();
+        fast.run(horizon, &mut digest);
+        assert_eq!(digest.summary(), want, "{name}: FastModel");
+        assert_eq!(fast.sends(), want.0, "{name}: FastModel send count");
+
+        let mut block = BatchedEnsemble::new(p, 2);
+        block.reset(&start, &[seed]);
+        let mut recs = vec![TraceDigest::new()];
+        block.run(horizon, &mut recs);
+        assert_eq!(recs[0].summary(), want, "{name}: BatchedEnsemble");
+        assert_eq!(block.sends(0), want.0, "{name}: BatchedEnsemble send count");
+        assert_eq!(block.now(0), fast.now(), "{name}: BatchedEnsemble clock");
     }
 }

@@ -143,9 +143,9 @@ fn detector_points(snap: &DetectorSnapshot) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-/// Satellite 4b: the batched SoA engine feeds its detector the exact
-/// same send stream as the scalar engine, so the R(t) series (times,
-/// order parameters, cluster stats — every bit) must be identical.
+/// The batched engine feeds its detector the exact same send stream as
+/// the scalar engine, so the R(t) series (times, order parameters,
+/// cluster stats — every bit) must be identical.
 #[test]
 fn batched_r_series_bit_identical_to_scalar() {
     let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());

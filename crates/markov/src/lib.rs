@@ -43,7 +43,8 @@
 //! closed form by the paper ("based both on simulations and on an
 //! approximate analysis that is not given here"); use the paper's reference
 //! value 19 rounds, your own estimate, or
-//! [`routesync_core::experiment::estimate_f2_rounds`].
+//! [`routesync_core::experiment::estimate_f2_rounds`] (a Monte Carlo
+//! estimate over an explicit seed list and thread count).
 
 //! ## Example
 //!

@@ -269,11 +269,17 @@ impl LocalHistogram {
     /// Record one observation into local memory (no atomics).
     #[inline]
     pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of the same value `v` (no atomics).
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
         if let Some(cell) = &self.cell {
             let idx = cell.bounds().partition_point(|&b| b < v);
-            self.counts[idx] += 1;
-            self.count += 1;
-            self.sum += v;
+            self.counts[idx] += n;
+            self.count += n;
+            self.sum += v * n;
         }
     }
 
@@ -397,12 +403,14 @@ mod tests {
         local.flush();
         assert_eq!(h.count(), 3);
         local.record(11);
+        local.record_n(7, 3);
         drop(local);
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1]);
+        assert_eq!(h.bucket_counts(), vec![4, 2, 1]);
 
         // A no-op handle yields a no-op accumulator.
         let mut noop = Histogram::noop().local();
         noop.record(1);
+        noop.record_n(1, 5);
         noop.flush();
     }
 

@@ -1,17 +1,18 @@
-//! Raw-state stepping for structure-of-arrays batched kernels.
+//! Raw-state stepping for hot simulation loops.
 //!
-//! The batched ensemble engine (`routesync-core::batch`) stores one MinStd
-//! generator per (cell, router) as a bare `u32` in a flat column instead of
-//! a `Vec<MinStd>` of structs, so the hot loops touch contiguous memory and
-//! auto-vectorize. These functions advance such raw states with **exactly**
-//! the same arithmetic as the [`crate::MinStd`] object API (CartaFold
-//! stepping, the composite 64-bit output, Lemire rejection), which is what
-//! makes batched runs bit-identical to scalar runs. The equivalence is
-//! pinned by unit tests below; any change here must keep them green.
+//! The burst kernel (`routesync-core`'s `FastModel`) stores each router's
+//! MinStd generator as a bare `u32` next to its flattened jitter bounds,
+//! so a re-arm draw touches one small struct and never matches on a
+//! policy enum or an algorithm tag. These functions advance such raw
+//! states with **exactly** the same arithmetic as the [`crate::MinStd`]
+//! object API (CartaFold stepping, the composite 64-bit output, Lemire
+//! rejection), which is what keeps the kernel's traces bit-identical to
+//! the event-driven engine's draws. The equivalence is pinned by unit
+//! tests below; any change here must keep them green.
 //!
 //! Only the default [`crate::MinStdAlgorithm::CartaFold`] stepping is
 //! exposed: every generator the simulators build (via [`crate::stream`])
-//! uses it, and a per-lane algorithm tag would defeat the flat layout.
+//! uses it.
 
 use crate::minstd::step_carta_fold;
 

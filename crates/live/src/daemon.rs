@@ -903,7 +903,7 @@ impl LiveDaemon {
                     .cost_per_route
                     .saturating_mul((adv.entries.len() + self.dv.advertise_pad) as u64);
                 r.busy_until = std::cmp::max(r.busy_until, sim_now) + cost;
-                let changed = r.table.process_update_with(
+                let merged = r.table.process_update_with(
                     from,
                     &adv.entries,
                     sim_now,
@@ -911,7 +911,7 @@ impl LiveDaemon {
                     self.dv.holddown,
                 );
                 r.age_due = r.age_due.min(settle);
-                if changed && self.dv.triggered_updates {
+                if merged.changed && self.dv.triggered_updates {
                     self.send_update(idx, sim_now, true);
                 }
             }

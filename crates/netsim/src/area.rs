@@ -12,9 +12,8 @@
 //!
 //! Aggregates and the default route are ordinary [`crate::dv`] table
 //! entries keyed in a reserved *logical* destination range far above any
-//! real node id (the same convention as the advertisement padding entries,
-//! which live at the very top of the id space): the Bellman-Ford logic,
-//! hold-down, expiry and garbage collection all apply unchanged.
+//! real node id: the Bellman-Ford logic, hold-down, expiry and garbage
+//! collection all apply unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +23,8 @@ use crate::topology::{LinkId, NodeId, Topology, TopologyStorage};
 pub const DEFAULT_DST: NodeId = usize::MAX / 2 - 1;
 
 /// Base of the aggregate-route key space: area `k`'s aggregate is keyed
-/// `AGG_BASE + k`. Disjoint from node ids (below), [`DEFAULT_DST`]
-/// (immediately below the base) and advertisement padding (at the top of
-/// the id space).
+/// `AGG_BASE + k`. Disjoint from node ids (below) and [`DEFAULT_DST`]
+/// (immediately below the base).
 pub const AGG_BASE: NodeId = usize::MAX / 2;
 
 /// How a border router advertises into its own area's stub links.
@@ -193,7 +191,8 @@ mod tests {
         assert!(l.is_logical(AreaLayout::agg_dst(1)));
         assert!(!l.is_logical(AreaLayout::agg_dst(2)), "beyond area count");
         assert!(!l.is_logical(9), "node ids are not logical");
-        // Padding entries live at usize::MAX - k for small k.
+        // Padding travels as a count and never reaches a table, but the
+        // top of the id space stays clear of logical keys all the same.
         assert!(!l.is_logical(usize::MAX - 300));
         assert_eq!(l.agg_area(AreaLayout::agg_dst(1)), Some(1));
         assert_eq!(l.agg_area(DEFAULT_DST), None);

@@ -10,14 +10,17 @@
 //! [`JitterPolicy`]/[`TimerResetPolicy`] knobs as the abstract model.
 //!
 //! The table itself is a flat structure-of-arrays arena sorted by
-//! destination: parallel `Vec`s for metric, next hop and the three clocks,
-//! looked up by binary search. Entry iteration is therefore always in
-//! ascending destination order — advertisements come out sorted without a
-//! sort, and behaviour is reproducible without hashing anywhere. Beyond
-//! the classic full-table advertisement the table supports **delta
-//! advertisements** (only destinations dirtied since the last flush, for
-//! incremental triggered updates) and **area-aggregated advertisements**
-//! (exact routes stay inside their [`crate::area::AreaLayout`] area;
+//! destination: parallel `Vec`s for metric, next hop and the three clocks.
+//! A single destination is looked up by binary search; an update's entries
+//! are merged in one forward pass (see
+//! [`RoutingTable::process_update_with`]), linear in the table for a sorted
+//! full-table update. Entry iteration is always in ascending destination
+//! order — advertisements come out sorted without a sort, and behaviour is
+//! reproducible without hashing anywhere. Beyond the classic full-table
+//! advertisement the table supports **delta advertisements** (only
+//! destinations dirtied since the last flush, for incremental triggered
+//! updates) and **area-aggregated advertisements** (exact routes stay
+//! inside their [`crate::area::AreaLayout`] area;
 //! remote areas collapse to one aggregate entry; stub links receive an
 //! originated default route) — the machinery that keeps tables small at
 //! internet scale.
@@ -122,10 +125,11 @@ pub struct DvConfig {
     /// signalled instantly by the simulator (an oracle — convenient for
     /// experiments that are not about detection latency).
     pub hello: Option<HelloConfig>,
-    /// Extra synthetic entries appended to every update, modelling the
+    /// Extra synthetic entries counted into every update, modelling the
     /// large tables of 1992 backbone routers (NEARnet's carried ~300
-    /// routes); they inflate wire size and processing cost but are ignored
-    /// by receivers.
+    /// routes). They are counted for wire size and for the sender's and
+    /// receiver's processing cost, but never materialised: an update
+    /// carries them as a count, so receivers have nothing to filter.
     pub advertise_pad: usize,
 }
 
@@ -254,8 +258,19 @@ const NO_HOLDDOWN: SimTime = SimTime::ZERO;
 /// time; guard before arithmetic).
 const NOT_DEAD: SimTime = SimTime::MAX;
 
+/// What one [`RoutingTable::process_update_with`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UpdateOutcome {
+    /// Whether any route changed (feeds triggered updates).
+    pub changed: bool,
+    /// Table rows compared while locating the update's entries: the
+    /// merge's cost.
+    pub probes: u64,
+}
+
 /// A router's routing table: a flat structure-of-arrays arena sorted by
-/// destination. Binary-search lookups, ordered iteration, no hashing.
+/// destination. Binary-search lookups, merged updates, ordered iteration,
+/// no hashing.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     me: NodeId,
@@ -438,11 +453,22 @@ impl RoutingTable {
         infinity: u32,
     ) -> bool {
         self.process_update_with(from, entries, now, infinity, None)
+            .changed
     }
 
     /// [`RoutingTable::process_update`] with an optional hold-down: after
     /// a route is lost, "good news" from anyone but the original next hop
     /// is refused until the hold-down expires.
+    ///
+    /// The entries are merged into the table in one forward pass: each is
+    /// located by galloping from the previous entry's row (doubling the
+    /// step, then binary-searching the bracket), so a sorted full-table
+    /// update costs a few row comparisons per entry and a sparse one of
+    /// `k` entries into `n` rows `O(k log(n/k))`. Any order is accepted
+    /// (the wire decoder does not enforce one): an entry below its
+    /// predecessor restarts the search at row 0. Every entry lands on the
+    /// row a binary search of the whole table would find, so the order
+    /// changes only the cost, never the outcome.
     pub fn process_update_with(
         &mut self,
         from: NodeId,
@@ -450,11 +476,21 @@ impl RoutingTable {
         now: SimTime,
         infinity: u32,
         holddown: Option<Duration>,
-    ) -> bool {
-        let mut changed = false;
+    ) -> UpdateOutcome {
+        let mut out = UpdateOutcome::default();
+        // Every row below `cursor` sorts before the previous entry's dst.
+        let (mut cursor, mut prev) = (0, 0);
         for e in entries {
+            if e.dst < prev {
+                cursor = 0;
+            }
+            prev = e.dst;
             let cand = (e.metric + 1).min(infinity);
-            match self.find(e.dst) {
+            let found = self.seek(cursor, e.dst, &mut out.probes);
+            cursor = match found {
+                Ok(i) | Err(i) => i,
+            };
+            match found {
                 Ok(i) if self.next_hops[i] == from => {
                     // Updates from the current next hop are authoritative,
                     // better or worse.
@@ -468,7 +504,7 @@ impl RoutingTable {
                             self.dead_since[i] = NOT_DEAD;
                         }
                         self.metrics[i] = cand;
-                        changed = true;
+                        out.changed = true;
                         self.mark_dirty(e.dst);
                     }
                 }
@@ -480,20 +516,45 @@ impl RoutingTable {
                         self.last_heard[i] = now;
                         self.holddown_until[i] = NO_HOLDDOWN;
                         self.dead_since[i] = NOT_DEAD;
-                        changed = true;
+                        out.changed = true;
                         self.mark_dirty(e.dst);
                     }
                 }
                 Err(i) => {
                     if cand < infinity {
                         self.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
-                        changed = true;
+                        out.changed = true;
                         self.mark_dirty(e.dst);
                     }
                 }
             }
         }
-        changed
+        out
+    }
+
+    /// [`RoutingTable::find`] for a `dst` that every row below `lo` sorts
+    /// before: gallop forward from `lo`, doubling the step, then
+    /// binary-search the bracket. Adds the rows compared to `probes`.
+    fn seek(&self, mut lo: usize, dst: NodeId, probes: &mut u64) -> Result<usize, usize> {
+        let mut hi = self.dsts.len();
+        let mut step = 1;
+        while let Some(&d) = self.dsts.get(lo + step - 1) {
+            *probes += 1;
+            if d >= dst {
+                hi = lo + step - 1;
+                break;
+            }
+            lo += step;
+            step *= 2;
+        }
+        lo += self.dsts[lo..hi].partition_point(|&d| {
+            *probes += 1;
+            d < dst
+        });
+        match self.dsts.get(lo) {
+            Some(&d) if d == dst => Ok(lo),
+            _ => Err(lo),
+        }
     }
 
     /// Mark every route through `next_hop` unreachable (link/neighbour
@@ -823,8 +884,8 @@ pub struct AreaCandidate {
 /// on-link neighbours is `link_peers`: the second phase after
 /// [`RoutingTable::area_candidates_into`], applying split horizon to each
 /// candidate. The result keeps the candidates' destination order and has
-/// room for `pad` more entries, so a caller can append padding without
-/// reallocating.
+/// room for `pad` more entries a caller may append. `NetSim` passes 0: its
+/// padding travels as [`crate::packet::RoutingUpdate::pad`], a count.
 pub fn area_link_advertisement(
     candidates: &[AreaCandidate],
     link_peers: &[NodeId],
@@ -1020,14 +1081,23 @@ mod tests {
         t.process_update_with(1, &[RouteEntry { dst: 9, metric: 1 }], now(1), 16, hd);
         assert_eq!(t.metric(9), Some(2));
         // The next hop poisons the route: hold-down starts.
-        assert!(t.process_update_with(1, &[RouteEntry { dst: 9, metric: 16 }], now(10), 16, hd));
+        assert!(
+            t.process_update_with(1, &[RouteEntry { dst: 9, metric: 16 }], now(10), 16, hd)
+                .changed
+        );
         assert_eq!(t.lookup(9, 16), None);
         // Node 2 now offers a perfectly good alternative — refused while
         // held down.
-        assert!(!t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(20), 16, hd));
+        assert!(
+            !t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(20), 16, hd)
+                .changed
+        );
         assert_eq!(t.lookup(9, 16), None, "held down");
         // After the hold-down expires the alternative is accepted.
-        assert!(t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(300), 16, hd));
+        assert!(
+            t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(300), 16, hd)
+                .changed
+        );
         assert_eq!(t.lookup(9, 16), Some(2));
     }
 
@@ -1039,7 +1109,10 @@ mod tests {
         t.process_update_with(1, &[RouteEntry { dst: 9, metric: 1 }], now(1), 16, hd);
         t.process_update_with(1, &[RouteEntry { dst: 9, metric: 16 }], now(10), 16, hd);
         // The same next hop recovering is authoritative even in hold-down.
-        assert!(t.process_update_with(1, &[RouteEntry { dst: 9, metric: 1 }], now(20), 16, hd));
+        assert!(
+            t.process_update_with(1, &[RouteEntry { dst: 9, metric: 1 }], now(20), 16, hd)
+                .changed
+        );
         assert_eq!(t.lookup(9, 16), Some(1));
     }
 
@@ -1051,8 +1124,14 @@ mod tests {
         t.install_direct(2);
         t.process_update_with(1, &[RouteEntry { dst: 9, metric: 1 }], now(1), 16, hd);
         assert!(t.fail_via_with(1, 16, now(50), hd));
-        assert!(!t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(60), 16, hd));
-        assert!(t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(151), 16, hd));
+        assert!(
+            !t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(60), 16, hd)
+                .changed
+        );
+        assert!(
+            t.process_update_with(2, &[RouteEntry { dst: 9, metric: 1 }], now(151), 16, hd)
+                .changed
+        );
     }
 
     #[test]
@@ -1125,6 +1204,161 @@ mod tests {
                 RouteEntry { dst: 9, metric: 2 },
             ],
             "missing destinations are skipped"
+        );
+    }
+
+    /// The update step before the merge: a binary search of the whole
+    /// table for every entry. The merge must reach the same row, and so
+    /// the same decisions, for every entry.
+    fn reference_process_update(
+        t: &mut RoutingTable,
+        from: NodeId,
+        entries: &[RouteEntry],
+        now: SimTime,
+        infinity: u32,
+        holddown: Option<Duration>,
+    ) -> bool {
+        let mut changed = false;
+        for e in entries {
+            let cand = (e.metric + 1).min(infinity);
+            match t.find(e.dst) {
+                Ok(i) if t.next_hops[i] == from => {
+                    t.last_heard[i] = now;
+                    if t.metrics[i] != cand {
+                        if cand >= infinity && t.metrics[i] < infinity {
+                            t.holddown_until[i] = holddown.map_or(NO_HOLDDOWN, |h| now + h);
+                            t.dead_since[i] = now;
+                        } else if cand < infinity {
+                            t.dead_since[i] = NOT_DEAD;
+                        }
+                        t.metrics[i] = cand;
+                        changed = true;
+                        t.mark_dirty(e.dst);
+                    }
+                }
+                Ok(i) => {
+                    let held = now < t.holddown_until[i];
+                    if cand < t.metrics[i] && !held {
+                        t.metrics[i] = cand;
+                        t.next_hops[i] = from;
+                        t.last_heard[i] = now;
+                        t.holddown_until[i] = NO_HOLDDOWN;
+                        t.dead_since[i] = NOT_DEAD;
+                        changed = true;
+                        t.mark_dirty(e.dst);
+                    }
+                }
+                Err(i) => {
+                    if cand < infinity {
+                        t.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
+                        changed = true;
+                        t.mark_dirty(e.dst);
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    /// The merge against [`reference_process_update`] on random tables
+    /// (live, dead and held-down rows) and random updates: sorted,
+    /// sorted with duplicates, or in arbitrary order; destinations below
+    /// and above every row; metrics up to and including infinity; with
+    /// and without hold-down, dirty tracking on.
+    #[test]
+    fn merge_matches_per_entry_binary_search() {
+        use routesync_rng::dist::below;
+        const INF: u32 = 16;
+        for seed in 0..400 {
+            let mut rng = routesync_rng::stream(seed, 0);
+            let mut merged = RoutingTable::new(4 + below(&mut rng, 30) as NodeId);
+            merged.set_dirty_tracking(true);
+            for _ in 0..below(&mut rng, 40) {
+                let dst = 4 + below(&mut rng, 36) as NodeId;
+                let Err(i) = merged.find(dst) else { continue };
+                let at = |rng: &mut routesync_rng::MinStd| SimTime::from_secs(below(rng, 400));
+                let holddown_until = if below(&mut rng, 3) == 0 {
+                    at(&mut rng)
+                } else {
+                    NO_HOLDDOWN
+                };
+                let dead_since = if below(&mut rng, 3) == 0 {
+                    at(&mut rng)
+                } else {
+                    NOT_DEAD
+                };
+                let (metric, next_hop) = (
+                    below(&mut rng, INF as u64 + 1) as u32,
+                    1 + below(&mut rng, 5) as NodeId,
+                );
+                let last_heard = at(&mut rng);
+                merged.raw_insert(
+                    i,
+                    dst,
+                    metric,
+                    next_hop,
+                    last_heard,
+                    holddown_until,
+                    dead_since,
+                );
+            }
+            let mut reference = merged.clone();
+            for round in 0..20 {
+                let mut entries: Vec<RouteEntry> = (0..below(&mut rng, 50))
+                    .map(|_| RouteEntry {
+                        dst: below(&mut rng, 45) as NodeId,
+                        metric: below(&mut rng, INF as u64 + 1) as u32,
+                    })
+                    .collect();
+                match below(&mut rng, 3) {
+                    0 => entries.sort_by_key(|e| e.dst),
+                    1 => {
+                        entries.sort_by_key(|e| e.dst);
+                        entries.dedup_by_key(|e| e.dst);
+                    }
+                    _ => {}
+                }
+                let from = 1 + below(&mut rng, 5) as NodeId;
+                let now = SimTime::from_secs(100 + below(&mut rng, 400));
+                let holddown = (below(&mut rng, 2) == 0)
+                    .then(|| Duration::from_secs(1 + below(&mut rng, 300)));
+                let got = merged.process_update_with(from, &entries, now, INF, holddown);
+                let want =
+                    reference_process_update(&mut reference, from, &entries, now, INF, holddown);
+                assert_eq!(got.changed, want, "seed {seed} round {round}");
+                assert_eq!(
+                    merged.iter().collect::<Vec<_>>(),
+                    reference.iter().collect::<Vec<_>>(),
+                    "seed {seed} round {round}"
+                );
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                merged.take_dirty_into(&mut a);
+                reference.take_dirty_into(&mut b);
+                assert_eq!(a, b, "seed {seed} round {round}");
+            }
+        }
+    }
+
+    /// A sorted full-table update compares a few rows per entry; the
+    /// per-entry binary search compared about log2(n) + 1.
+    #[test]
+    fn sorted_update_probes_a_few_rows_per_entry() {
+        let mut t = RoutingTable::new(0);
+        let entries: Vec<RouteEntry> = (1..300).map(|dst| RouteEntry { dst, metric: 2 }).collect();
+        assert!(t.process_update_with(1, &entries, now(1), 16, None).changed);
+        let refresh = t.process_update_with(1, &entries, now(2), 16, None);
+        assert!(!refresh.changed);
+        assert!(
+            refresh.probes <= 3 * entries.len() as u64,
+            "{} probes",
+            refresh.probes
+        );
+        let mut reversed = entries.clone();
+        reversed.reverse();
+        let unsorted = t.process_update_with(1, &reversed, now(3), 16, None);
+        assert!(
+            unsorted.probes > refresh.probes,
+            "order changes only the cost"
         );
     }
 

@@ -58,7 +58,8 @@ pub enum Payload {
     Routing(RoutingUpdate),
 }
 
-/// A full-table distance-vector update.
+/// A distance-vector update: the full table, or only the changed routes
+/// of an incremental triggered update.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutingUpdate {
     /// The router that emitted the update.
@@ -66,8 +67,13 @@ pub struct RoutingUpdate {
     /// Whether this is a triggered update (sent on a metric change rather
     /// than a timer).
     pub triggered: bool,
+    /// Synthetic padding entries ([`crate::DvConfig::advertise_pad`]) the
+    /// update stands for beyond `entries`: they count towards its wire
+    /// size and the receiver's processing cost but are never materialised.
+    /// A `u32` fits beside `triggered`, so [`Packet`] does not grow.
+    pub pad: u32,
     /// Advertised routes (already split-horizon-filtered for the interface
-    /// the update was sent on).
+    /// the update was sent on), sorted by destination.
     pub entries: Vec<RouteEntry>,
 }
 
@@ -103,6 +109,13 @@ mod tests {
         let p = Packet::new(1, 2, 64, Payload::Data);
         assert_eq!(p.ttl, Packet::DEFAULT_TTL);
         assert_eq!((p.src, p.dst, p.size), (1, 2, 64));
+    }
+
+    /// Padding rides as a `u32` beside `triggered`, in space the layout
+    /// already had, so a packet in flight stays 96 bytes.
+    #[test]
+    fn padding_count_does_not_grow_packets() {
+        assert!(std::mem::size_of::<Packet>() <= 96);
     }
 
     #[test]

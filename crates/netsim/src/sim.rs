@@ -17,9 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::app::{App, CbrReceiverStats, PingStats};
 use crate::area::{AreaLayout, AreaMode, DEFAULT_DST};
-use crate::dv::{
-    area_link_advertisement, AreaCandidate, DvConfig, RouteEntry, RoutingTable, UpdateMode,
-};
+use crate::dv::{area_link_advertisement, AreaCandidate, DvConfig, RoutingTable, UpdateMode};
 use crate::faults::{
     FaultKind, FaultPlan, FaultRecord, LinkFlapProfile, RouterFlapProfile, IMPAIR_STREAM,
     LINK_FLAP_STREAM, ROUTER_FLAP_STREAM,
@@ -218,6 +216,11 @@ struct NetObs {
     /// Route entries the advertisement builders wrote into update packets
     /// (padding excluded).
     advert_entries: routesync_obs::Counter,
+    /// Route entries received updates merged into routing tables (padding
+    /// excluded).
+    update_entries: routesync_obs::Counter,
+    /// Table rows those merges compared while locating their entries.
+    update_probes: routesync_obs::Counter,
     /// Per-router busy attribution: `(sim-time, node)` trace events.
     trace: routesync_obs::Tracer,
     /// Online synchronization detector over periodic (non-triggered)
@@ -256,6 +259,8 @@ impl NetObs {
             scale_agg_hits: obs.counter("netsim.scale.agg_hits"),
             advert_rows_scanned: obs.counter("netsim.advert.rows_scanned"),
             advert_entries: obs.counter("netsim.advert.entries"),
+            update_entries: obs.counter("netsim.update.entries"),
+            update_probes: obs.counter("netsim.update.probes"),
             trace: obs.tracer(),
             sync,
         }
@@ -406,7 +411,6 @@ pub struct NetSim {
     /// never read across calls).
     scratch_peers: Vec<NodeId>,
     scratch_nodes: Vec<NodeId>,
-    scratch_entries: Vec<RouteEntry>,
     scratch_candidates: Vec<AreaCandidate>,
     /// `(link area, start, end)`: each link area's range in
     /// `scratch_candidates` during one area-advertisement update.
@@ -541,7 +545,6 @@ impl NetSim {
             delivered_paths: Vec::new(),
             scratch_peers: Vec::new(),
             scratch_nodes: Vec::new(),
-            scratch_entries: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_classes: Vec::new(),
             seed,
@@ -1273,30 +1276,21 @@ impl NetSim {
         self.counters.updates_processed += 1;
         self.obs.updates_processed.inc();
         // CPU cost of digesting the whole update, padding included.
-        let cost = self.cfg.cost_per_route * update.entries.len() as u64;
+        let routes = update.entries.len() + update.pad as usize;
+        let cost = self.cfg.cost_per_route * routes as u64;
         self.cpu_add(now, node, cost);
-        // Strip the padding entries (out-of-range dst) into the reusable
-        // scratch buffer instead of a fresh Vec per update. With areas
-        // installed, logical destinations (aggregates, default) pass the
-        // filter and ride the ordinary Bellman-Ford path.
-        let n = self.topo.node_count();
-        let areas = self.areas.as_deref();
-        self.scratch_entries.clear();
-        self.scratch_entries.extend(
-            update
-                .entries
-                .iter()
-                .copied()
-                .filter(|e| e.dst < n || areas.is_some_and(|st| st.layout.is_logical(e.dst))),
-        );
-        let changed = self.nodes[node].table.process_update_with(
+        // With areas installed, logical destinations (aggregates, default)
+        // ride the ordinary Bellman-Ford path.
+        let merged = self.nodes[node].table.process_update_with(
             update.origin,
-            &self.scratch_entries,
+            &update.entries,
             now,
             self.cfg.dv.infinity,
             self.cfg.dv.holddown,
         );
-        if changed && self.cfg.dv.triggered_updates {
+        self.obs.update_entries.add(update.entries.len() as u64);
+        self.obs.update_probes.add(merged.probes);
+        if merged.changed && self.cfg.dv.triggered_updates {
             self.note_change(now, node);
         }
     }
@@ -1383,6 +1377,7 @@ impl NetSim {
             self.obs.updates_triggered.inc();
         }
         let pad = self.cfg.dv.advertise_pad;
+        let pad_count = u32::try_from(pad).expect("advertise_pad fits in u32");
         // Preparation cost: the advertised table scan, plus padding.
         let basis = if delta {
             dirty.len()
@@ -1416,7 +1411,7 @@ impl NetSim {
             let table = &self.nodes[node].table;
             // The entry list is owned by the packet, so an allocation is
             // inherent — but size it exactly once instead of growing.
-            let mut entries = match self.areas.as_deref() {
+            let entries = match self.areas.as_deref() {
                 Some(st) => {
                     let area = st.link_area[link];
                     let class = match classes.iter().position(|c| c.0 == area) {
@@ -1442,11 +1437,11 @@ impl NetSim {
                         &candidates[start..end],
                         &self.scratch_peers,
                         self.cfg.dv.infinity,
-                        pad,
+                        0,
                     )
                 }
                 None => {
-                    let mut entries = Vec::with_capacity(basis + pad);
+                    let mut entries = Vec::with_capacity(basis);
                     match only {
                         Some(dirty) => table.advertisement_delta_into(
                             dirty,
@@ -1467,16 +1462,9 @@ impl NetSim {
                 }
             };
             self.obs.advert_entries.add(entries.len() as u64);
-            // Padding entries model the ~300-route backbone tables; they
-            // carry an out-of-range dst and are filtered by receivers (but
-            // still cost wire time and CPU).
-            for k in 0..pad {
-                entries.push(RouteEntry {
-                    dst: usize::MAX - k,
-                    metric: self.cfg.dv.infinity,
-                });
-            }
-            let size = Packet::routing_size(entries.len());
+            // Padding models the ~300-route backbone tables: it costs wire
+            // time and receiver CPU, but travels as a count.
+            let size = Packet::routing_size(entries.len() + pad);
             let pkt = Packet::new(
                 node,
                 node, // dst unused for routing broadcast
@@ -1484,6 +1472,7 @@ impl NetSim {
                 Payload::Routing(RoutingUpdate {
                     origin: node,
                     triggered,
+                    pad: pad_count,
                     entries,
                 }),
             );
@@ -1604,6 +1593,7 @@ impl NetSim {
                 Payload::Routing(RoutingUpdate {
                     origin: node,
                     triggered: false,
+                    pad: 0,
                     entries: Vec::new(),
                 }),
             );

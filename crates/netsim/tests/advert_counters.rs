@@ -1,20 +1,20 @@
 //! The advertisement builders' layer counters, `netsim.advert.rows_scanned`
-//! and `netsim.advert.entries`. This file holds a single test because it
-//! installs the process-global collector: a test running beside it that
-//! installed its own would swap the collector mid-run.
+//! and `netsim.advert.entries`, read from a collector scoped to the test's
+//! own thread.
 
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::ScenarioSpec;
 use routesync_obs::Collector;
 
-/// Runs a scenario with a fresh collector installed and returns the two
+/// Runs a scenario under a fresh scoped collector and returns the two
 /// counters `(rows_scanned, entries)`.
 fn advert_counters(spec: ScenarioSpec, seed: u64, horizon: SimTime) -> (u64, u64) {
     let obs = Collector::enabled();
-    routesync_obs::install(obs.clone());
-    let mut s = spec.build(seed);
-    s.sim.run_until(horizon);
-    routesync_obs::install(Collector::disabled());
+    {
+        let _scope = routesync_obs::scoped(obs.clone());
+        let mut s = spec.build(seed);
+        s.sim.run_until(horizon);
+    }
     let snap = obs.snapshot();
     let read = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     (

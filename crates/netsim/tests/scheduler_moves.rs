@@ -1,7 +1,6 @@
 //! The scheduler's own layer counter, `desim.engine.moves`, on the packet
-//! simulator's event stream. This file holds a single test because it
-//! installs the process-global collector: a test running beside it that
-//! installed its own would swap the collector mid-run.
+//! simulator's event stream, read from a collector scoped to the test's
+//! own thread.
 
 use routesync_desim::SimTime;
 use routesync_netsim::ScenarioSpec;
@@ -13,10 +12,11 @@ use routesync_obs::Collector;
 #[test]
 fn radix_queue_moves_a_few_entries_per_event() {
     let obs = Collector::enabled();
-    routesync_obs::install(obs.clone());
-    let mut s = ScenarioSpec::hierarchical_for(10_000).build(1993);
-    s.sim.run_until(SimTime::from_secs(360));
-    routesync_obs::install(Collector::disabled());
+    {
+        let _scope = routesync_obs::scoped(obs.clone());
+        let mut s = ScenarioSpec::hierarchical_for(10_000).build(1993);
+        s.sim.run_until(SimTime::from_secs(360));
+    }
     let snap = obs.snapshot();
     let read = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let (moves, events) = (read("desim.engine.moves"), read("desim.engine.events"));

@@ -1,19 +1,18 @@
 //! The live daemon: N in-process distance-vector routers over real UDP.
 //!
-//! [`LiveDaemon`] hosts every router of a [`ScenarioSpec`] as an actor in
-//! one single-threaded event loop. Adjacencies are *connected*
-//! nonblocking `UdpSocket`s on loopback — one socket per (router, peer,
-//! link) direction — so a crashed peer's closed port bounces ICMP
-//! port-unreachable back as `ECONNREFUSED` on the sender's next send,
-//! exercising the genuine retry path rather than a simulated one.
+//! [`LiveDaemon`] hosts every router of a [`ScenarioSpec`] in one
+//! single-threaded event loop. Each router's protocol is
+//! [`routesync_netsim::Router`], the state machine `NetSim` drives too:
+//! the daemon maps its outputs to UDP frames and to two deadlines per
+//! router, its periodic timer and the instant its control CPU frees.
+//! Adjacencies are *connected* nonblocking `UdpSocket`s on loopback, one
+//! per (router, peer, link) direction, so a crashed peer's closed port
+//! bounces `ECONNREFUSED` back and exercises the genuine retry path.
 //!
-//! Time is two-clocked: the loop runs in wall-clock time, but protocol
-//! state advances on a *simulated* clock derived from it
-//! (`sim_now = base + time_scale × wall_elapsed`). Timers, route
-//! timeouts, checkpoint cadence and the sync detector all speak simulated
-//! time, which is what lets the desim twin (same spec, same seed, pure
-//! simulation) predict the live trajectory and lets a 90-second protocol
-//! period elapse in a fraction of a wall second during tests.
+//! The loop runs in wall-clock time, but protocol state advances on a
+//! *simulated* clock (`sim_now = base + time_scale × wall_elapsed`). That
+//! lets the desim twin (same spec, same seed) predict the live trajectory,
+//! and a 90-second period elapse in a fraction of a wall second.
 //!
 //! Robustness layers, inside-out:
 //!
@@ -22,26 +21,21 @@
 //! * **retry/backoff** — transient send failures re-queue with
 //!   decorrelated-jitter delays ([`crate::backoff`]), bounded by
 //!   [`RetryPolicy::max_attempts`].
-//! * **overload shedding** — per-router ingress queues are bounded;
-//!   overflow is shed (counted), and sustained shedding stretches the
-//!   router's advertisement period by powers of two up to
-//!   [`LiveConfig::stretch_max`], recovering once the backlog drains.
-//! * **liveness** — a silent neighbour past the protocol's route timeout
-//!   fails its routes ([`RoutingTable::fail_via_with`]); its first
-//!   datagram after that is a counted recovery.
+//! * **overload shedding** — each router's backlog (queued updates plus
+//!   those its CPU is still working through) is bounded; overflow is
+//!   shed, and sustained shedding stretches the router's period by
+//!   powers of two up to [`LiveConfig::stretch_max`].
+//! * **liveness** — a neighbour silent for longer than the route timeout
+//!   is reported down to its router; its next datagram reports it up.
 //! * **checkpoints** — CRC-framed key-value checkpoints
-//!   (`routesync_exec::checkpoint`) carry the full protocol state; a
-//!   restarted daemon resumes byte-identically (the stored table JSON
-//!   reloads and re-serializes to the same bytes). A checkpoint written
-//!   under a different run configuration is refused at open
-//!   (`ErrorKind::InvalidInput`), which the CLI maps to usage-error
-//!   exit 2.
-//! * **twin divergence** — when enabled, the live R(t) trajectory is
-//!   compared window-by-window against the desim prediction
-//!   ([`crate::twin`]), exported as `live.twin.*`.
+//!   (`routesync_exec::checkpoint`) carry the full protocol state, and a
+//!   restarted daemon resumes byte-identically. A checkpoint written under
+//!   a different run configuration is refused (`ErrorKind::InvalidInput`,
+//!   CLI exit 2).
+//! * **twin divergence** — the live R(t) trajectory is compared
+//!   window-by-window against the desim prediction ([`crate::twin`]).
 //!
-//! Metrics are under the `live.` prefix; `docs/OBSERVABILITY.md` lists
-//! every row.
+//! Metrics are under `live.`; `docs/OBSERVABILITY.md` lists every row.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, ErrorKind};
@@ -53,11 +47,13 @@ use routesync_desim::{Duration, SimTime};
 use routesync_exec::checkpoint::{self, Writer};
 use routesync_exec::interrupt;
 use routesync_netsim::{
-    Advertisement, DvConfig, FaultAction, LinkId, NodeId, NodeKind, RoutingTable, ScenarioSpec,
-    ScheduledFault, TimerStart,
+    Advertisement, Control, Emission, Env, FaultAction, FaultPlan, Interfaces, Io, LinkId, NetSim,
+    NodeId, NodeKind, Output, Router, RouterConfig, RoutingTable, ScenarioSpec, ScheduledFault,
+    Topology,
 };
 use routesync_obs::{Collector, Counter, DetectorConfig, DetectorSnapshot, Gauge, SyncDetector};
-use routesync_rng::{dist, JitterPolicy, MinStd, TimerResetPolicy};
+use routesync_rng::{dist, MinStd};
+use serde::{Deserialize, Serialize};
 
 use crate::backoff::DecorrelatedJitter;
 use crate::poll::Poller;
@@ -118,7 +114,8 @@ pub struct LiveConfig {
     pub checkpoint: Option<PathBuf>,
     /// Checkpoint cadence, simulated time.
     pub checkpoint_every: Duration,
-    /// Per-router ingress queue bound; overflow is shed.
+    /// Per-router backlog bound (updates queued or still on the CPU);
+    /// overflow is shed.
     pub ingress_cap: usize,
     /// Daemon-wide egress queue bound; overflow is shed.
     pub egress_cap: usize,
@@ -130,8 +127,8 @@ pub struct LiveConfig {
     pub twin: bool,
     /// Per-window |ΔR| above which `live.twin.alarms` fires.
     pub divergence_tolerance: f64,
-    /// Where `live.*` metrics go. Hand the installed global collector to
-    /// export over an `ObsServer`; a local one for tests.
+    /// Where `live.*` metrics go: the collector an `ObsServer` exports,
+    /// or a local one for tests.
     pub collector: Collector,
 }
 
@@ -186,15 +183,14 @@ pub struct LiveReport {
 }
 
 /// One adjacency endpoint: a connected UDP socket towards `peer` over
-/// `link`.
+/// `link`. Its index in the router's `ifaces` is the core's interface
+/// number.
 struct Iface {
     peer: NodeId,
     link: LinkId,
     /// `None` while the owning router is crashed.
     sock: Option<UdpSocket>,
     local_addr: SocketAddr,
-    /// Link admin state (fault plan `LinkDown`/`LinkUp`).
-    up: bool,
     /// Simulated instant of the last valid datagram from `peer`.
     last_heard: Option<SimTime>,
     /// Whether the route-timeout liveness check has already fired.
@@ -208,34 +204,80 @@ struct Iface {
     refusal_backoff_ns: u64,
 }
 
-/// One hosted router.
+impl Iface {
+    /// Forget the peer's liveness and the retransmit state.
+    fn reset(&mut self) {
+        self.last_heard = None;
+        self.timed_out = false;
+        self.last_frame = None;
+        self.refusals = 0;
+        self.refusal_backoff_ns = 0;
+    }
+}
+
+/// One hosted router: the protocol core plus what only the daemon needs.
 struct LiveRouter {
     id: NodeId,
-    table: RoutingTable,
+    core: Router,
     ifaces: Vec<Iface>,
-    /// Per-iface: every router on that iface's link (split-horizon set).
-    link_peers: Vec<Vec<NodeId>>,
-    /// All directly attached neighbours (hosts included) — the cold-start
-    /// route set after a reboot.
-    direct: Vec<NodeId>,
-    jitter: JitterPolicy,
-    rng: MinStd,
-    /// Jitter samples drawn so far (burned on resume to re-align the
-    /// stream).
-    draws: u64,
+    /// Wire sequence number of the last update sent.
     seq: u32,
+    /// When the periodic timer fires ([`SimTime::MAX`]: not armed).
     next_fire: SimTime,
-    busy_until: SimTime,
+    /// When the control CPU frees ([`SimTime::MAX`]: idle).
+    cpu_free: SimTime,
     /// Advertisement-period multiplier under overload (1 = nominal).
     stretch: u32,
     crashed: bool,
-    ingress: VecDeque<(NodeId, Advertisement)>,
+    /// Valid updates, each flagged when it is the first from a
+    /// neighbour that had timed out.
+    ingress: VecDeque<(Advertisement, bool)>,
+    /// When the CPU finishes each update it has taken but not yet
+    /// worked through, in order. With `ingress`, bounded by the ingress
+    /// cap.
+    backlog: VecDeque<SimTime>,
     /// Ingress datagrams shed since the last overload window.
     sheds_since: u32,
-    /// No route or neighbour of this router can time out, and no dead
-    /// route is due for collection, before this instant: route aging
-    /// skips the router until then.
-    age_due: SimTime,
+    /// No neighbour can time out before this instant: the liveness
+    /// check skips the router until then.
+    live_due: SimTime,
+}
+
+/// A hosted router's checkpointed state, beside its table.
+#[derive(Serialize, Deserialize)]
+struct RouterRecord {
+    control: Control,
+    seq: u32,
+    next_fire: SimTime,
+    cpu_free: SimTime,
+    stretch: u32,
+    crashed: bool,
+    backlog: Vec<SimTime>,
+    /// Per interface: last heard, timed out.
+    liveness: Vec<(Option<SimTime>, bool)>,
+}
+
+/// A hosted router's interfaces, as its [`Router`] sees them.
+struct Ports<'a> {
+    me: NodeId,
+    ifaces: &'a [Iface],
+    topo: &'a Topology,
+    link_up: &'a [bool],
+}
+
+impl Interfaces for Ports<'_> {
+    fn count(&self) -> usize {
+        self.ifaces.len()
+    }
+
+    fn up(&self, i: usize) -> bool {
+        self.link_up[self.ifaces[i].link]
+    }
+
+    fn peers_into(&self, i: usize, out: &mut Vec<NodeId>) {
+        let nodes = self.topo.link(self.ifaces[i].link).nodes;
+        out.extend(nodes.iter().copied().filter(|&m| m != self.me));
+    }
 }
 
 /// A datagram awaiting (re)transmission.
@@ -267,7 +309,6 @@ struct Metrics {
     faults_reboots: Counter,
     neighbor_timeouts: Counter,
     neighbor_recoveries: Counter,
-    routes_expired: Counter,
     checkpoint_writes: Counter,
     sim_now: Gauge,
     loop_ticks: Counter,
@@ -295,7 +336,6 @@ impl Metrics {
             faults_reboots: c.counter("live.faults.reboots"),
             neighbor_timeouts: c.counter("live.neighbor.timeouts"),
             neighbor_recoveries: c.counter("live.neighbor.recoveries"),
-            routes_expired: c.counter("live.routes.expired"),
             checkpoint_writes: c.counter("live.checkpoint.writes"),
             sim_now: c.gauge("live.sim_now_ns"),
             loop_ticks: c.counter("live.loop.ticks"),
@@ -309,8 +349,10 @@ impl Metrics {
 /// resumes) protocol state, and runs the twin; [`LiveDaemon::run`] is the
 /// event loop.
 pub struct LiveDaemon {
-    dv: DvConfig,
-    cost_per_route: Duration,
+    rcfg: RouterConfig,
+    topo: Topology,
+    /// Per link: up, as the fault plan left it.
+    link_up: Vec<bool>,
     time_scale: f64,
     horizon: SimTime,
     checkpoint_every: Duration,
@@ -339,6 +381,10 @@ pub struct LiveDaemon {
     ready: Vec<(usize, usize)>,
     /// Receive buffer: one maximal UDP payload.
     rx_buf: Box<[u8]>,
+    /// The routers' outputs and advertisement scratch.
+    io: Io,
+    /// Reusable neighbour list.
+    scratch: Vec<NodeId>,
     /// Set by [`LiveDaemon::request_drain`].
     drain_requested: bool,
     m: Metrics,
@@ -354,58 +400,107 @@ fn transient(kind: ErrorKind) -> bool {
     )
 }
 
+/// A nonblocking loopback socket on a fresh port.
+fn bind() -> io::Result<(UdpSocket, SocketAddr)> {
+    let sock = UdpSocket::bind("127.0.0.1:0")?;
+    sock.set_nonblocking(true)?;
+    let addr = sock.local_addr()?;
+    Ok((sock, addr))
+}
+
 fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg.into())
+}
+
+/// Refuse a scenario the daemon would not run as its twin predicts:
+/// features whose inputs have no live counterpart.
+fn replayable(sim: &NetSim, plan: &FaultPlan) -> io::Result<()> {
+    let refused = if sim.config().dv.hello.is_some() {
+        Some("dv.hello (the wire has no hello frame)")
+    } else if sim.area_model().is_some() {
+        Some("an area model")
+    } else if !plan.link_flaps().is_empty() || !plan.router_flaps().is_empty() {
+        Some("link or router flap profiles")
+    } else if plan.impairments().iter().any(|i| i.reorder > 0.0) {
+        Some("reorder impairments")
+    } else {
+        None
+    };
+    match refused {
+        Some(what) => Err(io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("the live daemon cannot replay {what}"),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The instant a neighbour last heard at `heard` has been silent for
+/// longer than `timeout`: one nanosecond past it.
+fn silent_after(heard: SimTime, timeout: Duration) -> SimTime {
+    heard
+        .saturating_add(timeout)
+        .saturating_add(Duration::from_nanos(1))
+}
+
+/// Forget the backlog entries the CPU has worked through by `now`.
+fn drain_done(backlog: &mut VecDeque<SimTime>, now: SimTime) {
+    while backlog.front().is_some_and(|&done| done <= now) {
+        backlog.pop_front();
+    }
+}
+
+/// Parse the `detector` record: `windows=N;onset_ns=N|none`.
+fn parse_detector(v: &str) -> Option<(u64, Option<u64>)> {
+    let (windows, onset) = v.split_once(';')?;
+    let windows = windows.strip_prefix("windows=")?.parse().ok()?;
+    let onset = match onset.strip_prefix("onset_ns=")? {
+        "none" => None,
+        ns => Some(ns.parse().ok()?),
+    };
+    Some((windows, onset))
 }
 
 impl LiveDaemon {
     /// Build the daemon: construct the scenario (for topology, config and
     /// t = 0 tables), bind and cross-connect one UDP socket per adjacency
     /// direction, run the twin prediction, and — when a checkpoint path
-    /// is configured — create or resume the checkpoint. Resuming against
-    /// a checkpoint whose meta differs from `cfg.fingerprint` fails with
-    /// [`ErrorKind::InvalidInput`].
+    /// is configured — create or resume the checkpoint. A scenario using
+    /// a feature the daemon cannot replay (hellos, areas, flap profiles,
+    /// reordering), or a checkpoint whose meta differs from
+    /// `cfg.fingerprint`, fails with [`ErrorKind::InvalidInput`].
     pub fn new(cfg: LiveConfig) -> io::Result<LiveDaemon> {
         let scen = cfg.spec.clone().build(cfg.seed);
+        replayable(&scen.sim, cfg.spec.faults())?;
         let rcfg = *scen.sim.config();
-        let dv = rcfg.dv;
-        let tp = dv.jitter.tp();
-        let topo = scen.sim.topology();
+        let tp = rcfg.dv.jitter.tp();
+        let topo = scen.sim.topology().clone();
         let router_ids = topo.routers();
         let n = router_ids.len();
         assert!(n >= 2, "a live daemon needs at least two routers");
 
         // Pass 1: per-router state and bound-but-unconnected sockets.
+        // Each core starts from the simulator's t = 0 table and the same
+        // per-router random stream, so its jitter draws are the twin's.
         let mut routers = Vec::with_capacity(n);
         let mut index_of = HashMap::new();
         let mut registry: HashMap<(NodeId, LinkId, NodeId), SocketAddr> = HashMap::new();
         for &id in &router_ids {
-            let mut rng = routesync_rng::stream(cfg.seed, id as u64);
-            let jitter = dv.jitter.materialize(&mut rng);
+            let rng = routesync_rng::stream(cfg.seed, id as u64);
+            let mut core = Router::new(scen.sim.table(id).clone(), rng, &rcfg);
+            let next_fire = core.first_fire(&rcfg);
             let mut ifaces = Vec::new();
-            let mut link_peers = Vec::new();
-            let mut direct = Vec::new();
             for (peer, link) in topo.neighbors_iter(id) {
-                direct.push(peer);
                 if topo.kind(peer) != NodeKind::Router {
                     continue;
                 }
-                let sock = UdpSocket::bind("127.0.0.1:0")?;
-                sock.set_nonblocking(true)?;
-                let local_addr = sock.local_addr()?;
+                let (sock, local_addr) = bind()?;
                 registry.insert((id, link, peer), local_addr);
-                link_peers.push(
-                    topo.neighbors_iter(id)
-                        .filter(|&(p, l)| l == link && topo.kind(p) == NodeKind::Router)
-                        .map(|(p, _)| p)
-                        .collect(),
-                );
                 ifaces.push(Iface {
                     peer,
                     link,
                     sock: Some(sock),
                     local_addr,
-                    up: true,
                     last_heard: None,
                     timed_out: false,
                     last_frame: None,
@@ -413,31 +508,26 @@ impl LiveDaemon {
                     refusal_backoff_ns: 0,
                 });
             }
-            // First fire: the same phase policy the simulator applies.
-            let next_fire = match rcfg.start {
-                TimerStart::Synchronized => SimTime::ZERO + tp,
-                TimerStart::Unsynchronized => SimTime::ZERO
-                    .saturating_add(Duration::from_nanos(dist::below(&mut rng, tp.as_nanos()))),
-            };
             index_of.insert(id, routers.len());
             routers.push(LiveRouter {
                 id,
-                table: scen.sim.table(id).clone(),
+                core,
                 ifaces,
-                link_peers,
-                direct,
-                jitter,
-                rng,
-                draws: 0,
                 seq: 0,
                 next_fire,
-                busy_until: SimTime::ZERO,
+                cpu_free: SimTime::MAX,
                 stretch: 1,
                 crashed: false,
                 ingress: VecDeque::new(),
+                backlog: VecDeque::new(),
                 sheds_since: 0,
-                age_due: SimTime::ZERO,
+                live_due: SimTime::MAX,
             });
+        }
+        for s in cfg.spec.faults().slowdowns() {
+            if let Some(&idx) = index_of.get(&s.node) {
+                routers[idx].core.set_slowdown(s.factor);
+            }
         }
         // Pass 2: connect each socket to its peer's matching endpoint.
         for r in &routers {
@@ -486,8 +576,9 @@ impl LiveDaemon {
         };
 
         let mut daemon = LiveDaemon {
-            dv,
-            cost_per_route: rcfg.cost_per_route,
+            rcfg,
+            link_up: vec![true; topo.link_count()],
+            topo,
             time_scale: cfg.time_scale,
             horizon: cfg.horizon,
             checkpoint_every: cfg.checkpoint_every,
@@ -516,6 +607,8 @@ impl LiveDaemon {
             sockets_changed: true,
             ready: Vec::new(),
             rx_buf: vec![0; 65_535].into_boxed_slice(),
+            io: Io::default(),
+            scratch: Vec::new(),
             drain_requested: false,
             m: Metrics::new(&cfg.collector),
         };
@@ -545,8 +638,9 @@ impl LiveDaemon {
     /// checkpoint and report.
     pub fn run(&mut self) -> io::Result<LiveReport> {
         let started = Instant::now();
+        let tp = self.rcfg.dv.jitter.tp();
         let mut next_ckpt = self.sim_base + self.checkpoint_every;
-        let mut next_overload = self.sim_base + self.dv.jitter.tp() / 4;
+        let mut next_overload = self.sim_base + tp / 4;
         let mut last_observe = Instant::now();
         let outcome = loop {
             let sim_now = self.sim_base.saturating_add(Duration::from_secs_f64(
@@ -565,14 +659,13 @@ impl LiveDaemon {
             }
             self.m.sim_now.set(sim_now.as_nanos());
             self.m.loop_ticks.add(1);
-            self.apply_faults(sim_now);
+            self.advance(sim_now);
             self.pump_recv(sim_now);
             self.process_ingress(sim_now);
-            self.fire_timers(sim_now);
-            self.age_routes(sim_now);
+            self.check_liveness(sim_now);
             self.pump_egress();
             if sim_now >= next_overload {
-                next_overload = sim_now + self.dv.jitter.tp() / 4;
+                next_overload = sim_now + tp / 4;
                 self.overload_window();
             }
             if self.writer.is_some() && sim_now >= next_ckpt {
@@ -605,30 +698,142 @@ impl LiveDaemon {
             tables: self
                 .routers
                 .iter()
-                .map(|r| (r.id, r.table.clone()))
+                .map(|r| (r.id, r.core.table().clone()))
                 .collect(),
             detector: self.detector.snapshot(),
             max_divergence: self.monitor.as_ref().map(|m| m.max_divergence()),
         })
     }
 
-    /// Apply scheduled faults whose instant has passed.
-    fn apply_faults(&mut self, sim_now: SimTime) {
-        while self.next_fault < self.scheduled.len()
-            && self.scheduled[self.next_fault].at <= sim_now
-        {
-            let fault = self.scheduled[self.next_fault];
+    /// Run one entry point of router `idx`'s core at `now`, then map its
+    /// outputs: deadlines into the router's `next_fire`/`cpu_free`,
+    /// updates into frames on the egress queue.
+    fn route<T>(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        call: impl FnOnce(&mut Router, &mut Env<'_, Ports<'_>>) -> T,
+    ) -> T {
+        let LiveRouter {
+            id, core, ifaces, ..
+        } = &mut self.routers[idx];
+        let ports = Ports {
+            me: *id,
+            ifaces,
+            topo: &self.topo,
+            link_up: &self.link_up,
+        };
+        let mut env = Env {
+            cfg: &self.rcfg,
+            ifaces: &ports,
+            io: &mut self.io,
+        };
+        let result = call(core, &mut env);
+        let mut delta = false;
+        let mut out = std::mem::take(&mut self.io.out);
+        for output in out.drain(..) {
+            let r = &mut self.routers[idx];
+            match output {
+                Output::Busy { until, .. } => r.cpu_free = until,
+                Output::Arm(at) => {
+                    // Overload stretches the period the router asked for.
+                    let interval = at.since(now).saturating_mul(u64::from(r.stretch));
+                    r.next_fire = now.saturating_add(interval);
+                }
+                Output::Emit(kind) => {
+                    r.seq = r.seq.wrapping_add(1);
+                    delta = kind == Emission::Triggered { delta: true };
+                    match kind {
+                        Emission::Periodic => {
+                            // The detector is fed the *scheduled* instant,
+                            // not the wall-derived loop tick, so phase
+                            // noise from OS scheduling never pollutes R(t).
+                            self.detector.on_send(now.as_nanos());
+                            self.rounds += 1;
+                            self.m.tx_updates.add(1);
+                        }
+                        Emission::Triggered { .. } => self.m.tx_triggered.add(1),
+                        Emission::Keepalive => {}
+                    }
+                }
+                Output::Advertise { iface, update, .. } => {
+                    let frame = Advertisement {
+                        sender: r.id,
+                        seq: r.seq,
+                        delta,
+                        entries: update.entries,
+                    }
+                    .encode();
+                    if self.egress.len() >= self.egress_cap {
+                        self.m.shed_egress.add(1);
+                        r.sheds_since += 1;
+                        continue;
+                    }
+                    self.egress.push_back(PendingSend {
+                        router: idx,
+                        iface,
+                        frame,
+                        attempts: 0,
+                        not_before: Instant::now(),
+                        prev_backoff_ns: 0,
+                    });
+                }
+            }
+        }
+        self.io.out = out;
+        result
+    }
+
+    /// Bring every router up to `sim_now`: due timers and CPU-free
+    /// instants fire at their own (scheduled) instants, interleaved in
+    /// time order with due faults.
+    fn advance(&mut self, sim_now: SimTime) {
+        loop {
+            let fault = self
+                .scheduled
+                .get(self.next_fault)
+                .copied()
+                .filter(|f| f.at <= sim_now);
+            let until = fault.map_or(sim_now, |f| f.at);
+            for idx in 0..self.routers.len() {
+                self.run_deadlines(idx, until);
+            }
+            let Some(fault) = fault else {
+                break;
+            };
             self.next_fault += 1;
             match fault.action {
-                FaultAction::RouterCrash(node) => self.crash(node),
-                FaultAction::RouterReboot(node) => self.reboot(node, sim_now),
-                FaultAction::LinkDown(link) => self.set_link(link, false, sim_now),
-                FaultAction::LinkUp(link) => self.set_link(link, true, sim_now),
+                FaultAction::RouterCrash(node) => self.crash(node, fault.at),
+                FaultAction::RouterReboot(node) => self.reboot(node, fault.at),
+                FaultAction::LinkDown(link) => self.set_link(link, false, fault.at),
+                FaultAction::LinkUp(link) => self.set_link(link, true, fault.at),
             }
         }
     }
 
-    fn crash(&mut self, node: NodeId) {
+    /// Fire router `idx`'s timer and CPU-free deadlines up to `until`.
+    fn run_deadlines(&mut self, idx: usize, until: SimTime) {
+        loop {
+            let r = &mut self.routers[idx];
+            let at = r.next_fire.min(r.cpu_free);
+            if at > until {
+                return;
+            }
+            if r.next_fire == at {
+                r.next_fire = SimTime::MAX;
+                self.route(idx, at, |core, env| core.on_timer(at, env));
+            } else {
+                r.cpu_free = SimTime::MAX;
+                self.route(idx, at, |core, env| core.on_cpu_free(at, env));
+            }
+        }
+    }
+
+    /// Crash a router: beside the core's state, its deadlines, queued
+    /// datagrams and sockets go. Dropping a socket closes its port, so
+    /// peers' connected sends start bouncing ECONNREFUSED, driving their
+    /// retry machinery.
+    fn crash(&mut self, node: NodeId, at: SimTime) {
         let Some(&idx) = self.index_of.get(&node) else {
             return;
         };
@@ -636,25 +841,22 @@ impl LiveDaemon {
         if r.crashed {
             return;
         }
+        r.core.on_crash(at);
         r.crashed = true;
-        r.table.reset();
+        r.next_fire = SimTime::MAX;
+        r.cpu_free = SimTime::MAX;
         r.ingress.clear();
+        r.backlog.clear();
         for iface in &mut r.ifaces {
-            // Dropping the socket closes the port: peers' connected sends
-            // start bouncing ECONNREFUSED, driving their retry machinery.
             iface.sock = None;
-            iface.last_heard = None;
-            iface.timed_out = false;
-            iface.last_frame = None;
-            iface.refusals = 0;
-            iface.refusal_backoff_ns = 0;
+            iface.reset();
         }
         self.egress.retain(|ps| ps.router != idx);
         self.sockets_changed = true;
         self.m.faults_crashes.add(1);
     }
 
-    fn reboot(&mut self, node: NodeId, sim_now: SimTime) {
+    fn reboot(&mut self, node: NodeId, at: SimTime) {
         let Some(&idx) = self.index_of.get(&node) else {
             return;
         };
@@ -668,13 +870,7 @@ impl LiveDaemon {
                 let iface = &self.routers[idx].ifaces[k];
                 (iface.peer, iface.link)
             };
-            let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
-                continue;
-            };
-            if sock.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let Ok(local_addr) = sock.local_addr() else {
+            let Ok((sock, local_addr)) = bind() else {
                 continue;
             };
             if let Some(&pidx) = self.index_of.get(&peer) {
@@ -693,68 +889,59 @@ impl LiveDaemon {
             let iface = &mut self.routers[idx].ifaces[k];
             iface.sock = Some(sock);
             iface.local_addr = local_addr;
-            iface.last_heard = None;
-            iface.timed_out = false;
-            iface.last_frame = None;
-            iface.refusals = 0;
-            iface.refusal_backoff_ns = 0;
+            iface.reset();
         }
         self.sockets_changed = true;
-        let r = &mut self.routers[idx];
-        r.crashed = false;
-        r.busy_until = sim_now;
-        r.next_fire = sim_now; // cold start announces on the next tick
-                               // Cold start: self route plus directly connected destinations.
-        r.table.reset();
-        let direct = r.direct.clone();
-        for peer in direct {
-            r.table.install_direct(peer);
-        }
+        self.routers[idx].crashed = false;
         self.m.faults_reboots.add(1);
-        self.send_update(idx, sim_now, true);
+        // Cold start: direct routes to every neighbour over an up link.
+        let mut direct = std::mem::take(&mut self.scratch);
+        direct.clear();
+        direct.extend(
+            self.topo
+                .neighbors_iter(node)
+                .filter(|&(_, l)| self.link_up[l])
+                .map(|(m, _)| m),
+        );
+        self.route(idx, at, |core, env| core.on_reboot(at, &direct, env));
+        self.scratch = direct;
     }
 
-    fn set_link(&mut self, link: LinkId, up: bool, sim_now: SimTime) {
-        let settle = self.settle_at(sim_now);
-        for idx in 0..self.routers.len() {
-            let mut changed = false;
-            {
-                let r = &mut self.routers[idx];
-                for k in 0..r.ifaces.len() {
-                    if r.ifaces[k].link != link || r.ifaces[k].up == up {
-                        continue;
-                    }
-                    r.ifaces[k].up = up;
-                    r.age_due = r.age_due.min(settle);
-                    let peer = r.ifaces[k].peer;
-                    if up {
-                        r.ifaces[k].last_heard = None;
-                        r.ifaces[k].timed_out = false;
-                        r.table.install_direct(peer);
-                        changed = true;
-                    } else {
-                        changed |= self.dv.infinity > 0
-                            && r.table.fail_via_with(
-                                peer,
-                                self.dv.infinity,
-                                sim_now,
-                                self.dv.holddown,
-                            );
-                    }
+    /// A fault-plan link transition: every live hosted router on the link
+    /// learns that its on-link neighbours (the live ones, when the link
+    /// comes up) went away or came back.
+    fn set_link(&mut self, link: LinkId, up: bool, at: SimTime) {
+        if self.link_up[link] == up {
+            return;
+        }
+        self.link_up[link] = up;
+        let mut peers = std::mem::take(&mut self.scratch);
+        for i in 0..self.topo.link(link).nodes.len() {
+            let node = self.topo.link(link).nodes[i];
+            let Some(&idx) = self.index_of.get(&node) else {
+                continue;
+            };
+            if self.routers[idx].crashed {
+                continue;
+            }
+            for iface in &mut self.routers[idx].ifaces {
+                if iface.link == link {
+                    iface.last_heard = None;
+                    iface.timed_out = false;
                 }
             }
-            if changed && self.dv.triggered_updates && !self.routers[idx].crashed {
-                self.send_update(idx, sim_now, true);
-            }
+            peers.clear();
+            peers.extend(self.topo.link(link).nodes.iter().copied().filter(|&m| {
+                m != node
+                    && !(up
+                        && self
+                            .index_of
+                            .get(&m)
+                            .is_some_and(|&p| self.routers[p].crashed))
+            }));
+            self.route(idx, at, |core, env| core.on_neighbors(at, &peers, up, env));
         }
-    }
-
-    /// The earliest aging deadline a table or liveness change made at
-    /// `now` can create: routes and neighbours time out `route_timeout`
-    /// after they were last heard, and dead routes are collected
-    /// `gc_timeout` after they died.
-    fn settle_at(&self, now: SimTime) -> SimTime {
-        now.saturating_add(self.dv.route_timeout.min(self.dv.gc_timeout))
+        self.scratch = peers;
     }
 
     /// End the tick: sleep out [`TICK`], then one `poll(2)` names the
@@ -785,9 +972,10 @@ impl LiveDaemon {
         let ingress_cap = self.ingress_cap;
         let egress_cap = self.egress_cap;
         let max_attempts = self.retry.max_attempts;
-        let settle = self.settle_at(sim_now);
+        let silent_at = silent_after(sim_now, self.rcfg.dv.route_timeout);
         let LiveDaemon {
             routers,
+            link_up,
             impair,
             m,
             egress,
@@ -799,10 +987,10 @@ impl LiveDaemon {
         for &(ridx, k) in ready.iter() {
             let LiveRouter {
                 ifaces,
-                crashed,
                 ingress,
+                backlog,
                 sheds_since,
-                age_due,
+                live_due,
                 ..
             } = &mut routers[ridx];
             let iface = &mut ifaces[k];
@@ -811,7 +999,7 @@ impl LiveDaemon {
                 match sock.recv(rx_buf) {
                     Ok(len) => {
                         m.codec_rx.add(1);
-                        if !iface.up {
+                        if !link_up[iface.link] {
                             continue;
                         }
                         if let Some((p, rng)) = impair.get_mut(&iface.link) {
@@ -825,22 +1013,20 @@ impl LiveDaemon {
                         }
                         match Advertisement::decode(&rx_buf[..len]) {
                             Ok(adv) if adv.sender == iface.peer => {
-                                if iface.timed_out {
-                                    iface.timed_out = false;
-                                    m.neighbor_recoveries.add(1);
-                                }
                                 iface.last_heard = Some(sim_now);
-                                *age_due = (*age_due).min(settle);
+                                *live_due = (*live_due).min(silent_at);
                                 iface.refusals = 0;
                                 iface.refusal_backoff_ns = 0;
-                                if *crashed {
-                                    continue;
-                                }
-                                if ingress.len() >= ingress_cap {
+                                drain_done(backlog, sim_now);
+                                if ingress.len() + backlog.len() >= ingress_cap {
                                     *sheds_since += 1;
                                     m.shed_ingress.add(1);
                                 } else {
-                                    ingress.push_back((adv.sender, adv));
+                                    let recovered = std::mem::take(&mut iface.timed_out);
+                                    if recovered {
+                                        m.neighbor_recoveries.add(1);
+                                    }
+                                    ingress.push_back((adv, recovered));
                                 }
                             }
                             // A frame that decodes but claims the
@@ -886,170 +1072,69 @@ impl LiveDaemon {
         }
     }
 
-    /// Process queued updates while each router's simulated CPU is free;
-    /// what stays queued is the backlog that overload shedding watches.
+    /// Hand the queued updates to the routers. Each charges its router's
+    /// CPU as it arrives, so one landing in a busy period pushes back the
+    /// timer reset, and counts toward the router's backlog until the CPU
+    /// is next idle.
     fn process_ingress(&mut self, sim_now: SimTime) {
-        let settle = self.settle_at(sim_now);
+        // The wire carries only real entries; every router of a scenario
+        // pads its updates alike.
+        let pad = u32::try_from(self.rcfg.dv.advertise_pad).expect("advertise_pad fits in u32");
         for idx in 0..self.routers.len() {
-            loop {
+            drain_done(&mut self.routers[idx].backlog, sim_now);
+            while let Some((adv, recovered)) = self.routers[idx].ingress.pop_front() {
+                self.route(idx, sim_now, |core, env| {
+                    if recovered {
+                        core.on_neighbors(sim_now, &[adv.sender], true, env);
+                    }
+                    core.on_update(sim_now, adv.sender, &adv.entries, pad, env)
+                });
                 let r = &mut self.routers[idx];
-                if r.crashed || r.busy_until > sim_now {
-                    break;
-                }
-                let Some((from, adv)) = r.ingress.pop_front() else {
-                    break;
-                };
-                let cost = self
-                    .cost_per_route
-                    .saturating_mul((adv.entries.len() + self.dv.advertise_pad) as u64);
-                r.busy_until = std::cmp::max(r.busy_until, sim_now) + cost;
-                let merged = r.table.process_update_with(
-                    from,
-                    &adv.entries,
-                    sim_now,
-                    self.dv.infinity,
-                    self.dv.holddown,
-                );
-                r.age_due = r.age_due.min(settle);
-                if merged.changed && self.dv.triggered_updates {
-                    self.send_update(idx, sim_now, true);
+                if r.cpu_free != SimTime::MAX && r.cpu_free > sim_now {
+                    r.backlog.push_back(r.cpu_free);
                 }
             }
         }
     }
 
-    /// Fire due periodic update timers.
-    fn fire_timers(&mut self, sim_now: SimTime) {
+    /// Neighbour liveness, for the routers whose deadline (`live_due`)
+    /// has come: a neighbour silent for longer than the route timeout is
+    /// reported down to the router. Before the deadline every check would
+    /// be a no-op.
+    fn check_liveness(&mut self, sim_now: SimTime) {
+        let timeout = self.rcfg.dv.route_timeout;
+        let mut dead = std::mem::take(&mut self.scratch);
         for idx in 0..self.routers.len() {
-            while !self.routers[idx].crashed && self.routers[idx].next_fire <= sim_now {
-                let fire_t = self.routers[idx].next_fire;
-                // The detector is fed the *scheduled* instant, not the
-                // wall-derived loop tick, so phase noise from OS
-                // scheduling never pollutes R(t).
-                self.detector.on_send(fire_t.as_nanos());
-                self.rounds += 1;
-                self.m.tx_updates.add(1);
-                self.send_update(idx, fire_t, false);
-                let r = &mut self.routers[idx];
-                let own = self
-                    .cost_per_route
-                    .saturating_mul((r.table.len() + self.dv.advertise_pad) as u64);
-                r.busy_until = std::cmp::max(r.busy_until, fire_t) + own;
-                let interval = r.jitter.sample(&mut r.rng).saturating_mul(r.stretch as u64);
-                r.draws += 1;
-                r.next_fire = match self.dv.reset_policy {
-                    // The paper's coupling: re-arm only once processing
-                    // is done.
-                    TimerResetPolicy::AfterProcessing => r.busy_until + interval,
-                    TimerResetPolicy::OnExpiry => fire_t + interval,
-                };
-            }
-        }
-    }
-
-    /// Encode the router's current advertisement for every up interface
-    /// and queue the frames. `triggered` marks the cause for metrics.
-    fn send_update(&mut self, idx: usize, sim_now: SimTime, triggered: bool) {
-        let _ = sim_now;
-        if triggered {
-            self.m.tx_triggered.add(1);
-        }
-        let r = &mut self.routers[idx];
-        r.seq = r.seq.wrapping_add(1);
-        let mut adv = Advertisement {
-            sender: r.id,
-            seq: r.seq,
-            delta: false,
-            entries: Vec::new(),
-        };
-        let mut frames = Vec::new();
-        for (k, iface) in r.ifaces.iter().enumerate() {
-            if !iface.up || iface.sock.is_none() {
+            let r = &mut self.routers[idx];
+            if r.crashed || r.live_due > sim_now {
                 continue;
             }
-            adv.entries.clear();
-            r.table.advertisement_into(
-                &r.link_peers[k],
-                self.dv.split_horizon,
-                self.dv.infinity,
-                &mut adv.entries,
-            );
-            frames.push((k, adv.encode()));
-        }
-        for (k, frame) in frames {
-            if self.egress.len() >= self.egress_cap {
-                self.m.shed_egress.add(1);
-                self.routers[idx].sheds_since += 1;
-                continue;
-            }
-            self.egress.push_back(PendingSend {
-                router: idx,
-                iface: k,
-                frame,
-                attempts: 0,
-                not_before: Instant::now(),
-                prev_backoff_ns: 0,
-            });
-        }
-    }
-
-    /// Route aging: per-neighbour liveness via the protocol's route
-    /// timeout, table expiry, and garbage collection — for the routers
-    /// whose next deadline (`age_due`) has come. Before it every check
-    /// would be a no-op.
-    fn age_routes(&mut self, sim_now: SimTime) {
-        for idx in 0..self.routers.len() {
-            let mut changed = false;
-            {
-                let r = &mut self.routers[idx];
-                if r.crashed || r.age_due > sim_now {
+            self.m.age_passes.add(1);
+            dead.clear();
+            let mut due = SimTime::MAX;
+            for iface in &mut r.ifaces {
+                if !self.link_up[iface.link] || iface.timed_out {
                     continue;
                 }
-                self.m.age_passes.add(1);
-                let mut due = SimTime::MAX;
-                for iface in &mut r.ifaces {
-                    if !iface.up || iface.timed_out {
-                        continue;
-                    }
-                    let Some(heard) = iface.last_heard else {
-                        continue;
-                    };
-                    if sim_now.since(heard) > self.dv.route_timeout {
-                        iface.timed_out = true;
-                        self.m.neighbor_timeouts.add(1);
-                        changed |= r.table.fail_via_with(
-                            iface.peer,
-                            self.dv.infinity,
-                            sim_now,
-                            self.dv.holddown,
-                        );
-                    } else {
-                        // Silent for longer than the timeout: one
-                        // nanosecond past it.
-                        let dead_at = heard
-                            .saturating_add(self.dv.route_timeout)
-                            .saturating_add(Duration::from_nanos(1));
-                        due = due.min(dead_at);
-                    }
+                let Some(heard) = iface.last_heard else {
+                    continue;
+                };
+                if sim_now.since(heard) > timeout {
+                    iface.timed_out = true;
+                    self.m.neighbor_timeouts.add(1);
+                    dead.push(iface.peer);
+                } else {
+                    due = due.min(silent_after(heard, timeout));
                 }
-                if r.table
-                    .expire(sim_now, self.dv.route_timeout, self.dv.infinity)
-                {
-                    self.m.routes_expired.add(1);
-                    changed = true;
-                }
-                r.table
-                    .gc_due(sim_now, self.dv.gc_timeout, self.dv.infinity);
-                r.age_due = due.min(r.table.next_expiry(
-                    self.dv.route_timeout,
-                    self.dv.gc_timeout,
-                    self.dv.infinity,
-                ));
             }
-            if changed && self.dv.triggered_updates {
-                self.send_update(idx, sim_now, true);
+            r.live_due = due;
+            if !dead.is_empty() {
+                self.route(idx, sim_now, |core, env| {
+                    core.on_neighbors(sim_now, &dead, false, env)
+                });
             }
         }
+        self.scratch = dead;
     }
 
     /// Transmit due egress frames; transient errors re-queue with
@@ -1065,10 +1150,10 @@ impl LiveDaemon {
                 continue;
             }
             let r = &mut self.routers[ps.router];
-            if r.crashed || !r.ifaces[ps.iface].up {
+            let iface = &mut r.ifaces[ps.iface];
+            if r.crashed || !self.link_up[iface.link] {
                 continue;
             }
-            let iface = &mut r.ifaces[ps.iface];
             let Some(sock) = &iface.sock else {
                 continue;
             };
@@ -1107,7 +1192,7 @@ impl LiveDaemon {
                     r.stretch = (r.stretch * 2).min(self.stretch_max);
                 }
                 self.m.overload_windows.add(1);
-            } else if r.ingress.is_empty() && r.stretch > 1 {
+            } else if r.ingress.is_empty() && r.backlog.is_empty() && r.stretch > 1 {
                 r.stretch /= 2;
             }
             r.sheds_since = 0;
@@ -1137,42 +1222,26 @@ impl LiveDaemon {
             ),
         )?;
         for r in &self.routers {
-            let table_json = serde_json::to_string(&r.table)
+            let table_json = serde_json::to_string(r.core.table())
                 .map_err(|e| invalid_data(format!("table serialization failed: {e}")))?;
             w.append(&format!("router.{}.table", r.id), &table_json)?;
-            let heard: Vec<String> = r
-                .ifaces
-                .iter()
-                .map(|i| {
-                    i.last_heard
-                        .map_or_else(|| "-".to_string(), |t| t.as_nanos().to_string())
-                })
-                .collect();
-            let tout: String = r
-                .ifaces
-                .iter()
-                .map(|i| if i.timed_out { '1' } else { '0' })
-                .collect();
-            let up: String = r
-                .ifaces
-                .iter()
-                .map(|i| if i.up { '1' } else { '0' })
-                .collect();
-            w.append(
-                &format!("router.{}.state", r.id),
-                &format!(
-                    "seq={};draws={};next_ns={};busy_ns={};stretch={};crashed={};heard={};tout={};up={}",
-                    r.seq,
-                    r.draws,
-                    r.next_fire.as_nanos(),
-                    r.busy_until.as_nanos(),
-                    r.stretch,
-                    u8::from(r.crashed),
-                    heard.join("|"),
-                    tout,
-                    up,
-                ),
-            )?;
+            let record = RouterRecord {
+                control: r.core.control().clone(),
+                seq: r.seq,
+                next_fire: r.next_fire,
+                cpu_free: r.cpu_free,
+                stretch: r.stretch,
+                crashed: r.crashed,
+                backlog: r.backlog.iter().copied().collect(),
+                liveness: r
+                    .ifaces
+                    .iter()
+                    .map(|i| (i.last_heard, i.timed_out))
+                    .collect(),
+            };
+            let state_json = serde_json::to_string(&record)
+                .map_err(|e| invalid_data(format!("state serialization failed: {e}")))?;
+            w.append(&format!("router.{}.state", r.id), &state_json)?;
         }
         w.sync()?;
         self.m.checkpoint_writes.add(1);
@@ -1181,116 +1250,77 @@ impl LiveDaemon {
 
     /// Rebuild protocol state from checkpoint records (freshly
     /// constructed sockets stay as they are; a crashed router's are
-    /// dropped again).
+    /// dropped again). Every record is parsed before any is applied, so a
+    /// corrupt or foreign checkpoint fails with
+    /// [`ErrorKind::InvalidData`] and restores nothing.
     fn restore(&mut self, records: &BTreeMap<String, String>) -> io::Result<()> {
-        let parse_u64 = |key: &str, v: &str| {
-            v.parse::<u64>()
+        let record = |key: &str| {
+            records
+                .get(key)
+                .ok_or_else(|| invalid_data(format!("checkpoint lacks record '{key}'")))
+        };
+        let number = |key: &str| {
+            record(key)?
+                .parse::<u64>()
                 .map_err(|_| invalid_data(format!("checkpoint record '{key}' is not a number")))
         };
-        if let Some(v) = records.get("sim_ns") {
-            self.sim_base =
-                SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("sim_ns", v)?));
-        }
-        if let Some(v) = records.get("faults_applied") {
-            self.next_fault = (parse_u64("faults_applied", v)? as usize).min(self.scheduled.len());
-        }
-        if let Some(v) = records.get("rounds") {
-            self.rounds = parse_u64("rounds", v)?;
-        }
-        if let Some(v) = records.get("detector") {
-            let kv = parse_kv(v);
-            let windows = kv
-                .get("windows")
-                .map(|s| parse_u64("detector.windows", s))
-                .transpose()?
-                .unwrap_or(0);
-            let onset = match kv.get("onset_ns").copied() {
-                None | Some("none") => None,
-                Some(s) => Some(parse_u64("detector.onset_ns", s)?),
-            };
-            self.detector.restore(windows, onset);
-        }
-        for idx in 0..self.routers.len() {
-            let id = self.routers[idx].id;
-            if let Some(tj) = records.get(&format!("router.{id}.table")) {
-                self.routers[idx].table = serde_json::from_str(tj)
-                    .map_err(|e| invalid_data(format!("router {id} table corrupt: {e}")))?;
+        let sim_ns = number("sim_ns")?;
+        let faults_applied = number("faults_applied")?;
+        let rounds = number("rounds")?;
+        let (windows, onset) = parse_detector(record("detector")?)
+            .ok_or_else(|| invalid_data("checkpoint record 'detector' is malformed"))?;
+        let mut parsed = Vec::with_capacity(self.routers.len());
+        for r in &self.routers {
+            let id = r.id;
+            let table: RoutingTable = serde_json::from_str(record(&format!("router.{id}.table"))?)
+                .map_err(|e| invalid_data(format!("router {id} table corrupt: {e}")))?;
+            let state: RouterRecord = serde_json::from_str(record(&format!("router.{id}.state"))?)
+                .map_err(|e| invalid_data(format!("router {id} state corrupt: {e}")))?;
+            if state.liveness.len() != r.ifaces.len() {
+                return Err(invalid_data(format!(
+                    "router {id} state has the wrong interfaces"
+                )));
             }
-            let Some(st) = records.get(&format!("router.{id}.state")) else {
-                continue;
-            };
-            let kv = parse_kv(st);
+            parsed.push((table, state));
+        }
+
+        self.sim_base = SimTime::ZERO.saturating_add(Duration::from_nanos(sim_ns));
+        self.next_fault = (faults_applied as usize).min(self.scheduled.len());
+        self.rounds = rounds;
+        self.detector.restore(windows, onset);
+        // Link state is what the applied prefix of the fault plan left.
+        for f in &self.scheduled[..self.next_fault] {
+            match f.action {
+                FaultAction::LinkDown(l) => self.link_up[l] = false,
+                FaultAction::LinkUp(l) => self.link_up[l] = true,
+                FaultAction::RouterCrash(_) | FaultAction::RouterReboot(_) => {}
+            }
+        }
+        for (idx, (mut table, state)) in parsed.into_iter().enumerate() {
+            table.set_dirty_tracking(self.rcfg.dv.triggered_delta);
             let r = &mut self.routers[idx];
-            if let Some(v) = kv.get("seq") {
-                r.seq = parse_u64("seq", v)? as u32;
+            r.core = Router::from_parts(table, state.control);
+            r.seq = state.seq;
+            r.next_fire = state.next_fire;
+            r.cpu_free = state.cpu_free;
+            r.stretch = state.stretch.clamp(1, self.stretch_max.max(1));
+            r.backlog = state.backlog.into();
+            for (iface, &(heard, timed_out)) in r.ifaces.iter_mut().zip(&state.liveness) {
+                iface.last_heard = heard;
+                iface.timed_out = timed_out;
             }
-            if let Some(v) = kv.get("draws") {
-                r.draws = parse_u64("draws", v)?;
-                // Replay the jitter stream to where the checkpoint left
-                // it: the constructor's draws (materialize, initial
-                // phase) already happened identically, so burning `draws`
-                // samples re-aligns the stream exactly.
-                for _ in 0..r.draws {
-                    r.jitter.sample(&mut r.rng);
-                }
-            }
-            if let Some(v) = kv.get("next_ns") {
-                r.next_fire =
-                    SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("next_ns", v)?));
-            }
-            if let Some(v) = kv.get("busy_ns") {
-                r.busy_until =
-                    SimTime::ZERO.saturating_add(Duration::from_nanos(parse_u64("busy_ns", v)?));
-            }
-            if let Some(v) = kv.get("stretch") {
-                r.stretch = (parse_u64("stretch", v)? as u32).clamp(1, self.stretch_max.max(1));
-            }
-            let crashed = kv.get("crashed").copied() == Some("1");
-            if let Some(v) = kv.get("heard") {
-                for (i, part) in v.split('|').enumerate() {
-                    if i >= r.ifaces.len() {
-                        break;
-                    }
-                    r.ifaces[i].last_heard = if part == "-" {
-                        None
-                    } else {
-                        Some(
-                            SimTime::ZERO
-                                .saturating_add(Duration::from_nanos(parse_u64("heard", part)?)),
-                        )
-                    };
-                }
-            }
-            if let Some(v) = kv.get("tout") {
-                for (i, ch) in v.chars().enumerate() {
-                    if i < r.ifaces.len() {
-                        r.ifaces[i].timed_out = ch == '1';
-                    }
-                }
-            }
-            if let Some(v) = kv.get("up") {
-                for (i, ch) in v.chars().enumerate() {
-                    if i < r.ifaces.len() {
-                        r.ifaces[i].up = ch == '1';
-                    }
-                }
-            }
-            if crashed {
-                // Re-applying the crash drops the freshly bound sockets,
-                // exactly as they were at checkpoint time (the counter
-                // increment is harmless on a resumed fact).
-                self.crash(id);
+            // The first liveness pass recomputes the deadline exactly.
+            r.live_due = SimTime::ZERO;
+            if state.crashed {
+                // Crashing again drops the freshly bound sockets, exactly
+                // as they were at checkpoint time (the counter increment
+                // is harmless on a resumed fact).
+                let id = self.routers[idx].id;
+                self.crash(id, self.sim_base);
             }
         }
         Ok(())
     }
-}
-
-/// Parse `k=v;k=v` checkpoint record bodies.
-fn parse_kv(s: &str) -> HashMap<&str, &str> {
-    s.split(';')
-        .filter_map(|part| part.split_once('='))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1351,7 +1381,6 @@ mod tests {
 
     #[test]
     fn a_silent_neighbor_times_out_on_its_deadline() {
-        use routesync_netsim::FaultPlan;
         // Router 1 speaks at ~120 s, then dies for good. A zero-slot
         // ingress queue sheds every advertisement, so router 0's table
         // holds no route with a timeout: only the neighbour's own
@@ -1404,6 +1433,32 @@ mod tests {
         assert!(snap.counters["live.overload.windows"] > 0);
         // Recovery: by the end the backlog is drained and stretch decayed.
         assert!(snap.gauges["live.overload.stretch"] <= 8);
+    }
+
+    #[test]
+    fn a_cpu_bound_router_sheds_and_stretches() {
+        // Router 0's CPU is 1000x slower: each update costs it ~105 s,
+        // while each of its three peers sends one every ~120 s, so work
+        // arrives faster than the CPU clears it. Unsynchronized peers
+        // never deliver three datagrams in one loop tick: only the CPU
+        // backlog can fill the three-slot queue.
+        let plan = FaultPlan::new().slow_router(0, 1000.0);
+        let spec = ScenarioSpec::lan(4, Duration::from_millis(50))
+            .with_start(routesync_netsim::TimerStart::Unsynchronized)
+            .with_faults(plan);
+        let mut cfg = LiveConfig::new(spec, "test-cpu-bound", 37);
+        cfg.time_scale = 600.0;
+        cfg.horizon = SimTime::from_secs(700);
+        cfg.ingress_cap = 3;
+        cfg.twin = false;
+        cfg.collector = Collector::enabled();
+        let collector = cfg.collector.clone();
+        let mut d = LiveDaemon::new(cfg).expect("daemon boots");
+        let report = d.run().expect("run completes despite shedding");
+        assert_eq!(report.outcome, Outcome::Completed);
+        let snap = collector.snapshot();
+        assert!(snap.counters["live.shed.ingress"] > 0);
+        assert!(snap.counters["live.overload.windows"] > 0);
     }
 
     #[test]
@@ -1494,7 +1549,6 @@ mod tests {
 
     #[test]
     fn crash_and_reboot_drive_retries_and_recovery() {
-        use routesync_netsim::FaultPlan;
         let plan = FaultPlan::new()
             .crash_at(1, SimTime::from_secs(150))
             .reboot_at(1, SimTime::from_secs(400));
@@ -1522,5 +1576,115 @@ mod tests {
             let other = 1 - id;
             assert_eq!(table.lookup(other, 16), Some(other), "router {id}");
         }
+    }
+
+    /// The paper's coupling, live: a router re-arms its timer only once
+    /// its CPU is through its own update *and* the peer's update that
+    /// landed while it was busy.
+    #[test]
+    fn timer_resets_after_updates_that_land_while_busy() {
+        // Both LAN routers fire at 120 s (synchronized start). A 1000x
+        // slower CPU makes each update cost 102 s (2 routes plus 100
+        // padding entries at 1 ms each; 170 ms of wall clock), so the
+        // peer's update, which arrives within a loop tick or two, lands
+        // in the busy period. The run ends after the CPU frees (324 s)
+        // and before the timer fires again.
+        let plan = FaultPlan::new()
+            .slow_router(0, 1000.0)
+            .slow_router(1, 1000.0);
+        let spec = ScenarioSpec::lan(2, Duration::from_millis(50)).with_faults(plan);
+        let dir = std::env::temp_dir().join(format!("live-coupling-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("coupling.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = LiveConfig::new(spec, "test-coupling", 29);
+        cfg.time_scale = 600.0;
+        cfg.horizon = SimTime::from_secs(400);
+        cfg.twin = false;
+        cfg.checkpoint = Some(path.clone());
+        LiveDaemon::new(cfg)
+            .expect("daemon boots")
+            .run()
+            .expect("run completes");
+
+        let records = checkpoint::load(&path).expect("checkpoint loads").records;
+        let cost = Duration::from_secs(102);
+        let shortest_interval = Duration::from_secs(120) - Duration::from_millis(50);
+        let earliest = SimTime::from_secs(120) + cost + cost + shortest_interval;
+        for id in 0..2 {
+            let key = format!("router.{id}.state");
+            let state: serde_json::Value =
+                serde_json::from_str(&records[&key]).expect("state record is JSON");
+            let next_fire = match state.get("next_fire") {
+                Some(serde_json::Value::U64(ns)) => *ns,
+                other => panic!("{key} has no next_fire: {other:?}"),
+            };
+            assert!(
+                next_fire >= earliest.as_nanos(),
+                "router {id} re-armed for {next_fire} ns, before {earliest}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn refusal(spec: ScenarioSpec) -> io::Error {
+        let mut cfg = LiveConfig::new(spec, "test-refusal", 1);
+        cfg.twin = false;
+        match LiveDaemon::new(cfg) {
+            Err(e) => e,
+            Ok(_) => panic!("the daemon booted a scenario it cannot replay"),
+        }
+    }
+
+    #[test]
+    fn hellos_are_refused() {
+        let mut topo = Topology::new();
+        let a = topo.add_router("a");
+        let b = topo.add_router("b");
+        topo.add_link(a, b, Duration::from_millis(1), 10_000_000, 50);
+        let dv =
+            routesync_netsim::DvConfig::rip().with_hello(routesync_netsim::HelloConfig::standard());
+        let sim = NetSim::new(topo, RouterConfig::new(dv), 1);
+        let err = replayable(&sim, &FaultPlan::new()).expect_err("hellos refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("dv.hello"), "{err}");
+    }
+
+    #[test]
+    fn areas_are_refused() {
+        let err = refusal(ScenarioSpec::hierarchical(8, 2, Duration::from_millis(1)));
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("area model"), "{err}");
+    }
+
+    #[test]
+    fn flap_profiles_are_refused() {
+        let lan = || ScenarioSpec::lan(2, Duration::from_millis(50));
+        let mean = Duration::from_secs(60);
+        for plan in [
+            FaultPlan::new().flap_link(0, mean, mean),
+            FaultPlan::new().flap_router(1, mean, mean),
+        ] {
+            let err = refusal(lan().with_faults(plan));
+            assert_eq!(err.kind(), ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("flap profiles"), "{err}");
+        }
+    }
+
+    #[test]
+    fn reorder_impairments_are_refused() {
+        let lan = || ScenarioSpec::lan(2, Duration::from_millis(50));
+        let plan = FaultPlan::new().reorder_link(0, 0.1, Duration::from_millis(5));
+        let err = refusal(lan().with_faults(plan));
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("reorder"), "{err}");
+        // Loss alone replays (receiver-side), so it boots.
+        let mut cfg = LiveConfig::new(
+            lan().with_faults(FaultPlan::new().lossy_link(0, 0.1)),
+            "test-loss",
+            1,
+        );
+        cfg.twin = false;
+        assert!(LiveDaemon::new(cfg).is_ok());
     }
 }

@@ -49,11 +49,13 @@ impl TwinTrack {
     /// predicted trajectory through a detector with the same geometry the
     /// live daemon uses (`n` senders on a cycle of `period_ns`).
     ///
-    /// The spec is rebuilt with timeline recording on (the twin needs the
-    /// per-router reset log); everything else — seed, faults, topology —
-    /// is exactly what the daemon runs, so the prediction covers the same
-    /// crashes, reboots and link impairments the daemon will replay in
-    /// wall-clock time.
+    /// The detector is fed the periodic send instants (the update log),
+    /// exactly what the daemon feeds its own detector and what netsim's
+    /// `netsim.sync` detector sees. The spec is rebuilt with timeline
+    /// recording on, which that log needs; everything else — seed,
+    /// faults, topology — is exactly what the daemon runs, so the
+    /// prediction covers the same crashes, reboots and link impairments
+    /// the daemon will replay in wall-clock time.
     pub fn predict(
         spec: &ScenarioSpec,
         seed: u64,
@@ -67,7 +69,7 @@ impl TwinTrack {
         // into the daemon's exported registry.
         let local = Collector::enabled();
         let det = local.sync_detector("twin.sync", DetectorConfig::new(n, period_ns));
-        for &(t, _node) in scen.sim.reset_log() {
+        for &(t, _node) in scen.sim.update_log() {
             det.on_send(t.as_nanos());
         }
         let snap = det.snapshot();

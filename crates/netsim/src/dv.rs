@@ -883,16 +883,13 @@ pub struct AreaCandidate {
 /// The area-aggregated advertisement for one interface whose set of
 /// on-link neighbours is `link_peers`: the second phase after
 /// [`RoutingTable::area_candidates_into`], applying split horizon to each
-/// candidate. The result keeps the candidates' destination order and has
-/// room for `pad` more entries a caller may append. `NetSim` passes 0: its
-/// padding travels as [`crate::packet::RoutingUpdate::pad`], a count.
+/// candidate. The result keeps the candidates' destination order.
 pub fn area_link_advertisement(
     candidates: &[AreaCandidate],
     link_peers: &[NodeId],
     infinity: u32,
-    pad: usize,
 ) -> Vec<RouteEntry> {
-    let mut out = Vec::with_capacity(candidates.len() + pad);
+    let mut out = Vec::with_capacity(candidates.len());
     for c in candidates {
         match c.split {
             SplitHorizon::Keep => out.push(c.entry),
@@ -1415,7 +1412,7 @@ mod area_tests {
             only,
             &mut candidates,
         );
-        area_link_advertisement(&candidates, link_peers, infinity, 0)
+        area_link_advertisement(&candidates, link_peers, infinity)
     }
 
     fn border_table() -> RoutingTable {

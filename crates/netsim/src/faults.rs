@@ -278,6 +278,21 @@ impl FaultPlan {
         &self.impairments
     }
 
+    /// The stochastic link flaps.
+    pub fn link_flaps(&self) -> &[LinkFlapProfile] {
+        &self.link_flaps
+    }
+
+    /// The stochastic router flaps.
+    pub fn router_flaps(&self) -> &[RouterFlapProfile] {
+        &self.router_flaps
+    }
+
+    /// The CPU slowdowns.
+    pub fn slowdowns(&self) -> &[CpuSlowdown] {
+        &self.slowdowns
+    }
+
     /// Multiply router `node`'s control-plane CPU costs by `factor`.
     pub fn slow_router(mut self, node: NodeId, factor: f64) -> Self {
         assert!(factor.is_finite() && factor > 0.0, "factor must be > 0");

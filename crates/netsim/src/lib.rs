@@ -14,6 +14,10 @@
 //!   updates, split horizon with poisoned reverse, triggered updates,
 //!   route timeout and garbage collection, infinity metric) with presets
 //!   for RIP (30 s), IGRP (90 s), DECnet DNA IV (120 s), and EGP (180 s).
+//! * [`router`] — one router's control plane as a state machine with no
+//!   I/O: the table, the jittered timer, the CPU busy period and the
+//!   paper's timer-reset rule. [`NetSim`] drives it with desim events;
+//!   `routesync-live` drives the same code over UDP.
 //! * [`sim`] — the event-driven simulator, including the crucial **router
 //!   CPU model**: processing a routing update costs
 //!   `cost_per_route × routes` of control-CPU time, and in
@@ -79,6 +83,7 @@ pub mod area;
 pub mod dv;
 pub mod faults;
 pub mod packet;
+pub mod router;
 pub mod scenario;
 pub mod sim;
 pub mod topology;
@@ -91,7 +96,8 @@ pub use faults::{
     CpuSlowdown, FaultAction, FaultKind, FaultPlan, FaultRecord, LinkFlapProfile, LinkImpairment,
     RouterFlapProfile, ScheduledFault,
 };
-pub use packet::{Packet, Payload};
+pub use packet::{Packet, Payload, RoutingUpdate};
+pub use router::{Control, Emission, Env, Interfaces, Io, Output, Router};
 pub use scenario::{Scenario, ScenarioSpec};
 pub use sim::{Counters, ForwardingMode, NetSim, RouterConfig, TimerStart};
 pub use topology::{

@@ -64,13 +64,10 @@ pub enum Payload {
 pub struct RoutingUpdate {
     /// The router that emitted the update.
     pub origin: NodeId,
-    /// Whether this is a triggered update (sent on a metric change rather
-    /// than a timer).
-    pub triggered: bool,
     /// Synthetic padding entries ([`crate::DvConfig::advertise_pad`]) the
     /// update stands for beyond `entries`: they count towards its wire
     /// size and the receiver's processing cost but are never materialised.
-    /// A `u32` fits beside `triggered`, so [`Packet`] does not grow.
+    /// A `u32`, so [`Packet`] does not grow.
     pub pad: u32,
     /// Advertised routes (already split-horizon-filtered for the interface
     /// the update was sent on), sorted by destination.
@@ -111,7 +108,7 @@ mod tests {
         assert_eq!((p.src, p.dst, p.size), (1, 2, 64));
     }
 
-    /// Padding rides as a `u32` beside `triggered`, in space the layout
+    /// Padding rides as a `u32`, in space the layout
     /// already had, so a packet in flight stays 96 bytes.
     #[test]
     fn padding_count_does_not_grow_packets() {

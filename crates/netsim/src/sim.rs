@@ -12,17 +12,18 @@
 use std::collections::{HashMap, VecDeque};
 
 use routesync_desim::{Duration, Engine, SimTime, TokenGen};
-use routesync_rng::{JitterPolicy, MinStd, TimerResetPolicy};
+use routesync_rng::MinStd;
 use serde::{Deserialize, Serialize};
 
 use crate::app::{App, CbrReceiverStats, PingStats};
 use crate::area::{AreaLayout, AreaMode, DEFAULT_DST};
-use crate::dv::{area_link_advertisement, AreaCandidate, DvConfig, RoutingTable, UpdateMode};
+use crate::dv::{DvConfig, RoutingTable};
 use crate::faults::{
     FaultKind, FaultPlan, FaultRecord, LinkFlapProfile, RouterFlapProfile, IMPAIR_STREAM,
     LINK_FLAP_STREAM, ROUTER_FLAP_STREAM,
 };
 use crate::packet::{Packet, Payload, RoutingUpdate};
+use crate::router::{Emission, Env, Interfaces, Io, Output, Router};
 use crate::topology::{LinkId, Medium, NodeId, NodeKind, Topology};
 
 /// Whether the router can forward data packets while the control CPU is
@@ -346,8 +347,6 @@ struct FaultState {
     router_flaps: Vec<(RouterFlapProfile, MinStd)>,
     /// Per-link impairment (dense, indexed by link id).
     impairments: Vec<Option<Impair>>,
-    /// Per-node CPU cost multiplier (1.0 = unaffected).
-    slowdown: Vec<f64>,
     /// Per-node crashed flag.
     crashed: Vec<bool>,
     /// Every applied topology-affecting fault, in application order.
@@ -366,25 +365,57 @@ struct LinkState {
 
 struct NodeState {
     kind: NodeKind,
-    table: RoutingTable,
-    rng: MinStd,
-    jitter: JitterPolicy,
-    cpu_busy: bool,
-    cpu_until: SimTime,
+    /// The control plane (hosts carry one too, but never run it).
+    router: Router,
+    /// Cancellation tokens of the pending `CpuFree` and `DvTimer` events.
     cpu_gen: TokenGen,
     timer_gen: TokenGen,
-    arm_when_free: bool,
-    pending_triggered: bool,
     pending_data: VecDeque<Packet>,
     app: Option<App>,
     /// Per-neighbour liveness (hello protocol): last hello heard and
     /// whether the adjacency is currently up.
     neighbor_liveness: HashMap<NodeId, (SimTime, bool)>,
-    /// Incremental mode: whether the initial full advertisement went out.
-    sent_initial_full: bool,
     ping_stats: PingStats,
     cbr_stats: CbrReceiverStats,
-    default_router: Option<NodeId>,
+}
+
+/// One node's interfaces, as [`Router`] sees them: its links, in
+/// topology order.
+struct Ports<'a> {
+    node: NodeId,
+    topo: &'a Topology,
+    links: &'a [LinkState],
+    areas: Option<&'a AreaState>,
+}
+
+impl Ports<'_> {
+    fn link(&self, i: usize) -> LinkId {
+        self.topo.links_of(self.node)[i]
+    }
+}
+
+impl Interfaces for Ports<'_> {
+    fn count(&self) -> usize {
+        self.topo.links_of(self.node).len()
+    }
+
+    fn up(&self, i: usize) -> bool {
+        self.links[self.link(i)].up
+    }
+
+    fn peers_into(&self, i: usize, out: &mut Vec<NodeId>) {
+        let nodes = self.topo.link(self.link(i)).nodes;
+        out.extend(nodes.iter().copied().filter(|&m| m != self.node));
+    }
+
+    fn areas(&self) -> Option<(&AreaLayout, AreaMode, bool)> {
+        self.areas
+            .map(|st| (&st.layout, st.mode, st.border[self.node]))
+    }
+
+    fn link_area(&self, i: usize) -> Option<usize> {
+        self.areas.and_then(|st| st.link_area[self.link(i)])
+    }
 }
 
 /// The simulator. Build with [`NetSim::new`], attach traffic with
@@ -407,14 +438,11 @@ pub struct NetSim {
     reset_log: Vec<(SimTime, NodeId)>,
     update_log: Vec<(SimTime, NodeId)>,
     delivered_paths: Vec<(NodeId, Vec<NodeId>)>,
-    /// Reusable scratch (hot-path buffers; always left cleared-or-stale,
-    /// never read across calls).
-    scratch_peers: Vec<NodeId>,
+    /// The routers' outputs and advertisement scratch.
+    io: Io,
+    /// Reusable neighbour list (always left cleared-or-stale, never read
+    /// across calls).
     scratch_nodes: Vec<NodeId>,
-    scratch_candidates: Vec<AreaCandidate>,
-    /// `(link area, start, end)`: each link area's range in
-    /// `scratch_candidates` during one area-advertisement update.
-    scratch_classes: Vec<(Option<usize>, usize, usize)>,
     /// The master seed (fault-plan RNG streams derive from it).
     seed: u64,
     /// Installed fault plan, if any ([`NetSim::install_faults`]).
@@ -479,8 +507,6 @@ impl NetSim {
         });
         let mut nodes = Vec::with_capacity(n);
         for id in 0..n {
-            let mut rng = routesync_rng::stream(seed, id as u64);
-            let jitter = cfg.dv.jitter.materialize(&mut rng);
             let mut table = RoutingTable::new(id);
             for &(nb, _) in adjacency.of(id) {
                 table.install_direct(nb);
@@ -488,28 +514,17 @@ impl NetSim {
             if cfg.dv.triggered_delta && topo.kind(id) == NodeKind::Router {
                 table.set_dirty_tracking(true);
             }
-            let default_router = topo
-                .neighbors_iter(id)
-                .find(|&(nb, _)| topo.kind(nb) == NodeKind::Router)
-                .map(|(nb, _)| nb);
+            let rng = routesync_rng::stream(seed, id as u64);
             nodes.push(NodeState {
                 kind: topo.kind(id),
-                table,
-                rng,
-                jitter,
-                cpu_busy: false,
-                cpu_until: SimTime::ZERO,
+                router: Router::new(table, rng, &cfg),
                 cpu_gen: TokenGen::new(),
                 timer_gen: TokenGen::new(),
-                arm_when_free: false,
-                pending_triggered: false,
                 pending_data: VecDeque::new(),
                 app: None,
                 neighbor_liveness: HashMap::new(),
-                sent_initial_full: false,
                 ping_stats: PingStats::default(),
                 cbr_stats: CbrReceiverStats::default(),
-                default_router,
             });
         }
         let links = (0..topo.link_count())
@@ -543,10 +558,8 @@ impl NetSim {
             reset_log: Vec::new(),
             update_log: Vec::new(),
             delivered_paths: Vec::new(),
-            scratch_peers: Vec::new(),
+            io: Io::default(),
             scratch_nodes: Vec::new(),
-            scratch_candidates: Vec::new(),
-            scratch_classes: Vec::new(),
             seed,
             faults: None,
             areas,
@@ -560,18 +573,10 @@ impl NetSim {
             }
         }
         // Arm the routing timers.
-        let tp = cfg.dv.jitter.tp();
         for id in sim.topo.routers() {
-            let first = match cfg.start {
-                TimerStart::Synchronized => tp,
-                TimerStart::Unsynchronized => {
-                    routesync_rng::dist::UniformDuration::new(Duration::ZERO, tp)
-                        .sample(&mut sim.nodes[id].rng)
-                }
-            };
+            let first = sim.nodes[id].router.first_fire(&cfg);
             let gen = sim.nodes[id].timer_gen.current();
-            sim.engine
-                .schedule(SimTime::ZERO + first, Ev::DvTimer { node: id, gen });
+            sim.engine.schedule(first, Ev::DvTimer { node: id, gen });
         }
         if let Some(hello) = cfg.dv.hello {
             for id in sim.topo.routers() {
@@ -586,7 +591,7 @@ impl NetSim {
                 }
                 let first =
                     routesync_rng::dist::UniformDuration::new(Duration::ZERO, hello.interval)
-                        .sample(&mut sim.nodes[id].rng);
+                        .sample(sim.nodes[id].router.rng());
                 sim.engine
                     .schedule(SimTime::ZERO + first, Ev::HelloTimer { node: id });
             }
@@ -598,7 +603,7 @@ impl NetSim {
     /// steady-state experiments that should not wait for convergence.
     fn install_routes(&mut self) {
         for (r, dst, metric, next_hop) in shortest_paths(&self.topo) {
-            self.nodes[r].table.install(dst, metric, next_hop);
+            self.install_route(r, dst, metric, next_hop);
         }
     }
 
@@ -618,7 +623,7 @@ impl NetSim {
                     continue;
                 }
                 if st.border[r] {
-                    self.nodes[r].table.install(AreaLayout::agg_dst(k), 0, r);
+                    self.install_route(r, AreaLayout::agg_dst(k), 0, r);
                     agg_routes += 1;
                     // Remote areas via their border routers on shared
                     // out-of-area (backbone) links.
@@ -632,7 +637,7 @@ impl NetSim {
                         }
                         if let Some(j) = st.layout.area_of(nb) {
                             if j != k {
-                                self.nodes[r].table.install(AreaLayout::agg_dst(j), 1, nb);
+                                self.install_route(r, AreaLayout::agg_dst(j), 1, nb);
                                 agg_routes += 1;
                             }
                         }
@@ -646,7 +651,7 @@ impl NetSim {
                     else {
                         continue; // area without a border router: isolated
                     };
-                    self.nodes[r].table.install(DEFAULT_DST, 1, b);
+                    self.install_route(r, DEFAULT_DST, 1, b);
                     default_routes += 1;
                     if st.mode == AreaMode::Stub {
                         // Converged stub-mode state: non-adjacent area
@@ -655,13 +660,13 @@ impl NetSim {
                         // advertising onto stub links (only totally-stubby
                         // areas suppress those).
                         for m in st.layout.members(k) {
-                            if m != r && self.nodes[r].table.metric(m).is_none() {
-                                self.nodes[r].table.install(m, 2, b);
+                            if m != r && self.nodes[r].router.table().metric(m).is_none() {
+                                self.install_route(r, m, 2, b);
                             }
                         }
                         for j in 0..st.layout.areas() {
                             if j != k && !st.layout.members(j).is_empty() {
-                                self.nodes[r].table.install(AreaLayout::agg_dst(j), 2, b);
+                                self.install_route(r, AreaLayout::agg_dst(j), 2, b);
                                 agg_routes += 1;
                             }
                         }
@@ -715,14 +720,17 @@ impl NetSim {
 
     /// A node's routing table.
     pub fn table(&self, node: NodeId) -> &RoutingTable {
-        &self.nodes[node].table
+        self.nodes[node].router.table()
     }
 
     /// Overwrite one route on a router (scenario/test setup — e.g. to
     /// install a deliberately inconsistent state and watch the protocol or
     /// the TTL guard clean it up).
     pub fn install_route(&mut self, node: NodeId, dst: NodeId, metric: u32, next_hop: NodeId) {
-        self.nodes[node].table.install(dst, metric, next_hop);
+        self.nodes[node]
+            .router
+            .table_mut()
+            .install(dst, metric, next_hop);
     }
 
     /// Ping statistics recorded at `node` (the ping *sender*).
@@ -859,7 +867,6 @@ impl NetSim {
                 })
                 .collect(),
             impairments: (0..self.topo.link_count()).map(|_| None).collect(),
-            slowdown: vec![1.0; n],
             crashed: vec![false; n],
             log: Vec::new(),
         });
@@ -882,7 +889,7 @@ impl NetSim {
                 "cpu slowdown target {} is not a router",
                 s.node
             );
-            st.slowdown[s.node] = s.factor;
+            self.nodes[s.node].router.set_slowdown(s.factor);
         }
         for ev in &plan.scheduled {
             let e = match ev.action {
@@ -951,14 +958,13 @@ impl NetSim {
             }
             Ev::TxDone { link, slot } => self.on_tx_done(now, link, slot),
             Ev::CpuFree { node, gen } => {
-                if self.nodes[node].cpu_gen.is_live(gen) && self.nodes[node].cpu_busy {
-                    debug_assert_eq!(self.nodes[node].cpu_until, now);
+                if self.nodes[node].cpu_gen.is_live(gen) {
                     self.on_cpu_free(now, node);
                 }
             }
             Ev::DvTimer { node, gen } => {
                 if self.nodes[node].timer_gen.is_live(gen) {
-                    self.on_dv_timer(now, node);
+                    self.route(now, node, |r, env| r.on_timer(now, env));
                 }
             }
             Ev::HelloTimer { node } => self.on_hello_timer(now, node),
@@ -1150,7 +1156,7 @@ impl NetSim {
             }
             NodeKind::Router => {
                 let blocked = self.cfg.forwarding == ForwardingMode::BlockedDuringUpdates
-                    && self.cpu_busy_now(to, now);
+                    && self.nodes[to].router.busy(now);
                 if blocked {
                     if self.nodes[to].pending_data.len() < self.cfg.pending_cap {
                         self.nodes[to].pending_data.push_back(pkt);
@@ -1165,10 +1171,6 @@ impl NetSim {
         }
     }
 
-    fn cpu_busy_now(&self, node: NodeId, now: SimTime) -> bool {
-        self.nodes[node].cpu_busy && now < self.nodes[node].cpu_until
-    }
-
     fn forward(&mut self, now: SimTime, router: NodeId, mut pkt: Packet) {
         if pkt.ttl == 0 {
             self.counters.drop_ttl += 1;
@@ -1181,7 +1183,7 @@ impl NetSim {
         }
         let infinity = self.cfg.dv.infinity;
         let next = {
-            let table = &self.nodes[router].table;
+            let table = self.nodes[router].router.table();
             match table.lookup(pkt.dst, infinity) {
                 Some(nh) => Some(nh),
                 // Hierarchical fallback chain: exact → area aggregate →
@@ -1251,12 +1253,17 @@ impl NetSim {
                     self.transmit(now, node, link, pkt, Some(dst));
                     return;
                 }
-                match self.nodes[node].default_router {
+                // The default router: the first adjacent router.
+                let default = self
+                    .topo
+                    .neighbors_iter(node)
+                    .find(|&(nb, _)| self.topo.kind(nb) == NodeKind::Router);
+                match default {
                     None => {
                         self.counters.drop_no_route += 1;
                         self.obs.packets_dropped.inc();
                     }
-                    Some(r) => {
+                    Some((r, _)) => {
                         let link = self
                             .adjacency
                             .link_to(node, r)
@@ -1272,217 +1279,106 @@ impl NetSim {
     // Control plane
     // ------------------------------------------------------------------
 
+    /// Run one router entry point with this node's interfaces, then map
+    /// its outputs onto the simulation.
+    fn route<T>(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        call: impl FnOnce(&mut Router, &mut Env<'_, Ports<'_>>) -> T,
+    ) -> T {
+        let ports = Ports {
+            node,
+            topo: &self.topo,
+            links: &self.links,
+            areas: self.areas.as_deref(),
+        };
+        let mut env = Env {
+            cfg: &self.cfg,
+            ifaces: &ports,
+            io: &mut self.io,
+        };
+        let result = call(&mut self.nodes[node].router, &mut env);
+        let mut out = std::mem::take(&mut self.io.out);
+        for output in out.drain(..) {
+            self.apply(now, node, output);
+        }
+        self.io.out = out;
+        result
+    }
+
+    /// One router output, in the order the router produced it: engine
+    /// ties at one instant are FIFO, so the schedule order is the
+    /// simulation's.
+    fn apply(&mut self, now: SimTime, node: NodeId, output: Output) {
+        match output {
+            Output::Busy { until, cost } => {
+                self.obs.cpu_busy_ns.add(cost.as_nanos());
+                self.obs
+                    .trace
+                    .record(now.as_nanos(), "netsim.cpu.busy", node as f64);
+                let gen = self.nodes[node].cpu_gen.bump();
+                self.engine.schedule(until, Ev::CpuFree { node, gen });
+            }
+            Output::Emit(Emission::Periodic) => {
+                if self.cfg.record_timeline {
+                    self.update_log.push((now, node));
+                }
+                // Streamed regardless of the timeline flag: the detector
+                // only writes metrics, so it cannot change simulation
+                // output.
+                self.obs.sync.on_send(now.as_nanos());
+            }
+            Output::Emit(Emission::Triggered { delta }) => {
+                self.counters.updates_triggered += 1;
+                self.obs.updates_triggered.inc();
+                if delta {
+                    self.obs.scale_delta_updates.inc();
+                }
+            }
+            Output::Emit(Emission::Keepalive) => {}
+            Output::Advertise {
+                iface,
+                update,
+                scanned,
+            } => {
+                self.obs.advert_rows_scanned.add(scanned as u64);
+                self.obs.advert_entries.add(update.entries.len() as u64);
+                // Padding models the ~300-route backbone tables: it costs
+                // wire time and receiver CPU, but travels as a count.
+                let size = Packet::routing_size(update.entries.len() + update.pad as usize);
+                let pkt = Packet::new(node, node, size, Payload::Routing(update));
+                self.counters.updates_sent += 1;
+                self.obs.updates_sent.inc();
+                let link = self.topo.links_of(node)[iface];
+                self.transmit(now, node, link, pkt, None);
+            }
+            Output::Arm(at) => {
+                if self.cfg.record_timeline {
+                    self.reset_log.push((now, node));
+                }
+                let gen = self.nodes[node].timer_gen.current();
+                self.engine.schedule(at, Ev::DvTimer { node, gen });
+            }
+        }
+    }
+
     fn process_routing(&mut self, now: SimTime, node: NodeId, update: &RoutingUpdate) {
         self.counters.updates_processed += 1;
         self.obs.updates_processed.inc();
-        // CPU cost of digesting the whole update, padding included.
-        let routes = update.entries.len() + update.pad as usize;
-        let cost = self.cfg.cost_per_route * routes as u64;
-        self.cpu_add(now, node, cost);
         // With areas installed, logical destinations (aggregates, default)
         // ride the ordinary Bellman-Ford path.
-        let merged = self.nodes[node].table.process_update_with(
-            update.origin,
-            &update.entries,
-            now,
-            self.cfg.dv.infinity,
-            self.cfg.dv.holddown,
-        );
+        let (origin, entries) = (update.origin, &update.entries);
+        let merged = self.route(now, node, |r, env| {
+            r.on_update(now, origin, entries, update.pad, env)
+        });
         self.obs.update_entries.add(update.entries.len() as u64);
         self.obs.update_probes.add(merged.probes);
-        if merged.changed && self.cfg.dv.triggered_updates {
-            self.note_change(now, node);
-        }
     }
 
-    /// A routing change at `node` wants a triggered update out.
-    fn note_change(&mut self, now: SimTime, node: NodeId) {
-        if self.cpu_busy_now(node, now) {
-            self.nodes[node].pending_triggered = true;
-        } else {
-            self.emit_update(now, node, true);
-        }
-    }
-
-    fn on_dv_timer(&mut self, now: SimTime, node: NodeId) {
-        match self.cfg.dv.update_mode {
-            UpdateMode::PeriodicFullTable => {
-                // Housekeeping at update time: age out stale routes (their
-                // poisoning rides along in this very update).
-                self.nodes[node]
-                    .table
-                    .expire(now, self.cfg.dv.route_timeout, self.cfg.dv.infinity);
-                self.nodes[node]
-                    .table
-                    .gc_due(now, self.cfg.dv.gc_timeout, self.cfg.dv.infinity);
-                self.emit_update(now, node, false);
-            }
-            UpdateMode::Incremental => {
-                if self.nodes[node].sent_initial_full {
-                    // Just a keepalive: no table, (almost) no CPU.
-                    self.emit_keepalive(now, node);
-                } else {
-                    self.nodes[node].sent_initial_full = true;
-                    self.emit_update(now, node, false);
-                }
-            }
-        }
-        match self.cfg.dv.reset_policy {
-            TimerResetPolicy::AfterProcessing => {
-                self.nodes[node].arm_when_free = true;
-                // If the CPU somehow finished instantly (zero-cost config),
-                // arm right away.
-                if !self.cpu_busy_now(node, now) {
-                    self.arm_timer(now, node);
-                }
-            }
-            TimerResetPolicy::OnExpiry => self.arm_timer(now, node),
-        }
-    }
-
-    /// Build and transmit a full-table update on every interface.
-    fn emit_update(&mut self, now: SimTime, node: NodeId, triggered: bool) {
-        // Incremental mode: a triggered update carries only the dirtied
-        // routes; a periodic full update flushes the dirty set (it
-        // re-advertises everything anyway). The dirty list is drained
-        // once and applied to every link.
-        let mut dirty = std::mem::take(&mut self.scratch_nodes);
-        let delta = if self.cfg.dv.triggered_delta {
-            self.nodes[node].table.take_dirty_into(&mut dirty);
-            if triggered {
-                if dirty.is_empty() {
-                    // A periodic update already covered the change:
-                    // nothing to say, nothing sent, nothing counted.
-                    self.scratch_nodes = dirty;
-                    return;
-                }
-                self.obs.scale_delta_updates.inc();
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
-        if !triggered {
-            if self.cfg.record_timeline {
-                self.update_log.push((now, node));
-            }
-            // Streamed regardless of the timeline flag: the detector only
-            // writes metrics, so it cannot change simulation output.
-            self.obs.sync.on_send(now.as_nanos());
-        }
-        if triggered {
-            self.counters.updates_triggered += 1;
-            self.obs.updates_triggered.inc();
-        }
-        let pad = self.cfg.dv.advertise_pad;
-        let pad_count = u32::try_from(pad).expect("advertise_pad fits in u32");
-        // Preparation cost: the advertised table scan, plus padding.
-        let basis = if delta {
-            dirty.len()
-        } else {
-            self.nodes[node].table.len()
-        };
-        let prep = self.cfg.cost_per_route * (basis + pad) as u64;
-        self.cpu_add(now, node, prep);
-        let only = delta.then_some(dirty.as_slice());
-        // Area advertisements are built in two phases: the candidates once
-        // per distinct link area (`classes` maps each area seen so far to
-        // its range in `candidates`), then split horizon once per link.
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        let mut classes = std::mem::take(&mut self.scratch_classes);
-        candidates.clear();
-        classes.clear();
-        for li in 0..self.topo.links_of(node).len() {
-            let link = self.topo.links_of(node)[li];
-            if !self.links[link].up {
-                continue;
-            }
-            self.scratch_peers.clear();
-            self.scratch_peers.extend(
-                self.topo
-                    .link(link)
-                    .nodes
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != node),
-            );
-            let table = &self.nodes[node].table;
-            // The entry list is owned by the packet, so an allocation is
-            // inherent — but size it exactly once instead of growing.
-            let entries = match self.areas.as_deref() {
-                Some(st) => {
-                    let area = st.link_area[link];
-                    let class = match classes.iter().position(|c| c.0 == area) {
-                        Some(class) => class,
-                        None => {
-                            let start = candidates.len();
-                            table.area_candidates_into(
-                                &st.layout,
-                                st.mode,
-                                area,
-                                st.border[node],
-                                self.cfg.dv.split_horizon,
-                                only,
-                                &mut candidates,
-                            );
-                            self.obs.advert_rows_scanned.add(basis as u64);
-                            classes.push((area, start, candidates.len()));
-                            classes.len() - 1
-                        }
-                    };
-                    let (_, start, end) = classes[class];
-                    area_link_advertisement(
-                        &candidates[start..end],
-                        &self.scratch_peers,
-                        self.cfg.dv.infinity,
-                        0,
-                    )
-                }
-                None => {
-                    let mut entries = Vec::with_capacity(basis);
-                    match only {
-                        Some(dirty) => table.advertisement_delta_into(
-                            dirty,
-                            &self.scratch_peers,
-                            self.cfg.dv.split_horizon,
-                            self.cfg.dv.infinity,
-                            &mut entries,
-                        ),
-                        None => table.advertisement_into(
-                            &self.scratch_peers,
-                            self.cfg.dv.split_horizon,
-                            self.cfg.dv.infinity,
-                            &mut entries,
-                        ),
-                    }
-                    self.obs.advert_rows_scanned.add(basis as u64);
-                    entries
-                }
-            };
-            self.obs.advert_entries.add(entries.len() as u64);
-            // Padding models the ~300-route backbone tables: it costs wire
-            // time and receiver CPU, but travels as a count.
-            let size = Packet::routing_size(entries.len() + pad);
-            let pkt = Packet::new(
-                node,
-                node, // dst unused for routing broadcast
-                size,
-                Payload::Routing(RoutingUpdate {
-                    origin: node,
-                    triggered,
-                    pad: pad_count,
-                    entries,
-                }),
-            );
-            self.counters.updates_sent += 1;
-            self.obs.updates_sent.inc();
-            self.transmit(now, node, link, pkt, None);
-        }
-        self.scratch_nodes = dirty;
-        self.scratch_candidates = candidates;
-        self.scratch_classes = classes;
+    /// Adjacencies of `node` to `peers` changed.
+    fn neighbors(&mut self, now: SimTime, node: NodeId, peers: &[NodeId], up: bool) {
+        self.route(now, node, |r, env| r.on_neighbors(now, peers, up, env));
     }
 
     /// Periodic hello tick: greet every router neighbour and check for
@@ -1519,24 +1415,13 @@ impl NetSim {
                     .map(|(&nb, _)| nb),
             );
             silent.sort_unstable();
-            let mut changed = false;
             for &nb in &silent {
                 self.nodes[node]
                     .neighbor_liveness
                     .insert(nb, (SimTime::ZERO, false));
-                if self.nodes[node].table.fail_via_with(
-                    nb,
-                    self.cfg.dv.infinity,
-                    now,
-                    self.cfg.dv.holddown,
-                ) {
-                    changed = true;
-                }
             }
+            self.neighbors(now, node, &silent, false);
             self.scratch_nodes = silent;
-            if changed && self.cfg.dv.triggered_updates {
-                self.note_change(now, node);
-            }
         }
         // Re-arm with the standard 0.75-1.25x jitter.
         let lo = hello.interval.as_nanos() * 3 / 4;
@@ -1545,7 +1430,7 @@ impl NetSim {
             Duration::from_nanos(lo),
             Duration::from_nanos(hi),
         )
-        .sample(&mut self.nodes[node].rng);
+        .sample(self.nodes[node].router.rng());
         self.engine.schedule(now + next, Ev::HelloTimer { node });
     }
 
@@ -1558,10 +1443,7 @@ impl NetSim {
             .map(|&(_, alive)| alive);
         self.nodes[node].neighbor_liveness.insert(from, (now, true));
         if was_alive == Some(false) {
-            self.nodes[node].table.install_direct(from);
-            if self.cfg.dv.triggered_updates {
-                self.note_change(now, node);
-            }
+            self.neighbors(now, node, &[from], true);
         }
     }
 
@@ -1577,89 +1459,17 @@ impl NetSim {
             .is_some_and(|&(_, alive)| alive)
     }
 
-    /// A tiny periodic session keepalive (incremental mode): an empty
-    /// routing update — 24 bytes of wire, no route entries, no measurable
-    /// CPU at the receiver.
-    fn emit_keepalive(&mut self, now: SimTime, node: NodeId) {
-        for li in 0..self.topo.links_of(node).len() {
-            let link = self.topo.links_of(node)[li];
-            if !self.links[link].up {
-                continue;
-            }
-            let pkt = Packet::new(
-                node,
-                node,
-                Packet::routing_size(0),
-                Payload::Routing(RoutingUpdate {
-                    origin: node,
-                    triggered: false,
-                    pad: 0,
-                    entries: Vec::new(),
-                }),
-            );
-            self.counters.updates_sent += 1;
-            self.obs.updates_sent.inc();
-            self.transmit(now, node, link, pkt, None);
-        }
-    }
-
-    fn cpu_add(&mut self, now: SimTime, node: NodeId, cost: Duration) {
-        // Fault-plan CPU slowdown: scale the control-plane cost.
-        let cost = match self.faults.as_deref() {
-            Some(f) if f.slowdown[node] != 1.0 => {
-                Duration::from_nanos((cost.as_nanos() as f64 * f.slowdown[node]).round() as u64)
-            }
-            _ => cost,
-        };
-        if cost.is_zero() {
-            return;
-        }
-        self.obs.cpu_busy_ns.add(cost.as_nanos());
-        self.obs
-            .trace
-            .record(now.as_nanos(), "netsim.cpu.busy", node as f64);
-        let nd = &mut self.nodes[node];
-        if nd.cpu_busy && now < nd.cpu_until {
-            nd.cpu_until += cost;
-        } else {
-            nd.cpu_busy = true;
-            nd.cpu_until = now + cost;
-        }
-        let gen = nd.cpu_gen.bump();
-        let at = nd.cpu_until;
-        self.engine.schedule(at, Ev::CpuFree { node, gen });
-    }
-
     fn on_cpu_free(&mut self, now: SimTime, node: NodeId) {
-        self.nodes[node].cpu_busy = false;
-        if self.nodes[node].pending_triggered {
-            self.nodes[node].pending_triggered = false;
-            self.emit_update(now, node, true);
-            // The triggered emission re-busied the CPU; timer arming and
-            // queue draining happen at the next CpuFree.
-            if self.cpu_busy_now(node, now) {
-                return;
-            }
-        }
-        if self.nodes[node].arm_when_free {
-            self.arm_timer(now, node);
+        self.route(now, node, |r, env| r.on_cpu_free(now, env));
+        // A deferred triggered update re-busies the CPU: the held data
+        // waits for the next CpuFree.
+        if self.nodes[node].router.busy(now) {
+            return;
         }
         // Forward everything that waited out the control-plane burst.
         while let Some(pkt) = self.nodes[node].pending_data.pop_front() {
             self.forward(now, node, pkt);
         }
-    }
-
-    fn arm_timer(&mut self, now: SimTime, node: NodeId) {
-        self.nodes[node].arm_when_free = false;
-        if self.cfg.record_timeline {
-            self.reset_log.push((now, node));
-        }
-        let nd = &mut self.nodes[node];
-        let interval = nd.jitter.sample(&mut nd.rng);
-        let gen = nd.timer_gen.current();
-        self.engine
-            .schedule(now + interval, Ev::DvTimer { node, gen });
     }
 
     // ------------------------------------------------------------------
@@ -1741,7 +1551,7 @@ impl NetSim {
                 let pkt = Packet::new(node, dst, 512, Payload::Data);
                 self.send_from(now, node, pkt);
                 let exp = routesync_rng::dist::Exp::new(mean_interval.as_secs_f64());
-                let gap = exp.sample(&mut self.nodes[node].rng).max(1e-6);
+                let gap = exp.sample(self.nodes[node].router.rng()).max(1e-6);
                 self.engine
                     .schedule(now + Duration::from_secs_f64(gap), Ev::AppTick { node });
             }
@@ -1766,30 +1576,7 @@ impl NetSim {
             // Failure detection is the hello protocol's job.
             return;
         }
-        let attached = self.topo.link(link).nodes.len();
-        for ri in 0..attached {
-            let r = self.topo.link(link).nodes[ri];
-            if self.topo.kind(r) != NodeKind::Router || self.is_crashed(r) {
-                continue;
-            }
-            let mut changed = false;
-            for mi in 0..attached {
-                let m = self.topo.link(link).nodes[mi];
-                if m != r
-                    && self.nodes[r].table.fail_via_with(
-                        m,
-                        self.cfg.dv.infinity,
-                        now,
-                        self.cfg.dv.holddown,
-                    )
-                {
-                    changed = true;
-                }
-            }
-            if changed && self.cfg.dv.triggered_updates {
-                self.note_change(now, r);
-            }
-        }
+        self.link_neighbors(now, link, false);
     }
 
     fn on_link_up(&mut self, now: SimTime, link: LinkId) {
@@ -1801,22 +1588,32 @@ impl NetSim {
             // Adjacencies come back when hellos resume.
             return;
         }
+        self.link_neighbors(now, link, true);
+    }
+
+    /// Oracle failure detection for a link transition: each live router
+    /// on it learns at once that its on-link neighbours (the live ones,
+    /// when the link comes up) went away or came back.
+    fn link_neighbors(&mut self, now: SimTime, link: LinkId, up: bool) {
+        let mut peers = std::mem::take(&mut self.scratch_nodes);
         let attached = self.topo.link(link).nodes.len();
         for ri in 0..attached {
             let r = self.topo.link(link).nodes[ri];
             if self.topo.kind(r) != NodeKind::Router || self.is_crashed(r) {
                 continue;
             }
-            for mi in 0..attached {
-                let m = self.topo.link(link).nodes[mi];
-                if m != r && !self.is_crashed(m) {
-                    self.nodes[r].table.install_direct(m);
-                }
-            }
-            if self.cfg.dv.triggered_updates {
-                self.note_change(now, r);
-            }
+            peers.clear();
+            peers.extend(
+                self.topo
+                    .link(link)
+                    .nodes
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != r && !(up && self.is_crashed(m))),
+            );
+            self.neighbors(now, r, &peers, up);
         }
+        self.scratch_nodes = peers;
     }
 
     // ------------------------------------------------------------------
@@ -1912,13 +1709,9 @@ impl NetSim {
         // the same generation-token pattern that cancels stale timers.
         nd.timer_gen.bump();
         nd.cpu_gen.bump();
-        nd.cpu_busy = false;
-        nd.arm_when_free = false;
-        nd.pending_triggered = false;
+        nd.router.on_crash(now);
         let dropped = nd.pending_data.len() as u64;
         nd.pending_data.clear();
-        nd.table.reset();
-        nd.sent_initial_full = false;
         self.counters.drop_router_down += dropped;
         self.obs.packets_dropped.add(dropped);
         if self.cfg.dv.hello.is_none() {
@@ -1934,17 +1727,8 @@ impl NetSim {
                     .map(|(m, _)| m),
             );
             for &m in &nbrs {
-                if self.is_crashed(m) {
-                    continue;
-                }
-                let changed = self.nodes[m].table.fail_via_with(
-                    node,
-                    self.cfg.dv.infinity,
-                    now,
-                    self.cfg.dv.holddown,
-                );
-                if changed && self.cfg.dv.triggered_updates {
-                    self.note_change(now, m);
+                if !self.is_crashed(m) {
+                    self.neighbors(now, m, &[node], false);
                 }
             }
             self.scratch_nodes = nbrs;
@@ -1979,10 +1763,11 @@ impl NetSim {
                 .filter(|&(_, l)| self.links[l].up)
                 .map(|(m, _)| m),
         );
-        self.nodes[node].table.reset();
-        for &m in &nbrs {
-            self.nodes[node].table.install_direct(m);
-        }
+        // Cold start, announced through the triggered-update machinery,
+        // and a periodic timer restarted at a phase set by the reboot
+        // time: the perturbation whose re-absorption the resync
+        // experiments measure.
+        self.route(now, node, |r, env| r.on_reboot(now, &nbrs, env));
         if self.cfg.dv.hello.is_some() {
             // Presume neighbours alive from the reboot instant, exactly
             // like the initial build.
@@ -1993,26 +1778,12 @@ impl NetSim {
                 }
             }
         }
-        self.nodes[node].sent_initial_full = false;
-        // Cold-start announcement: the reborn table storms out through
-        // the existing triggered-update machinery.
-        if self.cfg.dv.triggered_updates {
-            self.note_change(now, node);
-        }
-        // Restart the periodic timer at a phase set by the reboot time —
-        // the perturbation whose re-absorption the resync experiments
-        // measure.
-        self.arm_timer(now, node);
         if self.cfg.dv.hello.is_none() {
             // Oracle mode: neighbours resurrect their direct route and
             // propagate the good news.
             for &m in &nbrs {
-                if self.topo.kind(m) != NodeKind::Router || self.is_crashed(m) {
-                    continue;
-                }
-                self.nodes[m].table.install_direct(node);
-                if self.cfg.dv.triggered_updates {
-                    self.note_change(now, m);
+                if self.topo.kind(m) == NodeKind::Router && !self.is_crashed(m) {
+                    self.neighbors(now, m, &[node], true);
                 }
             }
         }
@@ -2064,4 +1835,14 @@ fn shortest_paths(topo: &Topology) -> Vec<(NodeId, NodeId, u32, NodeId)> {
         }
     }
     entries
+}
+
+#[cfg(test)]
+mod tests {
+    /// A node's state holds its [`super::Router`] without growing: at
+    /// N = 100k every byte here is 100 kB of resident memory.
+    #[test]
+    fn per_node_state_does_not_grow() {
+        assert!(std::mem::size_of::<super::NodeState>() <= 464);
+    }
 }

@@ -288,22 +288,10 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
         routesync_obs::install(routesync_obs::Collector::enabled());
         routesync_obs::global().configure_series(routesync_obs::SeriesConfig::default());
     }
-    let server = match flags.get("serve-obs") {
-        None => None,
-        Some(addr) => {
-            routesync_exec::interrupt::install();
-            match routesync_obs::ObsServer::serve(addr, routesync_obs::global()) {
-                Ok(server) => {
-                    eprintln!(
-                        "simulate: obs exporter listening on {}",
-                        server.local_addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => return Err(CliError::Failure(format!("--serve-obs {addr}: {e}\n"))),
-            }
-        }
-    };
+    if flags.contains_key("serve-obs") {
+        routesync_exec::interrupt::install();
+    }
+    let server = obs_server("simulate", flags, routesync_obs::global())?;
     let start = match flags.get("start").map(|s| s.as_str()).unwrap_or("unsync") {
         "unsync" | "unsynchronized" => StartState::Unsynchronized,
         "sync" | "synchronized" => StartState::Synchronized,
@@ -411,16 +399,35 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
         routesync_obs::write_folded(&routesync_obs::global(), std::path::Path::new(path))
             .map_err(|e| CliError::Failure(format!("cannot write --obs-folded {path:?}: {e}\n")))?;
     }
-    // Keep serving the finished run's metrics until Ctrl-C, then exit
-    // cleanly through the normal output path.
+    serve_until_interrupted("simulate", server);
+    Ok(out)
+}
+
+/// `--serve-obs ADDR`: export `collector` over HTTP while `cmd` runs.
+fn obs_server(
+    cmd: &str,
+    flags: &HashMap<String, String>,
+    collector: routesync_obs::Collector,
+) -> Result<Option<routesync_obs::ObsServer>, CliError> {
+    let Some(addr) = flags.get("serve-obs") else {
+        return Ok(None);
+    };
+    let server = routesync_obs::ObsServer::serve(addr, collector)
+        .map_err(|e| CliError::Failure(format!("--serve-obs {addr}: {e}\n")))?;
+    eprintln!("{cmd}: obs exporter listening on {}", server.local_addr());
+    Ok(Some(server))
+}
+
+/// Keep serving a finished run's metrics until Ctrl-C, then return to
+/// exit cleanly through the normal output path.
+fn serve_until_interrupted(cmd: &str, server: Option<routesync_obs::ObsServer>) {
     if let Some(server) = server {
-        eprintln!("simulate: done; serving obs until interrupted (Ctrl-C to exit)");
+        eprintln!("{cmd}: done; serving obs until interrupted (Ctrl-C to exit)");
         while !routesync_exec::interrupt::interrupted() {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
         server.shutdown();
     }
-    Ok(out)
 }
 
 fn chain_params(flags: &HashMap<String, String>) -> Result<ChainParams, String> {
@@ -688,23 +695,10 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     );
 
     routesync_exec::interrupt::install();
-    let serve_obs = flags.get("serve-obs");
-    let collector = if serve_obs.is_some() {
-        routesync_obs::install(routesync_obs::Collector::enabled());
-        routesync_obs::global()
-    } else {
-        routesync_obs::Collector::enabled()
-    };
-    let server = match serve_obs {
-        None => None,
-        Some(addr) => match routesync_obs::ObsServer::serve(addr, routesync_obs::global()) {
-            Ok(server) => {
-                eprintln!("serve: obs exporter listening on {}", server.local_addr());
-                Some(server)
-            }
-            Err(e) => return Err(CliError::Failure(format!("--serve-obs {addr}: {e}\n"))),
-        },
-    };
+    // One explicit collector, exported and written to: nothing else in
+    // the process (the twin's own simulator included) reaches it.
+    let collector = routesync_obs::Collector::enabled();
+    let server = obs_server("serve", flags, collector.clone())?;
 
     let mut cfg = LiveConfig::new(spec, fingerprint, seed);
     cfg.time_scale = scale;
@@ -769,14 +763,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
             report.sim_end
         )));
     }
-    // A finished run keeps its metrics queryable until Ctrl-C.
-    if let Some(server) = server {
-        eprintln!("serve: done; serving obs until interrupted (Ctrl-C to exit)");
-        while !routesync_exec::interrupt::interrupted() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-    }
+    serve_until_interrupted("serve", server);
     Ok(out)
 }
 

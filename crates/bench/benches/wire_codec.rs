@@ -1,8 +1,10 @@
 //! Wire-codec throughput: encode/decode of live-daemon advertisement
 //! frames, plus the rejection paths (CRC mismatch, truncation) that run
-//! on every malformed datagram a live socket receives.
+//! on every malformed datagram a live socket receives, and the CRC-32
+//! kernel on its own.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use routesync_exec::checkpoint::crc32;
 use routesync_netsim::{Advertisement, RouteEntry};
 
 fn advertisement(entries: usize) -> Advertisement {
@@ -21,7 +23,8 @@ fn advertisement(entries: usize) -> Advertisement {
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
-    for &entries in &[8usize, 64, 512] {
+    // 256 routes is the live-mesh frame (2066 bytes).
+    for &entries in &[8usize, 64, 256, 512] {
         let adv = advertisement(entries);
         let frame = adv.encode();
         group.bench_function(format!("encode_{entries}_routes"), |b| {
@@ -49,6 +52,12 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.bench_function("reject_truncated_64_routes", |b| {
         b.iter(|| Advertisement::decode(&frame[..frame.len() / 2]).is_err());
     });
+    // The checksum alone, over a 4 KiB buffer: the kernel shared by the
+    // wire codec and checkpoint frames.
+    let block: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    group.bench_function("crc32_4KiB", |b| b.iter(|| crc32(black_box(&block))));
     group.finish();
 }
 

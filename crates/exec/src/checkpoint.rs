@@ -39,34 +39,70 @@ use std::path::{Path, PathBuf};
 /// Separator between the key and value inside a record payload.
 const SEP: char = '\u{1f}';
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the same polynomial as
-/// zip/gzip, implemented here so the vendored-only workspace needs no
-/// checksum dependency.
+/// The reflected IEEE 802.3 polynomial (zip, gzip, Ethernet).
+const POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `TABLES[0][b]` is the CRC
+/// of the byte `b`, and `TABLES[k][b]` is that value advanced through `k`
+/// further zero bytes. Eight 1 KiB tables (8 KiB of static data) let the
+/// kernel fold eight input bytes per step with eight independent lookups,
+/// where a byte-at-a-time loop chains one dependent lookup per byte.
+static TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { (c >> 1) ^ POLY } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the same polynomial and
+/// check values as zip/gzip, implemented here so the vendored-only
+/// workspace needs no checksum dependency. One checksum serves the
+/// checkpoint frames and the live wire codec.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-wise table: 16 entries is enough to stay fast without a
-    // 1 KiB static table.
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
+    crc32_update(0, bytes)
+}
+
+/// Extend a running CRC-32 with `bytes`: `crc32_update(crc32(a), b)`
+/// equals `crc32(a ++ b)`, and the running value starts at 0. Lets a
+/// caller checksum a frame in parts without copying it into one buffer.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        crc = TABLES[7][lo as u8 as usize]
+            ^ TABLES[6][(lo >> 8) as u8 as usize]
+            ^ TABLES[5][(lo >> 16) as u8 as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][hi as u8 as usize]
+            ^ TABLES[2][(hi >> 8) as u8 as usize]
+            ^ TABLES[1][(hi >> 16) as u8 as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][(crc as u8 ^ b) as usize];
     }
     !crc
 }
@@ -280,11 +316,106 @@ mod tests {
         dir.join(name)
     }
 
+    /// Textbook bit-at-a-time CRC-32: the reference the table kernel is
+    /// held to.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// A buffer with no repeating structure, so every table slot and lane
+    /// gets exercised.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9u32;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_offset() {
+        let buf = noise(64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_update_over_any_split_equals_one_shot() {
+        let buf = noise(100);
+        let whole = crc32(&buf);
+        for i in 0..=buf.len() {
+            for j in i..=buf.len() {
+                let parts = crc32_update(crc32_update(crc32(&buf[..i]), &buf[i..j]), &buf[j..]);
+                assert_eq!(parts, whole, "split at {i} and {j}");
+            }
+        }
+    }
+
+    /// A checkpoint as the nibble-table kernel wrote it: meta frame
+    /// `"routesync golden v1"` plus one record `cell/3 → 0.25,41`. Files
+    /// from before the slicing-by-8 kernel must keep loading.
+    const GOLDEN_CHECKPOINT: &str = "13000000945d32b5726f75746573796e6320676f6c64656e2076310e00\
+                                     0000eb764e1b63656c6c2f331f302e32352c3431";
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    #[test]
+    fn checkpoints_written_before_the_table_kernel_still_load() {
+        let path = tmp("golden.ckpt");
+        let golden = unhex(GOLDEN_CHECKPOINT);
+        std::fs::write(&path, &golden).expect("write");
+        let loaded = load(&path).expect("old checkpoint loads");
+        assert_eq!(loaded.meta, "routesync golden v1");
+        assert!(!loaded.torn_tail);
+        assert_eq!(loaded.valid_len, golden.len() as u64);
+        assert_eq!(loaded.records.len(), 1);
+        assert_eq!(loaded.records["cell/3"], "0.25,41");
+        // And today's writer produces the same bytes.
+        let _ = std::fs::remove_file(&path);
+        let mut w = Writer::create(&path, "routesync golden v1").expect("create");
+        w.append("cell/3", "0.25,41").expect("append");
+        w.sync().expect("sync");
+        assert_eq!(std::fs::read(&path).expect("read"), golden);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

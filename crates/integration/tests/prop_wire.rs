@@ -72,6 +72,42 @@ proptest! {
         );
     }
 
+    /// Decode checks the CRC in place, in three parts around the CRC
+    /// field. It must accept exactly the frames that the one-shot CRC
+    /// over a copy with that field zeroed accepts, and report the same
+    /// computed value when it refuses. Edits touch only the sender, the
+    /// sequence number, the CRC field and the body, so the structural
+    /// checks pass and the checksum alone decides; `refix` re-signs the
+    /// edited frame so both outcomes are drawn.
+    #[test]
+    fn in_place_check_agrees_with_one_shot_crc(
+        adv in advertisement(),
+        pos in any::<u64>(),
+        xor in any::<u8>(),
+        refix in any::<bool>(),
+    ) {
+        let crc_field = 14..18;
+        let mut frame = adv.encode();
+        let editable: Vec<usize> = (4..12).chain(crc_field.start..frame.len()).collect();
+        frame[editable[pos as usize % editable.len()]] ^= xor;
+        let mut zeroed = frame.clone();
+        zeroed[crc_field.clone()].fill(0);
+        let one_shot = routesync_netsim::wire::crc32(&zeroed);
+        if refix {
+            frame[crc_field.clone()].copy_from_slice(&one_shot.to_le_bytes());
+        }
+        let stored = u32::from_le_bytes(frame[crc_field].try_into().unwrap());
+        match Advertisement::decode(&frame) {
+            Ok(_) => prop_assert_eq!(stored, one_shot, "in-place check accepted a bad frame"),
+            Err(WireError::BadChecksum { expected, computed }) => {
+                prop_assert_eq!(expected, stored);
+                prop_assert_eq!(computed, one_shot);
+                prop_assert!(stored != one_shot, "in-place check refused a good frame");
+            }
+            Err(other) => prop_assert!(false, "unexpected {other:?}"),
+        }
+    }
+
     /// Arbitrary byte soup (wrong magic in virtually all cases) is
     /// rejected with a typed error, not a panic.
     #[test]

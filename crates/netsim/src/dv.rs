@@ -626,32 +626,6 @@ impl RoutingTable {
         });
     }
 
-    /// The earliest instant at which [`RoutingTable::expire`] (with
-    /// `timeout`) or [`RoutingTable::gc_due`] (with `grace`) would change
-    /// the table; [`SimTime::MAX`] if neither ever will. Before it both
-    /// are no-ops, so a caller may skip aging until then. Every later
-    /// change can only add deadlines at least `min(timeout, grace)` after
-    /// the instant it is made.
-    pub fn next_expiry(&self, timeout: Duration, grace: Duration, infinity: u32) -> SimTime {
-        let mut due = SimTime::MAX;
-        for i in 0..self.dsts.len() {
-            let at = if self.dsts[i] == self.me {
-                continue;
-            } else if self.metrics[i] < infinity {
-                if self.last_heard[i] == SimTime::MAX {
-                    continue;
-                }
-                self.last_heard[i].saturating_add(timeout)
-            } else if self.dead_since[i] != NOT_DEAD {
-                self.dead_since[i].saturating_add(grace)
-            } else {
-                continue;
-            };
-            due = due.min(at);
-        }
-        due
-    }
-
     /// Next hop towards `dst`, if a live route exists.
     pub fn lookup(&self, dst: NodeId, infinity: u32) -> Option<NodeId> {
         match self.find(dst) {
@@ -1592,79 +1566,5 @@ mod gc_tests {
         assert_eq!(t.metric(9), Some(16), "grace not yet over");
         t.gc_due(now(321), Duration::from_secs(120), 16);
         assert_eq!(t.metric(9), None);
-    }
-
-    #[test]
-    fn next_expiry_names_the_first_aging_change() {
-        let (timeout, grace) = (Duration::from_secs(180), Duration::from_secs(120));
-        let mut t = RoutingTable::new(0);
-        t.install_direct(1);
-        assert_eq!(t.next_expiry(timeout, grace, 16), SimTime::MAX);
-        t.process_update(1, &[RouteEntry { dst: 8, metric: 1 }], now(1), 16);
-        t.process_update(1, &[RouteEntry { dst: 9, metric: 1 }], now(2), 16);
-        assert_eq!(t.next_expiry(timeout, grace, 16), now(181));
-        // Poisoned at t = 10: garbage collection is due first.
-        t.process_update(1, &[RouteEntry { dst: 9, metric: 16 }], now(10), 16);
-        assert_eq!(t.next_expiry(timeout, grace, 16), now(130));
-        let before = t.clone();
-        t.gc_due(now(129), grace, 16);
-        assert!(!t.expire(now(129), timeout, 16));
-        assert_eq!(
-            t.iter().collect::<Vec<_>>(),
-            before.iter().collect::<Vec<_>>()
-        );
-        t.gc_due(now(130), grace, 16);
-        assert_eq!(t.metric(9), None);
-        assert_eq!(t.next_expiry(timeout, grace, 16), now(181));
-        assert!(t.expire(now(181), timeout, 16));
-    }
-
-    /// Aging only when `next_expiry` is due — pulled forward to
-    /// `t + min(timeout, grace)` by any change at `t` — leaves exactly
-    /// the table that aging at every step does.
-    #[test]
-    fn lazy_aging_matches_eager_aging() {
-        let (timeout, grace) = (Duration::from_secs(180), Duration::from_secs(120));
-        let settle = Duration::from_secs(120);
-        for seed in 0..8 {
-            let mut rng = routesync_rng::stream(seed, 0);
-            let mut eager = RoutingTable::new(0);
-            let mut lazy = RoutingTable::new(0);
-            let mut due = SimTime::ZERO;
-            let mut t = SimTime::ZERO;
-            for _ in 0..2_000 {
-                t += Duration::from_millis(1 + routesync_rng::dist::below(&mut rng, 20_000));
-                let from = 1 + routesync_rng::dist::below(&mut rng, 4) as NodeId;
-                if routesync_rng::dist::below(&mut rng, 50) == 0 {
-                    eager.fail_via_with(from, 16, t, None);
-                    lazy.fail_via_with(from, 16, t, None);
-                } else {
-                    let entries: Vec<RouteEntry> = (0..3)
-                        .map(|_| RouteEntry {
-                            dst: 5 + routesync_rng::dist::below(&mut rng, 12) as NodeId,
-                            metric: routesync_rng::dist::below(&mut rng, 17) as u32,
-                        })
-                        .collect();
-                    eager.process_update(from, &entries, t, 16);
-                    lazy.process_update(from, &entries, t, 16);
-                }
-                due = due.min(t.saturating_add(settle));
-                // The next step's clock: age both tables there.
-                let at = t + Duration::from_millis(routesync_rng::dist::below(&mut rng, 400_000));
-                eager.expire(at, timeout, 16);
-                eager.gc_due(at, grace, 16);
-                if at >= due {
-                    lazy.expire(at, timeout, 16);
-                    lazy.gc_due(at, grace, 16);
-                    due = lazy.next_expiry(timeout, grace, 16);
-                }
-                assert_eq!(
-                    eager.iter().collect::<Vec<_>>(),
-                    lazy.iter().collect::<Vec<_>>(),
-                    "seed {seed} at {at}"
-                );
-                t = at;
-            }
-        }
     }
 }

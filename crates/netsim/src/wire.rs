@@ -136,6 +136,7 @@ impl std::error::Error for WireError {}
 /// implementation as the crash-safe checkpoint framing, so one integrity
 /// primitive covers both the wire and the disk.
 pub use routesync_exec::checkpoint::crc32;
+use routesync_exec::checkpoint::crc32_update;
 
 impl Advertisement {
     /// Encode into a fresh buffer.
@@ -166,10 +167,14 @@ impl Advertisement {
         out.extend_from_slice(&(self.sender as u32).to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-        for e in &self.entries {
-            out.extend_from_slice(&(e.dst as u32).to_le_bytes());
-            out.extend_from_slice(&e.metric.to_le_bytes());
+        // CRC placeholder and entry body, zero-filled in one step.
+        out.resize(HEADER_LEN + self.entries.len() * ENTRY_LEN, 0);
+        for (slot, e) in out[HEADER_LEN..]
+            .chunks_exact_mut(ENTRY_LEN)
+            .zip(&self.entries)
+        {
+            slot[..4].copy_from_slice(&(e.dst as u32).to_le_bytes());
+            slot[4..].copy_from_slice(&e.metric.to_le_bytes());
         }
         let crc = crc32(out);
         out[14..18].copy_from_slice(&crc.to_le_bytes());
@@ -199,9 +204,12 @@ impl Advertisement {
             return Err(WireError::LengthMismatch { count, body_len });
         }
         let expected = u32::from_le_bytes([bytes[14], bytes[15], bytes[16], bytes[17]]);
-        let mut zeroed = bytes.to_vec();
-        zeroed[14..18].fill(0);
-        let computed = crc32(&zeroed);
+        // The CRC covers the frame with its own field zeroed: checksum the
+        // parts around it in place rather than copying the frame.
+        let computed = crc32_update(
+            crc32_update(crc32(&bytes[..14]), &[0; 4]),
+            &bytes[HEADER_LEN..],
+        );
         if computed != expected {
             return Err(WireError::BadChecksum { expected, computed });
         }
@@ -246,6 +254,43 @@ mod tests {
         let bytes = ad.encode();
         assert_eq!(bytes.len(), HEADER_LEN + 3 * ENTRY_LEN);
         assert_eq!(Advertisement::decode(&bytes), Ok(ad));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Frames as the nibble-table CRC kernel encoded them. Peers running
+    /// that build must keep exchanging updates with this one, so the
+    /// bytes (checksum included) are pinned exactly.
+    #[test]
+    fn frames_are_byte_identical_across_the_crc_kernel_change() {
+        let full = sample().encode();
+        assert_eq!(
+            hex(&full),
+            "525301000300000029000000030098427384\
+             000000000100000007000000100000000900000003000000"
+        );
+        let delta = Advertisement {
+            sender: 12,
+            seq: 7,
+            delta: true,
+            entries: vec![
+                RouteEntry { dst: 5, metric: 16 },
+                RouteEntry {
+                    dst: 300,
+                    metric: 2,
+                },
+            ],
+        };
+        let bytes = delta.encode();
+        assert_eq!(
+            hex(&bytes),
+            "525301010c000000070000000200b448b4fc\
+             05000000100000002c01000002000000"
+        );
+        assert_eq!(Advertisement::decode(&full), Ok(sample()));
+        assert_eq!(Advertisement::decode(&bytes), Ok(delta));
     }
 
     #[test]

@@ -30,6 +30,24 @@
 //! and loses under wide jitter (`UniformHalf` makes `k ≈ N/6`; see
 //! `docs/PERFORMANCE.md`). `core.fast.ring.moves` counts the `k`s.
 //!
+//! **Two burst shapes, one loop.** Most bursts have one member: nearly
+//! every burst of an unsynchronized `Tr ≥ 0.2 s` run, and most of a
+//! synchronizing run before it locks. When the second expiry does not
+//! join (`e₂ ≥ e₁ + Tc`), the burst pops its router, emits the send and
+//! re-arms that one router, and never touches the member buffer. A burst
+//! of `m ≥ 2` collects its members into the buffer, then sorts and
+//! merges as above. Everything else — the metrics, the round count, the
+//! flush of the previous reset group and the set-up of the new one — is
+//! shared code, so the shapes differ only in how they collect and
+//! re-arm.
+//!
+//! **Rounds are counted, not divided.** The recorder's round is
+//! `sends / N`. The model keeps it as a `(round, fill)` pair, with
+//! `sends = round·N + fill` and `fill < N`, and adds each burst's `m`
+//! sends to it. No burst has more than `N` members, so the fill wraps at
+//! most once per burst. The pair persists across consecutive `run` calls
+//! and is zeroed by `reset`.
+//!
 //! This is the only burst kernel: [`crate::BatchedEnsemble`] runs its
 //! cells through a reused `FastModel`. Equivalence with the event engine
 //! (identical send logs and cluster logs, for any parameters and seed) is
@@ -175,8 +193,11 @@ pub struct FastModel {
     /// Pending expiries, one per router, ascending by `(time, node)`.
     ring: VecDeque<(SimTime, NodeId)>,
     now: SimTime,
-    sends: u64,
-    /// Scratch: the current burst's members, then their re-armed
+    /// Sends so far, as `round·N + fill` with `fill < N` (see the module
+    /// docs on counting rounds).
+    round: u64,
+    fill: u64,
+    /// Scratch: a burst of `m ≥ 2`'s members, then their re-armed
     /// expiries; reused across bursts and runs.
     members: Vec<(SimTime, NodeId)>,
     /// Scratch: the buffered reset group awaiting flush (see `run`).
@@ -201,7 +222,8 @@ impl FastModel {
             nodes: Vec::with_capacity(params.n),
             ring: VecDeque::with_capacity(params.n),
             now: SimTime::ZERO,
-            sends: 0,
+            round: 0,
+            fill: 0,
             members: Vec::with_capacity(params.n),
             pending_ids: Vec::with_capacity(params.n),
             pending_at: None,
@@ -220,7 +242,8 @@ impl FastModel {
         self.ring.clear();
         self.nodes.clear();
         self.now = SimTime::ZERO;
-        self.sends = 0;
+        self.round = 0;
+        self.fill = 0;
         self.members.clear();
         self.pending_ids.clear();
         self.pending_at = None;
@@ -259,7 +282,7 @@ impl FastModel {
 
     /// Total routing messages sent.
     pub fn sends(&self) -> u64 {
-        self.sends
+        self.round * self.params.n as u64 + self.fill
     }
 
     /// The current phase vector: each router's pending timer expiry
@@ -277,26 +300,31 @@ impl FastModel {
         }
     }
 
-    /// Merge the burst's re-armed expiries (`self.members`, any order)
-    /// into the ring. Returns how many pending expiries had to shift or
-    /// be merged past (`k`, zero for an append).
+    /// Re-arm a lone router: a `push_back` when its new expiry lands
+    /// behind every pending one, otherwise a binary search and an insert.
+    /// Returns how many pending expiries had to shift (`k`).
     #[inline]
-    fn rearm(&mut self) -> usize {
+    fn rearm_one(&mut self, entry: (SimTime, NodeId)) -> usize {
         let ring = &mut self.ring;
-        if let [entry] = self.members[..] {
-            // The common case: one router, landing at or near the back.
-            if ring.back().is_none_or(|&last| last < entry) {
-                ring.push_back(entry);
-                return 0;
-            }
-            let at = ring.partition_point(|&e| e < entry);
-            ring.insert(at, entry);
-            return ring.len() - 1 - at;
+        if ring.back().is_none_or(|&last| last < entry) {
+            ring.push_back(entry);
+            return 0;
         }
-        // A burst of m: sort the new entries, grow the ring by m, and
-        // merge backwards so each pending entry later than the smallest
-        // new one moves exactly once.
-        self.members.sort_unstable();
+        let at = ring.partition_point(|&e| e < entry);
+        ring.insert(at, entry);
+        ring.len() - 1 - at
+    }
+
+    /// Merge a burst's re-armed expiries (`self.members`, any order) into
+    /// the ring: sort the new entries, grow the ring by `m`, and merge
+    /// backwards so each pending entry later than the smallest new one
+    /// moves exactly once. Returns how many moved (`k`).
+    #[inline]
+    fn rearm_burst(&mut self) -> usize {
+        let ring = &mut self.ring;
+        // `(time, node)` order, compared as one 128-bit key.
+        self.members
+            .sort_unstable_by_key(|&(t, id)| (u128::from(t.as_nanos()) << 64) | id as u128);
         let new = &self.members[..];
         let mut read = ring.len();
         ring.resize(read + new.len(), (SimTime::ZERO, 0));
@@ -317,6 +345,15 @@ impl FastModel {
         moved
     }
 
+    /// Hand the buffered reset group, if any, to the recorder with the
+    /// current round.
+    #[inline]
+    fn flush<R: Recorder>(&mut self, recorder: &mut R) {
+        if let Some(t) = self.pending_at.take() {
+            recorder.on_cluster(t, self.round, &self.pending_ids);
+        }
+    }
+
     /// Run until the next burst would start at/after `horizon` or the
     /// recorder stops the run. Bursts are atomic: one that *starts* before
     /// the horizon is executed completely. Returns the time reached.
@@ -326,7 +363,7 @@ impl FastModel {
         // per-burst cost with a live collector is a few register
         // increments and, when disabled, a single predictable branch.
         let obs_live = self.obs.bursts.is_live();
-        let sends_at_entry = self.sends;
+        let sends_at_entry = self.sends();
         let mut local_bursts = 0u64;
         let mut local_moves = 0u64;
         let mut local_transitions = 0u64;
@@ -334,6 +371,7 @@ impl FastModel {
         let mut local_singles = 0u64;
         let mut local_sizes = self.obs.cluster_size.local();
         let tc = self.params.tc;
+        let n = self.params.n as u64;
         // The burst-member and reset-group buffers live on the model so a
         // reused model (see `reset`) allocates nothing on the hot path.
         // The event-driven engine flushes a reset group to the recorder
@@ -344,72 +382,85 @@ impl FastModel {
             if recorder.should_stop() {
                 break;
             }
-            let Some(&(e1, _)) = self.ring.front() else {
+            let Some(&(e1, first)) = self.ring.front() else {
                 break;
             };
             if e1 >= horizon {
                 break;
             }
-            // Collect the burst.
-            self.members.clear();
-            self.members.push(self.ring.pop_front().expect("peeked"));
-            loop {
-                let boundary = e1 + tc.saturating_mul(self.members.len() as u64);
-                match self.ring.front() {
-                    Some(&(e, _)) if joins_burst(e, boundary, tc) => {
-                        self.members.push(self.ring.pop_front().expect("peeked"));
+            // Collect the burst and emit its sends in expiry order. A lone
+            // router, the common case, never touches `members`.
+            let lone = self
+                .ring
+                .get(1)
+                .is_none_or(|&(e, _)| !joins_burst(e, e1 + tc, tc));
+            self.ring.pop_front();
+            let m = if lone {
+                recorder.on_send(e1, first);
+                1
+            } else {
+                self.members.clear();
+                self.members.push((e1, first));
+                while let Some(&(e, _)) = self.ring.front() {
+                    let boundary = e1 + tc.saturating_mul(self.members.len() as u64);
+                    if !joins_burst(e, boundary, tc) {
+                        break;
                     }
-                    _ => break,
+                    self.members.push(self.ring.pop_front().expect("peeked"));
                 }
-            }
-            // Emit sends in expiry order.
-            for &(e, node) in &self.members {
-                self.sends += 1;
-                recorder.on_send(e, node);
-            }
+                for &(e, node) in &self.members {
+                    recorder.on_send(e, node);
+                }
+                self.members.len()
+            };
             if obs_live {
-                let size = self.members.len() as u64;
                 local_bursts += 1;
                 // Singletons dominate unsynchronized runs; they go into
                 // the size histogram in one lump at exit.
-                if size == 1 {
+                if m == 1 {
                     local_singles += 1;
                 } else {
-                    local_sizes.record(size);
-                    local_largest = local_largest.max(size);
+                    local_sizes.record(m as u64);
+                    local_largest = local_largest.max(m as u64);
                 }
-                if self.members.len() != self.last_burst_len {
+                if m != self.last_burst_len {
                     local_transitions += 1;
-                    self.last_burst_len = self.members.len();
+                    self.last_burst_len = m;
                 }
             }
-            // Flush the previous burst's reset group (its round now counts
-            // this burst's sends, exactly like the event engine).
-            if let Some(t) = self.pending_at.take() {
-                let round = self.sends / self.params.n as u64;
-                recorder.on_cluster(t, round, &self.pending_ids);
+            // Count the burst's sends into the round (a burst has at most
+            // N members, so the fill wraps at most once), then flush the
+            // previous burst's reset group: its round now counts this
+            // burst's sends, exactly like the event engine.
+            self.fill += m as u64;
+            if self.fill >= n {
+                self.fill -= n;
+                self.round += 1;
             }
-            // Simultaneous reset.
-            let reset = e1 + tc * self.members.len() as u64;
+            self.flush(recorder);
+            // Simultaneous reset: the burst becomes the pending group.
+            let reset = e1 + tc * m as u64;
             self.now = reset;
-            self.pending_ids.clear();
-            self.pending_ids
-                .extend(self.members.iter().map(|&(_, id)| id));
             self.pending_at = Some(reset);
+            self.pending_ids.clear();
             // Re-arm everyone, in member order (each router draws from its
             // own stream, so only the ring order depends on the sort).
-            for entry in &mut self.members {
-                entry.0 = reset + self.nodes[entry.1].interval();
+            if lone {
+                self.pending_ids.push(first);
+                let entry = (reset + self.nodes[first].interval(), first);
+                local_moves += self.rearm_one(entry) as u64;
+            } else {
+                self.pending_ids
+                    .extend(self.members.iter().map(|&(_, id)| id));
+                for entry in &mut self.members {
+                    entry.0 = reset + self.nodes[entry.1].interval();
+                }
+                local_moves += self.rearm_burst() as u64;
             }
-            local_moves += self.rearm() as u64;
         }
-        if let Some(t) = self.pending_at.take() {
-            let round = self.sends / self.params.n as u64;
-            recorder.on_cluster(t, round, &self.pending_ids);
-            self.pending_ids.clear();
-        }
+        self.flush(recorder);
         if obs_live {
-            let sends_delta = self.sends - sends_at_entry;
+            let sends_delta = self.sends() - sends_at_entry;
             self.obs.bursts.add(local_bursts);
             self.obs.sends.add(sends_delta);
             self.obs.ring_moves.add(local_moves);
@@ -418,7 +469,7 @@ impl FastModel {
             self.obs
                 .cluster_largest
                 .record_max(local_largest.max(local_singles.min(1)));
-            self.obs.rounds.add(sends_delta / self.params.n as u64);
+            self.obs.rounds.add(sends_delta / n);
             local_sizes.flush();
         }
         self.now
@@ -609,6 +660,103 @@ mod tests {
         // (N − 1)·Tr/(3·Tp) with Tr = Tp/2: about 4.8 per send.
         let per_send = moves as f64 / sends as f64;
         assert!((3.0..7.0).contains(&per_send), "{per_send} moves per send");
+    }
+
+    /// One run's send trace and cluster log under `collector`.
+    fn traced_run(
+        p: PeriodicParams,
+        start: &StartState,
+        collector: routesync_obs::Collector,
+    ) -> (SendTrace, ClusterLog) {
+        let _scope = routesync_obs::scoped(collector);
+        let mut fast = FastModel::new(p, start.clone(), 1993);
+        let mut rec = (SendTrace::new(), ClusterLog::new());
+        fast.run(SimTime::from_secs(200_000), &mut rec);
+        rec
+    }
+
+    /// A live collector changes no output on either burst shape, and its
+    /// burst metrics agree with the cluster log: size-1 groups in the
+    /// histogram's first bucket, one transition per change of group size.
+    /// Returns the share of sends that went out in lone bursts.
+    fn obs_matches_the_log(p: PeriodicParams, start: StartState) -> f64 {
+        let (sends, log) = traced_run(p, &start, routesync_obs::Collector::disabled());
+        let live = routesync_obs::Collector::enabled();
+        let (traced_sends, traced_log) = traced_run(p, &start, live.clone());
+        assert_eq!(sends.sends(), traced_sends.sends(), "send traces differ");
+        assert_eq!(log.groups(), traced_log.groups(), "cluster logs differ");
+
+        let snap = live.snapshot();
+        let groups = log.groups();
+        let singles = groups.iter().filter(|g| g.2 == 1).count() as u64;
+        assert_eq!(snap.histograms["core.cluster.size"].counts[0], singles);
+        let mut last = 0;
+        let mut changes = 0u64;
+        for g in groups {
+            changes += u64::from(g.2 != last);
+            last = g.2;
+        }
+        assert_eq!(snap.counters["core.cluster.transitions"], changes);
+        singles as f64 / sends.sends().len() as f64
+    }
+
+    #[test]
+    fn obs_is_exact_on_lone_bursts() {
+        let lone = obs_matches_the_log(params(20, 300), StartState::Unsynchronized);
+        assert!(lone > 0.9, "{lone} of sends in lone bursts");
+    }
+
+    #[test]
+    fn obs_is_exact_on_clusters() {
+        let lone = obs_matches_the_log(params(20, 20), StartState::Synchronized);
+        assert!(lone < 0.1, "{lone} of sends in lone bursts");
+    }
+
+    /// Counts sends and checks that every reset group carries
+    /// `sends / N`, the round the event engine reports.
+    struct RoundCheck {
+        n: u64,
+        sends: u64,
+        groups: u64,
+    }
+
+    impl Recorder for RoundCheck {
+        fn on_send(&mut self, _t: SimTime, _node: NodeId) {
+            self.sends += 1;
+        }
+
+        fn on_cluster(&mut self, t: SimTime, round: u64, _nodes: &[NodeId]) {
+            assert_eq!(round, self.sends / self.n, "group at {t}");
+            self.groups += 1;
+        }
+    }
+
+    /// The running `(round, fill)` count equals `sends / N` at every
+    /// flush, from either start, across two consecutive `run` calls on one
+    /// model, and again after `reset`.
+    #[test]
+    fn rounds_equal_sends_over_n_at_every_flush() {
+        for (p, start) in [
+            (params(20, 300), StartState::Unsynchronized),
+            (params(20, 100), StartState::Unsynchronized),
+            (params(20, 20), StartState::Synchronized),
+            (params(7, 0), StartState::Synchronized),
+        ] {
+            let mut check = RoundCheck {
+                n: p.n as u64,
+                sends: 0,
+                groups: 0,
+            };
+            let mut fast = FastModel::new(p, start.clone(), 11);
+            fast.run(SimTime::from_secs(30_000), &mut check);
+            fast.run(SimTime::from_secs(60_000), &mut check);
+            assert_eq!(check.sends, fast.sends());
+            assert!(check.sends > 10 * p.n as u64 && check.groups > 10);
+            fast.reset(&start, 12);
+            check.sends = 0;
+            fast.run(SimTime::from_secs(30_000), &mut check);
+            assert_eq!(check.sends, fast.sends());
+        }
     }
 
     #[test]

@@ -43,20 +43,24 @@ impl Recorder for NullRecorder {}
 /// Compose two recorders; both see every callback, and the run stops when
 /// either asks to.
 impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    #[inline]
     fn on_send(&mut self, t: SimTime, node: NodeId) {
         self.0.on_send(t, node);
         self.1.on_send(t, node);
     }
 
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[NodeId]) {
         self.0.on_cluster(t, round, nodes);
         self.1.on_cluster(t, round, nodes);
     }
 
+    #[inline]
     fn should_stop(&self) -> bool {
         self.0.should_stop() || self.1.should_stop()
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.0.reset();
         self.1.reset();
@@ -92,10 +96,12 @@ impl SendTrace {
 }
 
 impl Recorder for SendTrace {
+    #[inline]
     fn on_send(&mut self, t: SimTime, node: NodeId) {
         self.sends.push((t, node));
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.sends.clear();
     }
@@ -131,16 +137,19 @@ impl EventLog {
 }
 
 impl Recorder for EventLog {
+    #[inline]
     fn on_send(&mut self, t: SimTime, node: NodeId) {
         self.events.push((t, node, EventKind::Send));
     }
 
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, _round: u64, nodes: &[NodeId]) {
         for &n in nodes {
             self.events.push((t, n, EventKind::Reset));
         }
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.events.clear();
     }
@@ -171,10 +180,12 @@ impl ClusterLog {
 }
 
 impl Recorder for ClusterLog {
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[NodeId]) {
         self.groups.push((t, round, nodes.len() as u32));
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.groups.clear();
     }
@@ -240,6 +251,7 @@ impl Default for RoundMax {
 }
 
 impl Recorder for RoundMax {
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[NodeId]) {
         if !self.started {
             self.started = true;
@@ -254,6 +266,7 @@ impl Recorder for RoundMax {
         self.cur_t = t;
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.series.clear();
         self.cur_round = 0;
@@ -303,6 +316,7 @@ impl FirstPassageUp {
 }
 
 impl Recorder for FirstPassageUp {
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[NodeId]) {
         let size = nodes.len().min(self.target);
         if size > self.max_seen {
@@ -313,10 +327,12 @@ impl Recorder for FirstPassageUp {
         }
     }
 
+    #[inline]
     fn should_stop(&self) -> bool {
         self.max_seen >= self.target
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.first.iter_mut().for_each(|slot| *slot = None);
         self.max_seen = 0;
@@ -388,6 +404,7 @@ impl FirstPassageDown {
 }
 
 impl Recorder for FirstPassageDown {
+    #[inline]
     fn on_cluster(&mut self, t: SimTime, round: u64, nodes: &[NodeId]) {
         if !self.started {
             self.started = true;
@@ -402,10 +419,12 @@ impl Recorder for FirstPassageDown {
         self.cur_t = t;
     }
 
+    #[inline]
     fn should_stop(&self) -> bool {
         self.min_state <= self.target
     }
 
+    #[inline]
     fn reset(&mut self) {
         self.first.iter_mut().for_each(|slot| *slot = None);
         self.min_state = self.first.len() - 1;

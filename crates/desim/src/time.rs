@@ -33,6 +33,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// An instant `secs` seconds after the origin.
+    #[inline]
     pub fn from_secs(secs: u64) -> Self {
         SimTime(secs * NANOS_PER_SEC)
     }
@@ -41,22 +42,26 @@ impl SimTime {
     ///
     /// Rounds to the nearest nanosecond. Panics if `secs` is negative, NaN,
     /// or too large to represent.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime(Duration::from_secs_f64(secs).0)
     }
 
     /// An instant `millis` milliseconds after the origin.
+    #[inline]
     pub fn from_millis(millis: u64) -> Self {
         SimTime(millis * 1_000_000)
     }
 
     /// Nanoseconds since the origin.
+    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds since the origin, as a float (for reporting only — never for
     /// simulation logic).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -64,12 +69,14 @@ impl SimTime {
     /// The span from `earlier` to `self`.
     ///
     /// Panics in debug builds if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> Duration {
         debug_assert!(earlier <= self, "time went backwards: {earlier} > {self}");
         Duration(self.0 - earlier.0)
     }
 
     /// Saturating addition of a duration (clamps at [`SimTime::MAX`]).
+    #[inline]
     pub fn saturating_add(self, d: Duration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
@@ -82,21 +89,25 @@ impl Duration {
     pub const MAX: Duration = Duration(u64::MAX);
 
     /// A span of `secs` whole seconds.
+    #[inline]
     pub fn from_secs(secs: u64) -> Self {
         Duration(secs * NANOS_PER_SEC)
     }
 
     /// A span of `millis` milliseconds.
+    #[inline]
     pub fn from_millis(millis: u64) -> Self {
         Duration(millis * 1_000_000)
     }
 
     /// A span of `micros` microseconds.
+    #[inline]
     pub fn from_micros(micros: u64) -> Self {
         Duration(micros * 1_000)
     }
 
     /// A span of `nanos` nanoseconds.
+    #[inline]
     pub fn from_nanos(nanos: u64) -> Self {
         Duration(nanos)
     }
@@ -106,6 +117,7 @@ impl Duration {
     ///
     /// Panics if `secs` is negative, NaN, or exceeds the representable range
     /// (~584 years).
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -117,26 +129,31 @@ impl Duration {
     }
 
     /// Nanoseconds in the span.
+    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// The span in seconds, as a float (reporting only).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
     /// True if the span is zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Multiply by an integer, saturating at [`Duration::MAX`].
+    #[inline]
     pub fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }
 
     /// Checked subtraction.
+    #[inline]
     pub fn checked_sub(self, other: Duration) -> Option<Duration> {
         self.0.checked_sub(other.0).map(Duration)
     }
@@ -144,6 +161,7 @@ impl Duration {
 
 impl Add<Duration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, d: Duration) -> SimTime {
         SimTime(
             self.0
@@ -154,6 +172,7 @@ impl Add<Duration> for SimTime {
 }
 
 impl AddAssign<Duration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, d: Duration) {
         *self = *self + d;
     }
@@ -161,6 +180,7 @@ impl AddAssign<Duration> for SimTime {
 
 impl Sub<Duration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, d: Duration) -> SimTime {
         SimTime(self.0.checked_sub(d.0).expect("simulated time underflow"))
     }
@@ -168,6 +188,7 @@ impl Sub<Duration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
+    #[inline]
     fn sub(self, other: SimTime) -> Duration {
         self.since(other)
     }
@@ -175,6 +196,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Rem<Duration> for SimTime {
     type Output = Duration;
+    #[inline]
     fn rem(self, d: Duration) -> Duration {
         assert!(!d.is_zero(), "modulo by zero duration");
         Duration(self.0 % d.0)
@@ -183,12 +205,14 @@ impl Rem<Duration> for SimTime {
 
 impl Add for Duration {
     type Output = Duration;
+    #[inline]
     fn add(self, other: Duration) -> Duration {
         Duration(self.0.checked_add(other.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for Duration {
+    #[inline]
     fn add_assign(&mut self, other: Duration) {
         *self = *self + other;
     }
@@ -196,12 +220,14 @@ impl AddAssign for Duration {
 
 impl Sub for Duration {
     type Output = Duration;
+    #[inline]
     fn sub(self, other: Duration) -> Duration {
         Duration(self.0.checked_sub(other.0).expect("duration underflow"))
     }
 }
 
 impl SubAssign for Duration {
+    #[inline]
     fn sub_assign(&mut self, other: Duration) {
         *self = *self - other;
     }
@@ -209,6 +235,7 @@ impl SubAssign for Duration {
 
 impl Mul<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn mul(self, k: u64) -> Duration {
         Duration(self.0.checked_mul(k).expect("duration overflow"))
     }
@@ -216,6 +243,7 @@ impl Mul<u64> for Duration {
 
 impl Div<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn div(self, k: u64) -> Duration {
         Duration(self.0 / k)
     }
@@ -223,6 +251,7 @@ impl Div<u64> for Duration {
 
 impl Div<Duration> for Duration {
     type Output = u64;
+    #[inline]
     fn div(self, other: Duration) -> u64 {
         assert!(!other.is_zero(), "division by zero duration");
         self.0 / other.0

@@ -5,15 +5,34 @@
 //!
 //! This lives in its own test binary on purpose: the defect toggle is
 //! process-global, and `cargo test` runs test *binaries* sequentially, so
-//! the flipped rule can never leak into the other suites. The `inject`
-//! cargo feature only compiles the hook in; the default-off runtime
-//! toggle keeps every other test (which builds `routesync-core` with the
-//! feature unified in) bit-identical to a featureless build.
+//! the flipped rule can never leak into the other suites. Within this
+//! binary the default runner runs the tests on parallel threads, so each
+//! test holds [`TOGGLE`] for its whole body: otherwise one test's
+//! `DefectOn` drop would switch the defect off under the other, and a
+//! replay meant to run with the defect off could run with it on. The
+//! `inject` cargo feature only compiles the hook in; the default-off
+//! runtime toggle keeps every other test (which builds `routesync-core`
+//! with the feature unified in) bit-identical to a featureless build.
+
+use std::sync::{Mutex, MutexGuard};
 
 use routesync_conformance::fuzz::{self, FuzzConfig};
 use routesync_conformance::spec::{CaseSpec, Oracle, Reproducer};
 use routesync_core::fast::inject;
 use routesync_core::{BatchedEnsemble, ClusterLog, FastModel, PeriodicModel, SendTrace};
+
+/// Held by each test for its whole body, so no two tests in this binary
+/// see the process-global defect toggle at the same time.
+static TOGGLE: Mutex<()> = Mutex::new(());
+
+/// Takes [`TOGGLE`]. A test that panicked while holding it has already
+/// switched the defect off through its `DefectOn` drop, so a poisoned
+/// lock is safe to take over.
+fn toggle_lock() -> MutexGuard<'static, ()> {
+    TOGGLE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// RAII guard so the toggle is reset even if an assertion panics midway.
 struct DefectOn;
@@ -33,6 +52,7 @@ impl Drop for DefectOn {
 
 #[test]
 fn fuzzer_catches_and_shrinks_the_injected_merge_bug() {
+    let _toggle = toggle_lock();
     let out_dir = std::env::temp_dir().join("routesync-conformance-injected-bug");
     let _ = std::fs::remove_dir_all(&out_dir);
 
@@ -118,6 +138,7 @@ fn batched_kernel_shares_the_injected_merge_rule() {
     };
     let p = spec.params();
     let horizon = spec.horizon();
+    let _toggle = toggle_lock();
     let _defect = DefectOn::new();
 
     let mut defect_changed_something = false;

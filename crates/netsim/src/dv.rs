@@ -25,6 +25,8 @@
 //! originated default route) — the machinery that keeps tables small at
 //! internet scale.
 
+use std::hint::select_unpredictable;
+
 use routesync_desim::{Duration, SimTime};
 use routesync_rng::{JitterPolicy, TimerResetPolicy};
 use serde::{Deserialize, Serialize};
@@ -460,15 +462,25 @@ impl RoutingTable {
     /// a route is lost, "good news" from anyone but the original next hop
     /// is refused until the hold-down expires.
     ///
-    /// The entries are merged into the table in one forward pass: each is
-    /// located by galloping from the previous entry's row (doubling the
-    /// step, then binary-searching the bracket), so a sorted full-table
-    /// update costs a few row comparisons per entry and a sparse one of
-    /// `k` entries into `n` rows `O(k log(n/k))`. Any order is accepted
-    /// (the wire decoder does not enforce one): an entry below its
-    /// predecessor restarts the search at row 0. Every entry lands on the
-    /// row a binary search of the whole table would find, so the order
-    /// changes only the cost, never the outcome.
+    /// The entries are merged into the table in one forward pass. After an
+    /// entry matches row `i` (or is inserted at `i`), the next one is first
+    /// compared with row `i + 1` alone, so a sorted full-table refresh
+    /// compares one row per entry; otherwise it is located by galloping
+    /// from there (doubling the step, then binary-searching the bracket),
+    /// so a sparse update of `k` entries into `n` rows costs
+    /// `O(k log(n/k))`. Any order is accepted (the wire decoder does not
+    /// enforce one): an entry at or below its predecessor restarts the
+    /// search at row 0. Every entry lands on the row a binary search of
+    /// the whole table would find, so the order changes only the cost,
+    /// never the outcome.
+    ///
+    /// The common case, a matched row that does not change, is taken
+    /// without data-dependent branches: `last_heard` is refreshed by a
+    /// select, and one combined predicate over the metric and next hop
+    /// decides whether the row may change. The changes themselves, and the
+    /// hold-down test that can still refuse a better route, are in
+    /// [`RoutingTable::change_row`], so the hot loop never reads the
+    /// hold-down column.
     pub fn process_update_with(
         &mut self,
         from: NodeId,
@@ -478,64 +490,93 @@ impl RoutingTable {
         holddown: Option<Duration>,
     ) -> UpdateOutcome {
         let mut out = UpdateOutcome::default();
-        // Every row below `cursor` sorts before the previous entry's dst.
+        // Every row below `cursor` sorts at or before the previous entry's
+        // dst.
         let (mut cursor, mut prev) = (0, 0);
         for e in entries {
-            if e.dst < prev {
+            if e.dst <= prev {
                 cursor = 0;
             }
             prev = e.dst;
             let cand = (e.metric + 1).min(infinity);
-            let found = self.seek(cursor, e.dst, &mut out.probes);
-            cursor = match found {
-                Ok(i) | Err(i) => i,
-            };
-            match found {
-                Ok(i) if self.next_hops[i] == from => {
-                    // Updates from the current next hop are authoritative,
-                    // better or worse.
-                    self.last_heard[i] = now;
-                    if self.metrics[i] != cand {
-                        if cand >= infinity && self.metrics[i] < infinity {
-                            // Route lost: start hold-down and the gc clock.
-                            self.holddown_until[i] = holddown.map_or(NO_HOLDDOWN, |h| now + h);
-                            self.dead_since[i] = now;
-                        } else if cand < infinity {
-                            self.dead_since[i] = NOT_DEAD;
-                        }
-                        self.metrics[i] = cand;
-                        out.changed = true;
-                        self.mark_dirty(e.dst);
-                    }
-                }
+            match self.seek(cursor, e.dst, &mut out.probes) {
                 Ok(i) => {
-                    let held = now < self.holddown_until[i];
-                    if cand < self.metrics[i] && !held {
-                        self.metrics[i] = cand;
-                        self.next_hops[i] = from;
-                        self.last_heard[i] = now;
-                        self.holddown_until[i] = NO_HOLDDOWN;
-                        self.dead_since[i] = NOT_DEAD;
+                    // Updates from the current next hop are authoritative,
+                    // better or worse, and refresh the route; anyone else
+                    // only displaces it with a better metric (outside
+                    // hold-down).
+                    let metric = self.metrics[i];
+                    let via = self.next_hops[i] == from;
+                    let heard = self.last_heard[i];
+                    self.last_heard[i] = select_unpredictable(via, now, heard);
+                    let may_change = (via & (metric != cand)) | (!via & (cand < metric));
+                    if may_change && self.change_row(i, via, from, cand, now, infinity, holddown) {
                         out.changed = true;
-                        self.mark_dirty(e.dst);
                     }
+                    cursor = i + 1;
                 }
-                Err(i) => {
-                    if cand < infinity {
-                        self.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
-                        out.changed = true;
-                        self.mark_dirty(e.dst);
-                    }
+                Err(i) if cand < infinity => {
+                    self.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
+                    self.mark_dirty(e.dst);
+                    out.changed = true;
+                    cursor = i + 1;
                 }
+                Err(i) => cursor = i,
             }
         }
         out
     }
 
+    /// The rare half of [`RoutingTable::process_update_with`]: row `i`
+    /// takes candidate metric `cand`, either from its own next hop (`via`:
+    /// the metric changed, and a route that became unreachable starts its
+    /// hold-down and gc clock) or as a better route from `from`, which a
+    /// hold-down still in force refuses. Returns whether the row changed.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn change_row(
+        &mut self,
+        i: usize,
+        via: bool,
+        from: NodeId,
+        cand: u32,
+        now: SimTime,
+        infinity: u32,
+        holddown: Option<Duration>,
+    ) -> bool {
+        if !via {
+            if now < self.holddown_until[i] {
+                return false;
+            }
+            self.next_hops[i] = from;
+            self.last_heard[i] = now;
+            self.holddown_until[i] = NO_HOLDDOWN;
+            self.dead_since[i] = NOT_DEAD;
+        } else if cand >= infinity && self.metrics[i] < infinity {
+            // Route lost: start hold-down and the gc clock.
+            self.holddown_until[i] = holddown.map_or(NO_HOLDDOWN, |h| now + h);
+            self.dead_since[i] = now;
+        } else if cand < infinity {
+            self.dead_since[i] = NOT_DEAD;
+        }
+        self.metrics[i] = cand;
+        self.mark_dirty(self.dsts[i]);
+        true
+    }
+
     /// [`RoutingTable::find`] for a `dst` that every row below `lo` sorts
-    /// before: gallop forward from `lo`, doubling the step, then
-    /// binary-search the bracket. Adds the rows compared to `probes`.
+    /// before: compare row `lo` (the next row of a sorted update), and
+    /// only if it sorts below `dst` gallop forward from the row after it,
+    /// doubling the step, then binary-search the bracket. Adds the rows
+    /// compared to `probes`.
     fn seek(&self, mut lo: usize, dst: NodeId, probes: &mut u64) -> Result<usize, usize> {
+        *probes += 1;
+        match self.dsts.get(lo) {
+            Some(&d) if d == dst => return Ok(lo),
+            Some(&d) if d < dst => lo += 1,
+            _ => return Err(lo),
+        }
         let mut hi = self.dsts.len();
         let mut step = 1;
         while let Some(&d) = self.dsts.get(lo + step - 1) {
@@ -691,16 +732,20 @@ impl RoutingTable {
         infinity: u32,
         out: &mut Vec<RouteEntry>,
     ) {
-        out.reserve(self.dsts.len());
-        for i in 0..self.dsts.len() {
-            let dst = self.dsts[i];
-            let poisoned =
-                split_horizon && dst != self.me && link_peers.contains(&self.next_hops[i]);
-            out.push(RouteEntry {
+        let me = self.me;
+        let rows = self.dsts.iter().zip(&self.metrics).zip(&self.next_hops);
+        out.extend(rows.map(move |((&dst, &metric), &next_hop)| {
+            // Two selects, not one on `split & (dst != me) & on_link`:
+            // LLVM splits a select on a combined condition into nested
+            // selects and turns one of them back into a branch on the
+            // next hop, which no predictor learns from a mesh's tables.
+            let poisoned = select_unpredictable(dst != me, infinity, metric);
+            let reverse = split_horizon & on_link(link_peers, next_hop);
+            RouteEntry {
                 dst,
-                metric: if poisoned { infinity } else { self.metrics[i] },
-            });
-        }
+                metric: select_unpredictable(reverse, poisoned, metric),
+            }
+        }));
     }
 
     /// Like [`RoutingTable::advertisement_into`], but restricted to the
@@ -720,10 +765,10 @@ impl RoutingTable {
         for &dst in only {
             let Ok(i) = self.find(dst) else { continue };
             let poisoned =
-                split_horizon && dst != self.me && link_peers.contains(&self.next_hops[i]);
+                split_horizon & (dst != self.me) & on_link(link_peers, self.next_hops[i]);
             out.push(RouteEntry {
                 dst,
-                metric: if poisoned { infinity } else { self.metrics[i] },
+                metric: select_unpredictable(poisoned, infinity, self.metrics[i]),
             });
         }
     }
@@ -867,7 +912,7 @@ pub fn area_link_advertisement(
     for c in candidates {
         match c.split {
             SplitHorizon::Keep => out.push(c.entry),
-            _ if !link_peers.contains(&c.next_hop) => out.push(c.entry),
+            _ if !on_link(link_peers, c.next_hop) => out.push(c.entry),
             SplitHorizon::Omit => {}
             SplitHorizon::Poison => out.push(RouteEntry {
                 dst: c.entry.dst,
@@ -876,6 +921,17 @@ pub fn area_link_advertisement(
         }
     }
     out
+}
+
+/// Whether `next_hop` is one of a link's on-link neighbours `link_peers`:
+/// the split-horizon test, written once for every advertisement kernel.
+/// A point-to-point link has one peer and takes a single compare.
+#[inline]
+fn on_link(link_peers: &[NodeId], next_hop: NodeId) -> bool {
+    match link_peers {
+        [peer] => next_hop == *peer,
+        peers => peers.contains(&next_hop),
+    }
 }
 
 // Serde: the stable wire form is the sorted `(dst, route)` pair list —
@@ -1231,48 +1287,85 @@ mod tests {
         changed
     }
 
+    /// A random table for router 4..34 over destinations 4..40: live,
+    /// dead and held-down rows with next hops 1..=5, metrics up to and
+    /// including `inf`, and clocks in 0..400 s.
+    fn random_table(rng: &mut routesync_rng::MinStd, inf: u32) -> RoutingTable {
+        use routesync_rng::dist::below;
+        let mut t = RoutingTable::new(4 + below(rng, 30) as NodeId);
+        for _ in 0..below(rng, 40) {
+            let dst = 4 + below(rng, 36) as NodeId;
+            let Err(i) = t.find(dst) else { continue };
+            let at = |rng: &mut routesync_rng::MinStd| SimTime::from_secs(below(rng, 400));
+            let holddown_until = if below(rng, 3) == 0 {
+                at(rng)
+            } else {
+                NO_HOLDDOWN
+            };
+            let dead_since = if below(rng, 3) == 0 {
+                at(rng)
+            } else {
+                NOT_DEAD
+            };
+            let (metric, next_hop) = (
+                below(rng, inf as u64 + 1) as u32,
+                1 + below(rng, 5) as NodeId,
+            );
+            let last_heard = at(rng);
+            t.raw_insert(
+                i,
+                dst,
+                metric,
+                next_hop,
+                last_heard,
+                holddown_until,
+                dead_since,
+            );
+        }
+        t
+    }
+
+    /// Applies one update to `merged` by the merge and to `reference` by
+    /// [`reference_process_update`], and asserts the same outcome, rows
+    /// and dirty destinations.
+    fn assert_merge_matches(
+        merged: &mut RoutingTable,
+        reference: &mut RoutingTable,
+        update: (NodeId, &[RouteEntry], SimTime, Option<Duration>),
+        case: &str,
+    ) {
+        const INF: u32 = 16;
+        let (from, entries, now, holddown) = update;
+        let got = merged.process_update_with(from, entries, now, INF, holddown);
+        let want = reference_process_update(reference, from, entries, now, INF, holddown);
+        assert_eq!(got.changed, want, "{case}");
+        assert_eq!(
+            merged.iter().collect::<Vec<_>>(),
+            reference.iter().collect::<Vec<_>>(),
+            "{case}"
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        merged.take_dirty_into(&mut a);
+        reference.take_dirty_into(&mut b);
+        assert_eq!(a, b, "{case}");
+    }
+
     /// The merge against [`reference_process_update`] on random tables
     /// (live, dead and held-down rows) and random updates: sorted,
     /// sorted with duplicates, or in arbitrary order; destinations below
     /// and above every row; metrics up to and including infinity; with
-    /// and without hold-down, dirty tracking on.
+    /// and without hold-down, dirty tracking on. Two fixed cases follow
+    /// the cursor past the rows it must not skip: a duplicate right after
+    /// the entry that inserted its row, and an entry right after an
+    /// unreachable one that was not inserted.
     #[test]
     fn merge_matches_per_entry_binary_search() {
         use routesync_rng::dist::below;
         const INF: u32 = 16;
         for seed in 0..400 {
             let mut rng = routesync_rng::stream(seed, 0);
-            let mut merged = RoutingTable::new(4 + below(&mut rng, 30) as NodeId);
+            let mut merged = random_table(&mut rng, INF);
             merged.set_dirty_tracking(true);
-            for _ in 0..below(&mut rng, 40) {
-                let dst = 4 + below(&mut rng, 36) as NodeId;
-                let Err(i) = merged.find(dst) else { continue };
-                let at = |rng: &mut routesync_rng::MinStd| SimTime::from_secs(below(rng, 400));
-                let holddown_until = if below(&mut rng, 3) == 0 {
-                    at(&mut rng)
-                } else {
-                    NO_HOLDDOWN
-                };
-                let dead_since = if below(&mut rng, 3) == 0 {
-                    at(&mut rng)
-                } else {
-                    NOT_DEAD
-                };
-                let (metric, next_hop) = (
-                    below(&mut rng, INF as u64 + 1) as u32,
-                    1 + below(&mut rng, 5) as NodeId,
-                );
-                let last_heard = at(&mut rng);
-                merged.raw_insert(
-                    i,
-                    dst,
-                    metric,
-                    next_hop,
-                    last_heard,
-                    holddown_until,
-                    dead_since,
-                );
-            }
             let mut reference = merged.clone();
             for round in 0..20 {
                 let mut entries: Vec<RouteEntry> = (0..below(&mut rng, 50))
@@ -1293,34 +1386,155 @@ mod tests {
                 let now = SimTime::from_secs(100 + below(&mut rng, 400));
                 let holddown = (below(&mut rng, 2) == 0)
                     .then(|| Duration::from_secs(1 + below(&mut rng, 300)));
-                let got = merged.process_update_with(from, &entries, now, INF, holddown);
-                let want =
-                    reference_process_update(&mut reference, from, &entries, now, INF, holddown);
-                assert_eq!(got.changed, want, "seed {seed} round {round}");
-                assert_eq!(
-                    merged.iter().collect::<Vec<_>>(),
-                    reference.iter().collect::<Vec<_>>(),
-                    "seed {seed} round {round}"
+                assert_merge_matches(
+                    &mut merged,
+                    &mut reference,
+                    (from, &entries, now, holddown),
+                    &format!("seed {seed} round {round}"),
                 );
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                merged.take_dirty_into(&mut a);
-                reference.take_dirty_into(&mut b);
-                assert_eq!(a, b, "seed {seed} round {round}");
+            }
+        }
+
+        let e = |dst, metric| RouteEntry { dst, metric };
+        let cases: [(&str, &[RouteEntry]); 4] = [
+            ("duplicate after insert, worse", &[e(3, 2), e(3, 5)]),
+            (
+                "duplicate after insert, better",
+                &[e(3, 2), e(3, 0), e(9, 1)],
+            ),
+            ("after a skipped unreachable entry", &[e(3, INF), e(5, 2)]),
+            (
+                "after skipped entries past the end",
+                &[e(10, INF), e(11, 1)],
+            ),
+        ];
+        for (case, entries) in cases {
+            let mut merged = RoutingTable::new(0);
+            merged.set_dirty_tracking(true);
+            merged.install(5, 4, 2);
+            merged.install(9, 4, 2);
+            let mut reference = merged.clone();
+            assert_merge_matches(
+                &mut merged,
+                &mut reference,
+                (1, entries, now(1), None),
+                case,
+            );
+        }
+    }
+
+    /// The per-row split-horizon rule: a route is poisoned on a link whose
+    /// peers include its next hop, unless it is the self route or split
+    /// horizon is off. The peers come as a sorted set and are looked up
+    /// by binary search, independently of the kernels' `on_link`.
+    fn reference_advertisement(
+        t: &RoutingTable,
+        only: Option<&[NodeId]>,
+        peer_set: &[NodeId],
+        split_horizon: bool,
+        infinity: u32,
+    ) -> Vec<RouteEntry> {
+        let mut out = Vec::new();
+        for (dst, route) in t.iter() {
+            if only.is_some_and(|only| only.binary_search(&dst).is_err()) {
+                continue;
+            }
+            let reverse = peer_set.binary_search(&route.next_hop).is_ok();
+            let metric = if split_horizon && dst != t.me() && reverse {
+                infinity
+            } else {
+                route.metric
+            };
+            out.push(RouteEntry { dst, metric });
+        }
+        out
+    }
+
+    /// `advertisement_into`, `advertisement_delta_into` and
+    /// `area_link_advertisement` against per-row reference loops: random
+    /// tables with self, direct, dead and held-down rows; links of 0, 1
+    /// and 3 peers; split horizon on and off; delta lists that name
+    /// destinations the table does not hold.
+    #[test]
+    fn advertisement_kernels_match_per_row_reference() {
+        use routesync_rng::dist::below;
+        const INF: u32 = 16;
+        for seed in 0..300 {
+            let mut rng = routesync_rng::stream(seed, 1);
+            let mut t = random_table(&mut rng, INF);
+            for _ in 0..below(&mut rng, 3) {
+                t.install_direct(1 + below(&mut rng, 5) as NodeId);
+            }
+            for peers in 0..3 {
+                // Distinct peers in 1..=6, not necessarily sorted.
+                let first = below(&mut rng, 6) as NodeId;
+                let link_peers: Vec<NodeId> = (0..[0, 1, 3][peers])
+                    .map(|j| 1 + (first + 2 * j) % 6)
+                    .collect();
+                let mut peer_set = link_peers.clone();
+                peer_set.sort_unstable();
+                let mut only: Vec<NodeId> = (0..below(&mut rng, 12))
+                    .map(|_| below(&mut rng, 45) as NodeId)
+                    .collect();
+                only.sort_unstable();
+                only.dedup();
+                for split in [false, true] {
+                    let case = format!("seed {seed} peers {link_peers:?} split {split}");
+                    let mut full = vec![RouteEntry { dst: 99, metric: 7 }];
+                    t.advertisement_into(&link_peers, split, INF, &mut full);
+                    let want = reference_advertisement(&t, None, &peer_set, split, INF);
+                    assert_eq!(full[0], RouteEntry { dst: 99, metric: 7 }, "{case}");
+                    assert_eq!(full[1..], want[..], "{case}");
+
+                    let mut delta = Vec::new();
+                    t.advertisement_delta_into(&only, &link_peers, split, INF, &mut delta);
+                    let want = reference_advertisement(&t, Some(&only), &peer_set, split, INF);
+                    assert_eq!(delta, want, "{case} only {only:?}");
+
+                    let candidates: Vec<AreaCandidate> = (0..below(&mut rng, 20))
+                        .map(|_| AreaCandidate {
+                            entry: RouteEntry {
+                                dst: below(&mut rng, 45) as NodeId,
+                                metric: below(&mut rng, INF as u64 + 1) as u32,
+                            },
+                            next_hop: below(&mut rng, 7) as NodeId,
+                            split: [SplitHorizon::Keep, SplitHorizon::Omit, SplitHorizon::Poison]
+                                [below(&mut rng, 3) as usize],
+                        })
+                        .collect();
+                    let want: Vec<RouteEntry> = candidates
+                        .iter()
+                        .filter_map(|c| {
+                            let reverse = peer_set.binary_search(&c.next_hop).is_ok();
+                            match (c.split, reverse) {
+                                (SplitHorizon::Keep, _) | (_, false) => Some(c.entry),
+                                (SplitHorizon::Omit, true) => None,
+                                (SplitHorizon::Poison, true) => Some(RouteEntry {
+                                    dst: c.entry.dst,
+                                    metric: INF,
+                                }),
+                            }
+                        })
+                        .collect();
+                    let got = area_link_advertisement(&candidates, &link_peers, INF);
+                    assert_eq!(got, want, "{case} candidates {candidates:?}");
+                }
             }
         }
     }
 
-    /// A sorted full-table update compares a few rows per entry; the
+    /// A sorted full-table update compares one row per entry (plus the
+    /// self route, row 0, which the first entry steps over); the
     /// per-entry binary search compared about log2(n) + 1.
     #[test]
-    fn sorted_update_probes_a_few_rows_per_entry() {
+    fn sorted_update_probes_one_row_per_entry() {
         let mut t = RoutingTable::new(0);
         let entries: Vec<RouteEntry> = (1..300).map(|dst| RouteEntry { dst, metric: 2 }).collect();
         assert!(t.process_update_with(1, &entries, now(1), 16, None).changed);
         let refresh = t.process_update_with(1, &entries, now(2), 16, None);
         assert!(!refresh.changed);
         assert!(
-            refresh.probes <= 3 * entries.len() as u64,
+            refresh.probes <= entries.len() as u64 + 1,
             "{} probes",
             refresh.probes
         );

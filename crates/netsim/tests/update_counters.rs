@@ -21,11 +21,12 @@ fn update_counters(spec: ScenarioSpec, seed: u64, horizon: SimTime) -> (u64, u64
 }
 
 /// A received update is sorted by destination, like the table it lands
-/// in, so the merge gallops a step or two from the previous entry's row
-/// instead of binary-searching the whole table for each entry (about
-/// log2(60) + 1 ≈ 7 rows compared per entry here).
+/// in, so the merge finds each entry on the row after the previous
+/// entry's (one row compared per entry) instead of binary-searching the
+/// whole table for it (about log2(60) + 1 ≈ 7 rows here). The converged
+/// mesh measures exactly 1.00; the bound leaves 1 % for gallops.
 #[test]
-fn update_merge_compares_a_few_rows_per_entry() {
+fn update_merge_compares_one_row_per_entry() {
     let (entries, probes) = update_counters(
         ScenarioSpec::random_mesh(60, 30, Duration::from_millis(30)),
         7,
@@ -33,7 +34,7 @@ fn update_merge_compares_a_few_rows_per_entry() {
     );
     assert!(entries > 0, "no update entries were merged");
     assert!(
-        probes <= 4 * entries,
+        100 * probes <= 101 * entries,
         "the merge compared {probes} rows for {entries} entries"
     );
 }

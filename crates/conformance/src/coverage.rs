@@ -11,7 +11,10 @@
 //! `phenomena.`.
 //! Wall-clock metrics (`exec.*` worker timings, span durations) are
 //! excluded so the corpus — and therefore the whole fuzz run — is
-//! bit-identical across machines and thread counts.
+//! bit-identical across machines and thread counts. So are the cost
+//! counters (`COST_COUNTERS`): they count how much work a kernel did,
+//! not which behaviour a case reached, so a faster kernel must not change
+//! the fuzzer's features or its watchdog steps.
 
 use std::collections::BTreeSet;
 
@@ -20,8 +23,17 @@ use routesync_obs::Snapshot;
 /// Namespaces whose metrics are pure functions of `(spec, seed)`.
 const DETERMINISTIC_PREFIXES: [&str; 3] = ["core.", "netsim.", "phenomena."];
 
+/// Implementation-cost counters: rows the update merge compared, rows
+/// the advertisement builders scanned, and entries the fast engine's
+/// sorted ring moved.
+const COST_COUNTERS: [&str; 3] = [
+    "netsim.update.probes",
+    "netsim.advert.rows_scanned",
+    "core.fast.ring.moves",
+];
+
 fn deterministic(name: &str) -> bool {
-    DETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p))
+    DETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p)) && !COST_COUNTERS.contains(&name)
 }
 
 /// Order-of-magnitude bucket: 0 for 0, otherwise the bit length of the
@@ -124,6 +136,21 @@ mod tests {
             .next()
             .expect("one")
             .starts_with("c:core.fast.bursts"));
+    }
+
+    #[test]
+    fn cost_counters_change_neither_features_nor_steps() {
+        let mut cheap = Snapshot::default();
+        cheap.counters.insert("netsim.updates.sent".into(), 40);
+        cheap.gauges.insert("netsim.sync.clusters".into(), 3);
+        let mut costly = cheap.clone();
+        for (k, name) in COST_COUNTERS.iter().enumerate() {
+            cheap.counters.insert(name.to_string(), 1 + k as u64);
+            costly.counters.insert(name.to_string(), 1_000_000 << k);
+        }
+        assert_eq!(features_of(&cheap), features_of(&costly));
+        assert_eq!(deterministic_steps(&cheap), deterministic_steps(&costly));
+        assert_eq!(deterministic_steps(&cheap), 40);
     }
 
     #[test]

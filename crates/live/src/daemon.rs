@@ -314,6 +314,12 @@ struct Metrics {
     loop_ticks: Counter,
     loop_ready: Counter,
     age_passes: Counter,
+    stage_advance: Counter,
+    stage_recv: Counter,
+    stage_process: Counter,
+    stage_liveness: Counter,
+    stage_send: Counter,
+    stage_wait: Counter,
 }
 
 impl Metrics {
@@ -341,6 +347,12 @@ impl Metrics {
             loop_ticks: c.counter("live.loop.ticks"),
             loop_ready: c.counter("live.loop.ready"),
             age_passes: c.counter("live.age.passes"),
+            stage_advance: c.counter("live.stage.advance_ns"),
+            stage_recv: c.counter("live.stage.recv_ns"),
+            stage_process: c.counter("live.stage.process_ns"),
+            stage_liveness: c.counter("live.stage.liveness_ns"),
+            stage_send: c.counter("live.stage.send_ns"),
+            stage_wait: c.counter("live.stage.wait_ns"),
         }
     }
 }
@@ -377,7 +389,7 @@ pub struct LiveDaemon {
     poller: Poller<(usize, usize)>,
     /// A socket was opened or closed since `poller` was last filled.
     sockets_changed: bool,
-    /// The sockets the last tick's poll found readable.
+    /// The sockets the last tick's wait found readable.
     ready: Vec<(usize, usize)>,
     /// Receive buffer: one maximal UDP payload.
     rx_buf: Box<[u8]>,
@@ -441,6 +453,14 @@ fn silent_after(heard: SimTime, timeout: Duration) -> SimTime {
     heard
         .saturating_add(timeout)
         .saturating_add(Duration::from_nanos(1))
+}
+
+/// Add the wall time since `mark` to the stage counter, and move `mark`
+/// to now: one clock read per stage boundary.
+fn lap(stage: &Counter, mark: &mut Instant) {
+    let now = Instant::now();
+    stage.add(now.duration_since(*mark).as_nanos() as u64);
+    *mark = now;
 }
 
 /// Forget the backlog entries the CPU has worked through by `now`.
@@ -643,8 +663,9 @@ impl LiveDaemon {
         let mut next_overload = self.sim_base + tp / 4;
         let mut last_observe = Instant::now();
         let outcome = loop {
+            let mut mark = Instant::now();
             let sim_now = self.sim_base.saturating_add(Duration::from_secs_f64(
-                started.elapsed().as_secs_f64() * self.time_scale,
+                mark.duration_since(started).as_secs_f64() * self.time_scale,
             ));
             if self.drain_requested || interrupt::interrupted() {
                 self.record_state(sim_now)?;
@@ -660,10 +681,15 @@ impl LiveDaemon {
             self.m.sim_now.set(sim_now.as_nanos());
             self.m.loop_ticks.add(1);
             self.advance(sim_now);
+            lap(&self.m.stage_advance, &mut mark);
             self.pump_recv(sim_now);
+            lap(&self.m.stage_recv, &mut mark);
             self.process_ingress(sim_now);
+            lap(&self.m.stage_process, &mut mark);
             self.check_liveness(sim_now);
+            lap(&self.m.stage_liveness, &mut mark);
             self.pump_egress();
+            lap(&self.m.stage_send, &mut mark);
             if sim_now >= next_overload {
                 next_overload = sim_now + tp / 4;
                 self.overload_window();
@@ -944,29 +970,32 @@ impl LiveDaemon {
         self.scratch = peers;
     }
 
-    /// End the tick: sleep out [`TICK`], then one `poll(2)` names the
-    /// sockets the next tick reads. Waking on readability instead would
-    /// run a tick, and a poll over every socket, per datagram burst.
+    /// End the tick: sleep out [`TICK`], then one non-blocking wait on
+    /// the interest set names the sockets the next tick reads. The set is
+    /// rebuilt only after a socket opened or closed. Waking on
+    /// readability instead would run a tick per datagram burst.
     fn end_tick(&mut self) -> io::Result<()> {
         std::thread::sleep(TICK);
+        let mut mark = Instant::now();
         if self.sockets_changed {
             self.sockets_changed = false;
             self.poller.clear();
             for (ridx, r) in self.routers.iter().enumerate() {
                 for (k, iface) in r.ifaces.iter().enumerate() {
                     if let Some(sock) = &iface.sock {
-                        self.poller.register(sock, (ridx, k));
+                        self.poller.register(sock, (ridx, k))?;
                     }
                 }
             }
         }
         self.ready.clear();
         self.poller.wait(WallDuration::ZERO, &mut self.ready)?;
+        lap(&self.m.stage_wait, &mut mark);
         self.m.loop_ready.add(self.ready.len() as u64);
         Ok(())
     }
 
-    /// Drain the sockets the last poll found readable into the bounded
+    /// Drain the sockets the last wait found readable into the bounded
     /// ingress queues.
     fn pump_recv(&mut self, sim_now: SimTime) {
         let ingress_cap = self.ingress_cap;
@@ -1374,7 +1403,7 @@ mod tests {
         let passes = c["live.age.passes"];
         assert!(passes >= 2, "routers never aged");
         assert!(passes * 4 < ticks, "{passes} aging passes in {ticks} ticks");
-        // Sockets are read when the poll reports them, not every tick.
+        // Sockets are read when the wait reports them, not every tick.
         let ready = c["live.loop.ready"];
         assert!(ready >= 1 && ready <= c["live.codec.rx"] + c["live.retry.attempts"]);
     }
@@ -1576,6 +1605,32 @@ mod tests {
             let other = 1 - id;
             assert_eq!(table.lookup(other, 16), Some(other), "router {id}");
         }
+    }
+
+    /// A reboot opens fresh sockets, and the loop's readiness set
+    /// follows: the rebooted router hears its peer again.
+    #[test]
+    fn a_rebooted_router_reads_its_new_sockets() {
+        let plan = FaultPlan::new()
+            .crash_at(1, SimTime::from_secs(150))
+            .reboot_at(1, SimTime::from_secs(400));
+        let spec = ScenarioSpec::lan(2, Duration::from_millis(50)).with_faults(plan);
+        let mut cfg = LiveConfig::new(spec, "test-reboot-reads", 3);
+        cfg.time_scale = 600.0;
+        cfg.horizon = SimTime::from_secs(1_200);
+        cfg.twin = false;
+        let report = LiveDaemon::new(cfg)
+            .expect("daemon boots")
+            .run()
+            .expect("run completes");
+        let heard = report.tables[&1]
+            .iter()
+            .find(|&(dst, _)| dst == 0)
+            .map(|(_, route)| route.last_heard);
+        assert!(
+            heard.is_some_and(|t| t > SimTime::from_secs(400) && t < SimTime::MAX),
+            "router 1 never heard router 0 after its reboot: {heard:?}"
+        );
     }
 
     /// The paper's coupling, live: a router re-arms its timer only once

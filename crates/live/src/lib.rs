@@ -18,8 +18,8 @@
 //!   CRC-framed checkpoints with byte-identical resume.
 //! * [`backoff`] — decorrelated-jitter retry delays (jittered by
 //!   construction; synchronized retries are the paper's failure mode).
-//! * `poll` — one `poll(2)` per loop tick names the sockets that have
-//!   something to read.
+//! * `poll` — an epoll interest set, filled once, whose one wait per
+//!   loop tick names the sockets that have something to read.
 //! * [`twin`] — the predictive simulation track and the live-vs-twin
 //!   divergence monitor exporting `live.twin.*`.
 //!

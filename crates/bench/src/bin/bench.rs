@@ -57,6 +57,7 @@ use routesync_core::{
     experiment, Engine, FastModel, NullRecorder, PeriodicModel, PeriodicParams, StartState,
 };
 use routesync_desim::{Duration, SimTime};
+use routesync_exec::telemetry::{Outputs, Session};
 use routesync_phenomena::{
     CascadeParams, CascadeSim, ExchangeSchedule, PulseParams, PulseSim, TwoTypeParams, TwoTypeSim,
 };
@@ -184,7 +185,9 @@ struct ObsSection {
     /// percent. Can go slightly negative from wall-clock noise.
     overhead_pct: f64,
     /// Counter events per second of instrumented wall time, grouped by
-    /// subsystem prefix (`desim`, `netsim`, `core`, `exec`).
+    /// subsystem prefix (`desim`, `netsim`, `core`, `exec`). Time
+    /// counters (names ending `_ns`, such as `exec.worker.busy_ns`) are
+    /// not events and are left out.
     events_per_sec: BTreeMap<String, f64>,
     /// Accumulated wall time per `obs::span!` label.
     span_breakdown: BTreeMap<String, routesync_obs::SpanSnapshot>,
@@ -591,12 +594,12 @@ fn main() {
     let mut on_result = (0u64, 0u64);
     run_leg(); // warm-up: caches, frequency scaling
     for _ in 0..reps {
-        routesync_obs::install(routesync_obs::Collector::disabled());
         let (sends, end, wall) = run_leg();
         off_result = (sends, end);
         disabled_wall = disabled_wall.min(wall);
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
         let (sends, end, wall) = run_leg();
+        drop(scope);
         on_result = (sends, end);
         enabled_wall = enabled_wall.min(wall);
     }
@@ -605,6 +608,8 @@ fn main() {
         "enabling instrumentation changed simulation results"
     );
     let overhead_pct = (enabled_wall - disabled_wall) / disabled_wall * 100.0;
+    // Everything from here on records into the live collector.
+    let _scope = routesync_obs::scoped(live.clone());
 
     // --- supervision overhead --------------------------------------------
     // The same ensemble leg through the one runner twice: once with no
@@ -744,9 +749,13 @@ fn main() {
     );
     let instrumented_wall = instrumented_start.elapsed().as_secs_f64();
 
-    let snapshot = routesync_obs::global().snapshot();
+    let snapshot = live.snapshot();
     let mut events_per_sec: BTreeMap<String, f64> = BTreeMap::new();
-    for (name, total) in &snapshot.counters {
+    let events = snapshot
+        .counters
+        .iter()
+        .filter(|(n, _)| !n.ends_with("_ns"));
+    for (name, total) in events {
         let subsystem = name.split('.').next().unwrap_or(name).to_string();
         *events_per_sec.entry(subsystem).or_insert(0.0) += *total as f64 / instrumented_wall;
     }
@@ -786,10 +795,14 @@ fn main() {
         .expect("write bench json");
     println!("{body}");
     eprintln!("wrote {out}");
+    let obs = Outputs {
+        snapshot: obs_path.clone().map(Into::into),
+        ..Outputs::default()
+    };
+    Session::export("bench", obs, live)
+        .and_then(|telemetry| telemetry.write())
+        .expect("write --obs snapshot");
     if let Some(path) = obs_path {
-        routesync_obs::global()
-            .write_json(std::path::Path::new(&path))
-            .expect("write --obs snapshot");
         eprintln!("wrote {path}");
     }
 }

@@ -18,6 +18,7 @@
 //! `all` run picks up where it left off. See `docs/RESILIENCE.md`.
 
 use routesync_bench::{run, Config, ALL};
+use routesync_exec::telemetry::{Outputs, Session};
 use routesync_exec::{checkpoint, interrupt, Ensemble, Quarantine, RunFailure, SuperviseConfig};
 
 const USAGE: &str = "\
@@ -35,10 +36,7 @@ exit codes: 0 ok, 1 shape-check failures or quarantined experiments,
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = Config::default();
-    let mut obs_path: Option<String> = None;
-    let mut serve_obs: Option<String> = None;
-    let mut obs_series: Option<String> = None;
-    let mut obs_folded: Option<String> = None;
+    let mut obs = Outputs::default();
     let mut resume_path: Option<String> = None;
     let mut quarantine_out: Option<String> = None;
     // Figures run one at a time; this loop checks for Ctrl-C between
@@ -56,19 +54,19 @@ fn main() {
             std::process::exit(0);
         }
         _ if a.starts_with("--obs=") => {
-            obs_path = Some(a["--obs=".len()..].to_string());
+            obs.snapshot = Some(a["--obs=".len()..].into());
             false
         }
         _ if a.starts_with("--serve-obs=") => {
-            serve_obs = Some(a["--serve-obs=".len()..].to_string());
+            obs.serve = Some(a["--serve-obs=".len()..].to_string());
             false
         }
         _ if a.starts_with("--obs-series=") => {
-            obs_series = Some(a["--obs-series=".len()..].to_string());
+            obs.series = Some(a["--obs-series=".len()..].into());
             false
         }
         _ if a.starts_with("--obs-folded=") => {
-            obs_folded = Some(a["--obs-folded=".len()..].to_string());
+            obs.folded = Some(a["--obs-folded=".len()..].into());
             false
         }
         _ if a.starts_with("--seed=") => {
@@ -125,27 +123,9 @@ fn main() {
         eprintln!("ids: {}", ALL.join(" "));
         std::process::exit(2);
     }
-    if obs_path.is_some() || serve_obs.is_some() || obs_series.is_some() || obs_folded.is_some() {
-        routesync_obs::install(routesync_obs::Collector::enabled());
-    }
-    if obs_series.is_some() || serve_obs.is_some() {
-        routesync_obs::global().configure_series(routesync_obs::SeriesConfig::default());
-    }
-    let server = serve_obs.as_deref().map(|addr| {
-        interrupt::install();
-        match routesync_obs::ObsServer::serve(addr, routesync_obs::global()) {
-            Ok(server) => {
-                eprintln!(
-                    "experiments: obs exporter listening on {}",
-                    server.local_addr()
-                );
-                server
-            }
-            Err(err) => {
-                eprintln!("experiments: --serve-obs={addr}: {err}");
-                std::process::exit(1);
-            }
-        }
+    let telemetry = Session::start("experiments", obs).unwrap_or_else(|err| {
+        eprintln!("experiments: {err}");
+        std::process::exit(1);
     });
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
         ALL.to_vec()
@@ -289,37 +269,13 @@ fn main() {
         );
         std::process::exit(130);
     }
-    if let Some(path) = obs_path {
-        if let Err(err) = routesync_obs::global().write_json(std::path::Path::new(&path)) {
-            eprintln!("experiments: failed to write --obs snapshot to {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &obs_series {
-        if let Err(err) =
-            routesync_obs::write_series(&routesync_obs::global(), std::path::Path::new(path))
-        {
-            eprintln!("experiments: failed to write --obs-series to {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &obs_folded {
-        if let Err(err) =
-            routesync_obs::write_folded(&routesync_obs::global(), std::path::Path::new(path))
-        {
-            eprintln!("experiments: failed to write --obs-folded to {path}: {err}");
-            std::process::exit(1);
-        }
+    if let Err(err) = telemetry.write() {
+        eprintln!("experiments: {err}");
+        std::process::exit(1);
     }
     if failures > 0 {
         eprintln!("{failures} experiment(s) failed their shape checks or were quarantined");
         std::process::exit(1);
     }
-    if let Some(server) = server {
-        eprintln!("experiments: done; serving obs until interrupted (Ctrl-C to exit)");
-        while !interrupt::interrupted() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-    }
+    telemetry.serve_until_interrupted();
 }

@@ -43,6 +43,7 @@ use std::sync::Mutex;
 
 use routesync_core::{PeriodicParams, Recorder, StartState};
 use routesync_desim::{Duration, SimTime};
+use routesync_exec::telemetry::{Outputs, Session};
 use routesync_exec::{
     checkpoint, interrupt, CellResult, Ensemble, Quarantine, RunCtx, SuperviseConfig,
 };
@@ -209,29 +210,19 @@ impl CellValue {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     validate_args(&args);
-    let obs_path = flag(&args, "obs");
-    let serve_obs = flag(&args, "serve-obs");
-    let obs_series = flag(&args, "obs-series");
-    let obs_folded = flag(&args, "obs-folded");
-    if obs_path.is_some() || serve_obs.is_some() || obs_series.is_some() || obs_folded.is_some() {
-        routesync_obs::install(routesync_obs::Collector::enabled());
-    }
-    if obs_series.is_some() || serve_obs.is_some() {
-        routesync_obs::global().configure_series(routesync_obs::SeriesConfig::default());
-    }
-    // Start the exporter before the work so /stream shows the sweep live.
-    let server = serve_obs.as_deref().map(|addr| {
-        interrupt::install();
-        match routesync_obs::ObsServer::serve(addr, routesync_obs::global()) {
-            Ok(server) => {
-                eprintln!("sweep: obs exporter listening on {}", server.local_addr());
-                server
-            }
-            Err(err) => {
-                eprintln!("sweep: --serve-obs {addr}: {err}");
-                std::process::exit(1);
-            }
-        }
+    // Start telemetry before the work, so /stream shows the sweep live.
+    let telemetry = Session::start(
+        "sweep",
+        Outputs {
+            snapshot: flag(&args, "obs").map(Into::into),
+            serve: flag(&args, "serve-obs"),
+            series: flag(&args, "obs-series").map(Into::into),
+            folded: flag(&args, "obs-folded").map(Into::into),
+        },
+    )
+    .unwrap_or_else(|err| {
+        eprintln!("sweep: {err}");
+        std::process::exit(1);
     });
     let param = flag(&args, "param").unwrap_or_else(|| "tr".into());
     let from: f64 = num_flag(&args, "from", 0.05);
@@ -464,40 +455,14 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(path) = obs_path {
-        if let Err(err) = routesync_obs::global().write_json(std::path::Path::new(&path)) {
-            eprintln!("sweep: failed to write --obs snapshot to {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &obs_series {
-        if let Err(err) =
-            routesync_obs::write_series(&routesync_obs::global(), std::path::Path::new(path))
-        {
-            eprintln!("sweep: failed to write --obs-series to {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &obs_folded {
-        if let Err(err) =
-            routesync_obs::write_folded(&routesync_obs::global(), std::path::Path::new(path))
-        {
-            eprintln!("sweep: failed to write --obs-folded to {path}: {err}");
-            std::process::exit(1);
-        }
+    if let Err(err) = telemetry.write() {
+        eprintln!("sweep: {err}");
+        std::process::exit(1);
     }
     if !quarantines.is_empty() {
         std::process::exit(1);
     }
-    // With a live exporter, keep serving the finished run's metrics until
-    // the user interrupts us (the PR 5 SIGINT path) — then a clean exit 0.
-    if let Some(server) = server {
-        eprintln!("sweep: done; serving obs until interrupted (Ctrl-C to exit)");
-        while !interrupt::interrupted() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-    }
+    telemetry.serve_until_interrupted();
 }
 
 /// The reproducer line for one quarantined cell: enough to re-run it in

@@ -8,8 +8,8 @@
 //! Own test binary for the same reason as `injected_bug.rs`: the defect
 //! toggles are process-global, and `cargo test` runs test *binaries*
 //! sequentially, so a flipped rule can never leak into other suites.
-//! Within this binary the tests serialize on `TOGGLE_LOCK` — both the
-//! toggles and the fuzzer's obs-collector swap are process-global.
+//! Within this binary the tests serialize on `TOGGLE_LOCK`, because the
+//! toggles are process-global.
 
 use std::sync::{Mutex, MutexGuard};
 

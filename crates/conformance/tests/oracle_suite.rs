@@ -4,15 +4,10 @@
 //! fuzz run must be bit-deterministic.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 use routesync_conformance::fuzz::{self, FuzzConfig};
 use routesync_conformance::oracles;
 use routesync_conformance::spec::{CaseSpec, Oracle};
-
-/// The fuzzer's obs-collector swap is process-global; serialize the tests
-/// that go through `run_case` (plain oracle calls never touch obs state).
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn abstract_case(oracle: Oracle, n: usize, tr_ms: u64, horizon_s: u64) -> CaseSpec {
     CaseSpec {
@@ -98,7 +93,6 @@ fn engine_equivalence_holds_on_a_parameter_sweep() {
 /// from two identical runs are byte-identical, and all cases pass.
 #[test]
 fn bounded_fuzz_run_is_deterministic_and_green() {
-    let _guard = OBS_LOCK.lock().unwrap();
     let run = || {
         fuzz::fuzz(&FuzzConfig {
             seed: 1,
@@ -125,7 +119,6 @@ fn bounded_fuzz_run_is_deterministic_and_green() {
 /// Distinct fuzz seeds explore distinct case streams.
 #[test]
 fn fuzz_seeds_are_independent() {
-    let _guard = OBS_LOCK.lock().unwrap();
     let specs_of = |seed: u64| {
         let mut rng = routesync_rng::SplitMix64::new(seed);
         let corpus: Vec<CaseSpec> = fuzz::seed_corpus();

@@ -81,10 +81,6 @@ mod tests {
     use crate::record::SendTrace;
     use routesync_desim::Duration;
     use routesync_obs::Collector;
-    use std::sync::Mutex;
-
-    /// Tests install the global collector; serialize them.
-    static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
     fn params() -> PeriodicParams {
         PeriodicParams::new(
@@ -97,14 +93,13 @@ mod tests {
 
     #[test]
     fn online_series_is_bit_identical_to_the_offline_analysis() {
-        let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
         let live = Collector::enabled();
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
         let p = params();
         let mut model = FastModel::new(p, StartState::Unsynchronized, 1993);
         let mut rec = (Telemetry::from_global(&p), SendTrace::new());
         model.run(SimTime::from_secs(300_000), &mut rec);
-        routesync_obs::install(Collector::disabled());
+        drop(scope);
 
         let offline = order_parameter_series(&rec.1, p.n, p.round_len());
         let online = rec.0.detector().snapshot();
@@ -121,8 +116,7 @@ mod tests {
 
     #[test]
     fn disabled_collector_makes_telemetry_a_noop() {
-        let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-        routesync_obs::install(Collector::disabled());
+        let _scope = routesync_obs::scoped(Collector::disabled());
         let p = params();
         let mut model = FastModel::new(p, StartState::Unsynchronized, 7);
         let mut rec = Telemetry::from_global(&p);

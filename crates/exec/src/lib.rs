@@ -28,6 +28,8 @@
 //!
 //! A block of seeds for a batched engine is just an item, so the runner
 //! has no block-width knob.
+//!
+//! A binary's telemetry flags are one [`telemetry::Session`].
 
 // `deny` rather than `forbid`: the `interrupt` module registers one
 // SIGINT handler through libc and carries the only `allow(unsafe_code)`.
@@ -36,6 +38,7 @@
 pub mod checkpoint;
 pub mod interrupt;
 pub mod supervise;
+pub mod telemetry;
 
 pub use checkpoint::atomic_write;
 pub use supervise::{

@@ -813,12 +813,11 @@ mod tests {
     }
 
     /// One run emits both the worker timings and the supervisor cell
-    /// accounting. Lower bounds only: the collector is process-global.
+    /// accounting, exactly: the collector is this test's scope.
     #[test]
     fn one_run_emits_worker_and_supervisor_counters() {
-        let previous = routesync_obs::global();
         let live = routesync_obs::Collector::enabled();
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
         let items: Vec<u64> = (0..16).collect();
         let out = Ensemble::new(&items)
             .threads(2)
@@ -830,14 +829,14 @@ mod tests {
                 },
             )
             .into_values();
+        drop(scope);
         let snap = live.snapshot();
-        routesync_obs::install(previous);
         assert_eq!(out, items);
         let counter = |name: &str| snap.counters.get(name).copied();
         assert!(counter("exec.worker.busy_ns").unwrap_or(0) >= 16 * 1_000_000);
         assert!(counter("exec.worker.idle_ns").is_some(), "idle_ns missing");
-        assert!(counter("exec.supervisor.cells").unwrap_or(0) >= 16);
-        assert!(counter("exec.supervisor.completed").unwrap_or(0) >= 16);
+        assert_eq!(counter("exec.supervisor.cells"), Some(16));
+        assert_eq!(counter("exec.supervisor.completed"), Some(16));
     }
 
     #[test]

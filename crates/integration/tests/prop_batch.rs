@@ -132,24 +132,22 @@ fn obs_instrumentation_does_not_perturb_batched_traces() {
     let seeds: Vec<u64> = (0..16).map(|i| 7_000 + 13 * i).collect();
     let reference = traces_of(Route::Blocks(8), &seeds, 2);
 
-    let previous = routesync_obs::global();
-    routesync_obs::install(routesync_obs::Collector::enabled());
+    let live = routesync_obs::Collector::enabled();
+    let scope = routesync_obs::scoped(live.clone());
     let instrumented = traces_of(Route::Blocks(8), &seeds, 2);
-    let snap = routesync_obs::global().snapshot();
-    routesync_obs::install(previous);
+    drop(scope);
+    let snap = live.snapshot();
 
     assert_eq!(
         instrumented, reference,
         "a live collector changed the batched traces"
     );
-    // Lower bound, not equality: sibling tests in this binary may run
-    // batched blocks concurrently while the enabled collector is
-    // installed, and the counter is process-global.
-    let cells = snap.counters.get("core.batch.cells").copied().unwrap_or(0);
-    assert!(
-        cells >= seeds.len() as u64,
-        "core.batch.cells undercounted: {cells} < {}",
-        seeds.len()
+    // Exact: the collector is this test's scope, so sibling tests
+    // running batched blocks concurrently cannot reach it.
+    assert_eq!(
+        snap.counters.get("core.batch.cells").copied(),
+        Some(seeds.len() as u64),
+        "core.batch.cells miscounted"
     );
 }
 

@@ -1,20 +1,14 @@
-//! The observability layer must be a pure observer: installing a live
+//! The observability layer must be a pure observer: entering a live
 //! collector must not change a single byte of any simulation output —
 //! results, event ordering, or exported CSV. These tests run the same
-//! workloads with `Collector::disabled()` and `Collector::enabled()`
-//! installed and compare the outputs byte for byte.
-
-use std::sync::Mutex;
+//! workloads under a disabled and an enabled scoped collector and
+//! compare the outputs byte for byte.
 
 use proptest::prelude::*;
 use routesync_core::{experiment, FastModel, FirstPassageUp, PeriodicParams, StartState};
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::{ScenarioSpec, TimerStart};
 use routesync_obs::Collector;
-
-/// Serializes tests that toggle the process-global collector so parallel
-/// test threads don't interleave install calls mid-comparison.
-static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
 /// Run a small ensemble and render it as the CSV an experiment would
 /// write: one line per seed with the end time and first-passage time.
@@ -84,17 +78,16 @@ proptest! {
         seed0 in 0u64..1_000,
         threads in 1usize..6,
     ) {
-        let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
         let seeds: Vec<u64> = (seed0..seed0 + 4).collect();
 
-        routesync_obs::install(Collector::disabled());
         let off = ensemble_csv(paper_params(n), &seeds, threads);
 
-        routesync_obs::install(Collector::enabled());
+        let live = Collector::enabled();
+        let scope = routesync_obs::scoped(live.clone());
         let on = ensemble_csv(paper_params(n), &seeds, threads);
-        let snapshot = routesync_obs::global().snapshot();
+        drop(scope);
+        let snapshot = live.snapshot();
 
-        routesync_obs::install(Collector::disabled());
         prop_assert_eq!(&off, &on, "collector changed the core CSV");
         // The enabled leg must actually have observed the run.
         prop_assert!(
@@ -109,16 +102,14 @@ proptest! {
         n in 3usize..8,
         seed in 0u64..1_000,
     ) {
-        let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-
-        routesync_obs::install(Collector::disabled());
         let off = netsim_csv(n, seed);
 
-        routesync_obs::install(Collector::enabled());
+        let live = Collector::enabled();
+        let scope = routesync_obs::scoped(live.clone());
         let on = netsim_csv(n, seed);
-        let snapshot = routesync_obs::global().snapshot();
+        drop(scope);
+        let snapshot = live.snapshot();
 
-        routesync_obs::install(Collector::disabled());
         prop_assert_eq!(&off, &on, "collector changed the netsim CSV");
         prop_assert!(
             snapshot.counters.get("netsim.packets.sent").copied().unwrap_or(0) > 0,
@@ -131,11 +122,11 @@ proptest! {
 /// export with every required top-level key present.
 #[test]
 fn snapshot_json_has_required_keys() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-    routesync_obs::install(Collector::enabled());
+    let live = Collector::enabled();
+    let scope = routesync_obs::scoped(live.clone());
     ensemble_csv(paper_params(4), &[1, 2], 2);
-    let snapshot = routesync_obs::global().snapshot();
-    routesync_obs::install(Collector::disabled());
+    drop(scope);
+    let snapshot = live.snapshot();
 
     let json = snapshot.to_json();
     for key in routesync_obs::REQUIRED_KEYS {

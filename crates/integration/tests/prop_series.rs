@@ -9,7 +9,6 @@
 //! estimate agrees with the offline post-hoc computation.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 use routesync_core::{
     analysis, experiment, BatchedEnsemble, Engine, FastModel, FirstPassageUp, PeriodicParams,
@@ -18,9 +17,6 @@ use routesync_core::{
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::ScenarioSpec;
 use routesync_obs::{Collector, DetectorSnapshot, ObsServer, SeriesConfig};
-
-/// Serializes tests that toggle the process-global collector.
-static GLOBAL_OBS: Mutex<()> = Mutex::new(());
 
 fn paper_params(n: usize) -> PeriodicParams {
     PeriodicParams::new(
@@ -65,24 +61,22 @@ fn ensemble_csv(engine: Engine, params: PeriodicParams, seeds: &[u64], threads: 
 /// run — at threads 1/2/4, on both the scalar and the batched engine.
 #[test]
 fn full_telemetry_leaves_ensemble_output_byte_identical() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     let params = paper_params(6);
     let seeds: Vec<u64> = (100..108).collect();
 
     for threads in [1usize, 2, 4] {
-        routesync_obs::install(Collector::disabled());
         let off_scalar = ensemble_csv(Engine::Scalar, params, &seeds, threads);
         let off_batched = ensemble_csv(Engine::Batched, params, &seeds, threads);
 
         let live = Collector::enabled();
         live.configure_series(SeriesConfig::every(1_000_000_000));
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
         let server = ObsServer::serve("127.0.0.1:0", live.clone()).expect("bind loopback");
         let on_scalar = ensemble_csv(Engine::Scalar, params, &seeds, threads);
         let on_batched = ensemble_csv(Engine::Batched, params, &seeds, threads);
+        drop(scope);
         let snap = live.snapshot();
         server.shutdown();
-        routesync_obs::install(Collector::disabled());
 
         assert_eq!(
             off_scalar, on_scalar,
@@ -109,7 +103,6 @@ fn full_telemetry_leaves_ensemble_output_byte_identical() {
 /// or double-count a single increment).
 #[test]
 fn series_deltas_sum_exactly_to_final_counters() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     let params = paper_params(5);
     let seeds: Vec<u64> = (0..12).collect();
 
@@ -120,10 +113,10 @@ fn series_deltas_sum_exactly_to_final_counters() {
             interval_ns: 500_000_000,
             capacity: 8,
         });
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
         ensemble_csv(Engine::Scalar, params, &seeds, threads);
+        drop(scope);
         let snap = live.snapshot();
-        routesync_obs::install(Collector::disabled());
 
         let sums = snap.series.counter_sums();
         for (name, &total) in &snap.counters {
@@ -148,13 +141,12 @@ fn detector_points(snap: &DetectorSnapshot) -> Vec<(u64, u64, u64, u64)> {
 /// cluster stats — every bit) must be identical.
 #[test]
 fn batched_r_series_bit_identical_to_scalar() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     let params = paper_params(9);
     let horizon = SimTime::from_secs(200_000);
 
     for seed in [1u64, 42, 1993] {
         let live = Collector::enabled();
-        routesync_obs::install(live.clone());
+        let scope = routesync_obs::scoped(live.clone());
 
         let mut scalar = FastModel::new(params, StartState::Unsynchronized, seed);
         let mut rec = Telemetry::named("series.scalar", &params);
@@ -164,9 +156,9 @@ fn batched_r_series_bit_identical_to_scalar() {
         batched.reset(&StartState::Unsynchronized, &[seed]);
         let mut recs = vec![Telemetry::named("series.batched", &params)];
         batched.run(horizon, &mut recs);
+        drop(scope);
 
         let snap = live.snapshot();
-        routesync_obs::install(Collector::disabled());
 
         let s = &snap.detectors["series.scalar"];
         let b = &snap.detectors["series.batched"];
@@ -190,13 +182,13 @@ fn assert_online_matches_offline(
     horizon_secs: u64,
 ) {
     let live = Collector::enabled();
-    routesync_obs::install(live.clone());
+    let scope = routesync_obs::scoped(live.clone());
     let scen = spec.with_timeline(true).build(seed);
     let mut sim = scen.sim;
     sim.run_until(SimTime::from_secs(horizon_secs));
+    drop(scope);
     let log: Vec<(SimTime, usize)> = sim.update_log().to_vec();
     let snap = live.snapshot();
-    routesync_obs::install(Collector::disabled());
 
     // Reconstruct the offline post-hoc series from the recorded timeline.
     let routers: BTreeSet<usize> = log.iter().map(|&(_, node)| node).collect();
@@ -245,7 +237,6 @@ fn assert_online_matches_offline(
 /// estimate agrees with the offline computation (IGRP 90 s updates).
 #[test]
 fn nearnet_online_onset_matches_offline() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     assert_online_matches_offline(
         ScenarioSpec::nearnet(),
         1993,
@@ -259,7 +250,6 @@ fn nearnet_online_onset_matches_offline() {
 /// 0.5 s, synchronized start).
 #[test]
 fn lan_online_detector_matches_offline_series() {
-    let _guard = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     assert_online_matches_offline(
         ScenarioSpec::lan(7, Duration::from_secs_f64(0.5)),
         7,

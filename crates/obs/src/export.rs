@@ -1,5 +1,6 @@
-//! Zero-dependency exporters: Prometheus text, NDJSON streaming, series
-//! dumps, and folded-stack span profiles.
+//! Zero-dependency exporters: Prometheus text, NDJSON streaming, the
+//! series document, and folded-stack span profiles. These render bodies;
+//! `routesync-exec`'s telemetry session writes them to files.
 //!
 //! Everything here is plain `std`: the HTTP server is a hand-rolled
 //! `std::net::TcpListener` loop (ROADMAP item 3 — streaming snapshots
@@ -20,7 +21,6 @@
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,28 +116,24 @@ pub fn folded_stacks(snap: &Snapshot) -> String {
     out
 }
 
-/// Dump the collector's time-series to `path`: CSV if the extension is
-/// `.csv`, pretty JSON otherwise. The write is atomic (tmp + fsync +
-/// rename), matching `Collector::write_json`.
+/// The `--obs-series` document for `snap`: long-format CSV when `csv`,
+/// pretty JSON otherwise.
 ///
-/// The CSV is long-format, one row per changed value:
+/// The CSV has one row per changed value:
 /// `t_ns,kind,name,value` with kinds `counter` (delta since previous
 /// sample; `base`/`tail` rows bracket the ring so the column sums to the
 /// final totals), `gauge`, and `detector` (`<name>.r`, `.clusters`,
 /// `.entropy` per completed window).
-pub fn write_series(collector: &Collector, path: &Path) -> std::io::Result<()> {
-    let snap = collector.snapshot();
-    let body = if path.extension().is_some_and(|e| e == "csv") {
-        series_csv(&snap)
-    } else {
-        serde_json::to_string_pretty(&SeriesDump {
-            schema_version: snap.schema_version,
-            series: snap.series.clone(),
-            detectors: snap.detectors.clone(),
-        })
-        .expect("series serializes")
-    };
-    atomic_write(path, body.as_bytes())
+pub fn series_document(snap: &Snapshot, csv: bool) -> String {
+    if csv {
+        return series_csv(snap);
+    }
+    serde_json::to_string_pretty(&SeriesDump {
+        schema_version: snap.schema_version,
+        series: snap.series.clone(),
+        detectors: snap.detectors.clone(),
+    })
+    .expect("series serializes")
 }
 
 /// The `--obs-series` JSON document: the registry series plus every
@@ -175,29 +171,6 @@ fn series_csv(snap: &Snapshot) -> String {
         }
     }
     out
-}
-
-/// Write the collector's span profile as folded stacks to `path`.
-pub fn write_folded(collector: &Collector, path: &Path) -> std::io::Result<()> {
-    atomic_write(path, folded_stacks(&collector.snapshot()).as_bytes())
-}
-
-/// Atomic tmp + fsync + rename write (duplicated from `routesync-exec`,
-/// which sits above this crate in the dependency graph).
-fn atomic_write(path: &Path, body: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.to_path_buf();
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| ".obs".into());
-    name.push(".tmp");
-    tmp.set_file_name(name);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(body)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// A background observability server bound to a local address.

@@ -37,17 +37,18 @@
 //! assert!(off.snapshot().counters.is_empty());
 //! ```
 //!
-//! Simulator constructors resolve their handles from the **global**
-//! collector ([`global`]), which defaults to disabled; binaries opt in
-//! with [`install`]`(Collector::enabled())` (the `--obs` flag). Handles
-//! resolved before an install stay no-op — construct instruments after
-//! installing.
+//! Simulator constructors resolve their handles from [`global`]: the
+//! innermost [`scoped`] collector entered on this thread, else the
+//! process-wide one, which stays disabled unless [`install`]ed (kept for
+//! the routebench benchmark alone). Handles resolved before a scope is
+//! entered stay no-op, so enter it before constructing the simulators
+//! you want observed.
 //!
-//! A caller that needs metrics of its own work only — the conformance
-//! fuzzer reads each case's coverage back from them — enters a
-//! [`scoped`] collector instead. [`global`] on that thread returns it
-//! until the guard drops, so neither a concurrent [`install`] nor another
-//! thread's recording can reach it:
+//! A binary's run enters a scope through `routesync-exec`'s telemetry
+//! session (the `--obs`, `--serve-obs`, `--obs-series` and
+//! `--obs-folded` flags), and its ensemble workers inherit it. The
+//! conformance fuzzer enters one per case and reads the case's coverage
+//! back from it. No other thread records into a scope:
 //!
 //! ```
 //! use routesync_obs::Collector;
@@ -85,9 +86,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub use export::{
-    folded_stacks, ndjson_line, prometheus_text, write_folded, write_series, ObsServer,
-};
+pub use export::{folded_stacks, ndjson_line, prometheus_text, series_document, ObsServer};
 pub use metrics::{Counter, Gauge, Histogram, LocalHistogram};
 pub use online::{
     onset_from_series, DetectorConfig, DetectorPoint, DetectorSnapshot, SyncDetector,
@@ -324,29 +323,6 @@ impl Collector {
         }
         snap
     }
-
-    /// Snapshot and write pretty JSON to `path`.
-    ///
-    /// The write is atomic (tmp sibling + fsync + rename, duplicated here
-    /// because `routesync-obs` sits below `routesync-exec` in the crate
-    /// graph): a crash mid-write never leaves a truncated snapshot.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let body = self.snapshot().to_json();
-        let mut tmp = path.to_path_buf();
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| ".obs".into());
-        name.push(".tmp");
-        tmp.set_file_name(name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -366,6 +342,10 @@ thread_local! {
 
 /// Install `collector` as the process-wide collector that instrumented
 /// constructors (and [`span!`] call sites) resolve against.
+///
+/// Kept for one caller, the routebench benchmark, which installs a live
+/// collector for its traced legs. Everything else enters a [`scoped`]
+/// collector instead.
 ///
 /// Handles resolved from the previous collector keep recording into it;
 /// install **before** constructing the simulators you want observed.

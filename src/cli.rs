@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 
 use routesync_core::{PeriodicModel, PeriodicParams, RoundMax, StartState};
 use routesync_desim::{Duration, SimTime};
+use routesync_exec::telemetry::{Outputs, Session};
 use routesync_markov::{ChainParams, PeriodicChain, Region};
 use routesync_stats::ascii;
 
@@ -276,22 +277,21 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let params = core_params(flags)?;
     let horizon = get_f64(flags, "horizon", 1e6)?;
     let seed = get_u64(flags, "seed", 1993)?;
-    // Any telemetry flag turns the global collector on *before* the engine
-    // is constructed (obs handles resolve once, at construction time). The
+    // Any telemetry flag enters a live collector *before* the engine is
+    // constructed (obs handles resolve once, at construction time). The
     // simulation output below is byte-identical either way — the PR 2
     // invariant, re-asserted for the trajectory telemetry by the
     // integration tests.
-    let obs_live = flags.contains_key("obs-series")
-        || flags.contains_key("obs-folded")
-        || flags.contains_key("serve-obs");
-    if obs_live {
-        routesync_obs::install(routesync_obs::Collector::enabled());
-        routesync_obs::global().configure_series(routesync_obs::SeriesConfig::default());
-    }
-    if flags.contains_key("serve-obs") {
-        routesync_exec::interrupt::install();
-    }
-    let server = obs_server("simulate", flags, routesync_obs::global())?;
+    let telemetry = Session::start(
+        "simulate",
+        Outputs {
+            snapshot: None,
+            serve: flags.get("serve-obs").cloned(),
+            series: flags.get("obs-series").map(Into::into),
+            folded: flags.get("obs-folded").map(Into::into),
+        },
+    )
+    .map_err(|e| CliError::Failure(format!("{e}\n")))?;
     let start = match flags.get("start").map(|s| s.as_str()).unwrap_or("unsync") {
         "unsync" | "unsynchronized" => StartState::Unsynchronized,
         "sync" | "synchronized" => StartState::Synchronized,
@@ -391,43 +391,11 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
         let _ = writeln!(out, "largest cluster per round:");
         out.push_str(&ascii::scatter(&pts, 90, 16, '+'));
     }
-    if let Some(path) = flags.get("obs-series") {
-        routesync_obs::write_series(&routesync_obs::global(), std::path::Path::new(path))
-            .map_err(|e| CliError::Failure(format!("cannot write --obs-series {path:?}: {e}\n")))?;
-    }
-    if let Some(path) = flags.get("obs-folded") {
-        routesync_obs::write_folded(&routesync_obs::global(), std::path::Path::new(path))
-            .map_err(|e| CliError::Failure(format!("cannot write --obs-folded {path:?}: {e}\n")))?;
-    }
-    serve_until_interrupted("simulate", server);
+    telemetry
+        .write()
+        .map_err(|e| CliError::Failure(format!("{e}\n")))?;
+    telemetry.serve_until_interrupted();
     Ok(out)
-}
-
-/// `--serve-obs ADDR`: export `collector` over HTTP while `cmd` runs.
-fn obs_server(
-    cmd: &str,
-    flags: &HashMap<String, String>,
-    collector: routesync_obs::Collector,
-) -> Result<Option<routesync_obs::ObsServer>, CliError> {
-    let Some(addr) = flags.get("serve-obs") else {
-        return Ok(None);
-    };
-    let server = routesync_obs::ObsServer::serve(addr, collector)
-        .map_err(|e| CliError::Failure(format!("--serve-obs {addr}: {e}\n")))?;
-    eprintln!("{cmd}: obs exporter listening on {}", server.local_addr());
-    Ok(Some(server))
-}
-
-/// Keep serving a finished run's metrics until Ctrl-C, then return to
-/// exit cleanly through the normal output path.
-fn serve_until_interrupted(cmd: &str, server: Option<routesync_obs::ObsServer>) {
-    if let Some(server) = server {
-        eprintln!("{cmd}: done; serving obs until interrupted (Ctrl-C to exit)");
-        while !routesync_exec::interrupt::interrupted() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-    }
 }
 
 fn chain_params(flags: &HashMap<String, String>) -> Result<ChainParams, String> {
@@ -698,7 +666,12 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
     // One explicit collector, exported and written to: nothing else in
     // the process (the twin's own simulator included) reaches it.
     let collector = routesync_obs::Collector::enabled();
-    let server = obs_server("serve", flags, collector.clone())?;
+    let serve_obs = Outputs {
+        serve: flags.get("serve-obs").cloned(),
+        ..Outputs::default()
+    };
+    let telemetry = Session::export("serve", serve_obs, collector.clone())
+        .map_err(|e| CliError::Failure(format!("{e}\n")))?;
 
     let mut cfg = LiveConfig::new(spec, fingerprint, seed);
     cfg.time_scale = scale;
@@ -763,7 +736,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<String, CliError> {
             report.sim_end
         )));
     }
-    serve_until_interrupted("serve", server);
+    telemetry.serve_until_interrupted();
     Ok(out)
 }
 
@@ -938,6 +911,22 @@ mod tests {
         let out = run(&args("simulate --n 5 --horizon 5000 --seed 1 --plot")).expect("ok");
         assert!(out.contains("largest cluster per round"), "{out}");
         assert!(out.contains('┐'), "{out}");
+    }
+
+    #[test]
+    fn simulate_telemetry_ends_with_the_run() {
+        let dir = std::env::temp_dir().join(format!("routesync-cli-obs-{}", std::process::id()));
+        let folded = dir.join("spans/simulate.folded");
+        let mut argv = args("simulate --n 5 --horizon 5000 --seed 1 --engine fast --obs-folded");
+        argv.push(folded.display().to_string());
+        run(&argv).expect("ok");
+        let body = std::fs::read_to_string(&folded).expect("folded stacks written");
+        assert!(body.contains("core;fast;run "), "{body}");
+        assert!(
+            !routesync_obs::global().is_enabled(),
+            "simulate left a live collector behind"
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -359,10 +359,10 @@ fn main() {
         .threads(threads)
         .limits(cfg)
         .describe(describe)
-        .sink(|i, finished: Result<&CellValue, &Quarantine>| {
+        .sink(|i, finished: Result<&Ran, &Quarantine>| {
             if let Some(writer) = &writer {
                 let value = match finished {
-                    Ok(v) => v.encode(),
+                    Ok((v, _)) => v.encode(),
                     Err(q) => CellValue::Quarantined(q.to_line()).encode(),
                 };
                 let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
@@ -401,8 +401,16 @@ fn main() {
     let mut fresh = std::collections::BTreeMap::new();
     for (slot, cell) in outcome.results.iter().zip(pending.iter()) {
         match slot {
-            CellResult::Done(v) => {
-                fresh.insert(cell.key.clone(), (*v).clone());
+            CellResult::Done((v, sends)) => {
+                // The cells share one `core.sync` detector: it hears them
+                // here, in cell order, whatever `--threads` ran them.
+                if let Some((params, sends)) = sends {
+                    let mut rec = routesync_core::Telemetry::from_global(params);
+                    for &t in sends {
+                        rec.on_send(t, 0);
+                    }
+                }
+                fresh.insert(cell.key.clone(), v.clone());
             }
             CellResult::Quarantined => {}
             CellResult::NotRun => unreachable!("not interrupted"),
@@ -499,6 +507,20 @@ impl<R: Recorder> Recorder for Ticked<'_, R> {
     }
 }
 
+/// A `sync-time` cell's send instants, kept while a collector is live.
+struct SendTimes(Option<Vec<SimTime>>);
+
+impl Recorder for SendTimes {
+    fn on_send(&mut self, t: SimTime, _node: routesync_core::NodeId) {
+        if let Some(times) = &mut self.0 {
+            times.push(t);
+        }
+    }
+}
+
+/// A cell's value, and a `sync-time` cell's parameters and [`SendTimes`].
+type Ran = (CellValue, Option<(PeriodicParams, Vec<SimTime>)>);
+
 /// Evaluate one supervised cell.
 fn run_cell(
     metric: &str,
@@ -507,9 +529,9 @@ fn run_cell(
     f2: f64,
     horizon: f64,
     ctx: &mut RunCtx,
-) -> CellValue {
+) -> Ran {
     let p = cell.params;
-    match metric {
+    let value = match metric {
         "fraction" => {
             ctx.tick();
             CellValue::Value(PeriodicChain::new(p).fraction_unsynchronized(f2))
@@ -529,11 +551,9 @@ fn run_cell(
                 Duration::from_secs_f64(p.tc),
                 Duration::from_secs_f64(p.tr),
             );
-            // Telemetry first in the pair: it only writes to obs, so the
-            // swept value below stays byte-identical with it attached.
             let mut rec = Ticked {
                 inner: (
-                    routesync_core::Telemetry::from_global(&params),
+                    SendTimes(routesync_obs::global().is_enabled().then(Vec::new)),
                     routesync_core::FirstPassageUp::new(p.n),
                 ),
                 ctx,
@@ -554,10 +574,11 @@ fn run_cell(
                     block.run(horizon, std::slice::from_mut(&mut rec));
                 }
             }
-            match rec.inner.1.first(p.n) {
+            let value = match rec.inner.1.first(p.n) {
                 Some((t, _)) => CellValue::Value(t.as_secs_f64()),
                 None => CellValue::Censored,
-            }
+            };
+            return (value, rec.inner.0 .0.map(|sends| (params, sends)));
         }
         "resync-time" => match resync_time(p, cell.seed, horizon, ctx) {
             Some(t) => CellValue::Value(t),
@@ -565,7 +586,8 @@ fn run_cell(
         },
         "net-events" => CellValue::Value(net_events(p, cell.seed, horizon, ctx)),
         other => unreachable!("metric validated in main: {other}"),
-    }
+    };
+    (value, None)
 }
 
 /// Reduce per-cell values to one y per grid point: the mean over that

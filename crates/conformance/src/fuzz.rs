@@ -22,7 +22,7 @@ use routesync_rng::SplitMix64;
 use crate::coverage::{self, CoverageMap};
 use crate::oracles;
 use crate::shrink;
-use crate::spec::{CaseSpec, FaultOp, Oracle, Reproducer};
+use crate::spec::{CaseSpec, Defect, FaultOp, Oracle, Reproducer};
 
 /// Corpus growth cap; beyond this, new-coverage specs still count as
 /// coverage but are not kept.
@@ -53,6 +53,9 @@ pub struct FuzzConfig {
     /// re-running their oracles — with byte-identical report output. Use
     /// [`fuzz_checkpointed`] when set.
     pub checkpoint: Option<PathBuf>,
+    /// The deliberate defect every case's models are built with; `None`
+    /// outside the harness's self-test.
+    pub defect: Option<Defect>,
 }
 
 impl Default for FuzzConfig {
@@ -64,6 +67,7 @@ impl Default for FuzzConfig {
             out_dir: None,
             watchdog_steps: None,
             checkpoint: None,
+            defect: None,
         }
     }
 }
@@ -481,11 +485,15 @@ fn mutate_faults(spec: &mut CaseSpec, rng: &mut SplitMix64) {
 /// collector is [`routesync_obs::scoped`] to this thread (and the
 /// ensemble workers the oracle fans out to), so concurrent installs and
 /// other threads' recording cannot leak into the coverage.
-pub fn run_case(spec: &CaseSpec, seed: u64) -> (Result<(), String>, BTreeSet<String>, u64) {
+pub fn run_case(
+    spec: &CaseSpec,
+    seed: u64,
+    defect: Option<Defect>,
+) -> (Result<(), String>, BTreeSet<String>, u64) {
     let case = routesync_obs::Collector::enabled();
     let result = {
         let _scope = routesync_obs::scoped(case.clone());
-        oracles::check(spec, seed)
+        oracles::check(spec, seed, defect)
     };
     let snap = case.snapshot();
     (
@@ -556,7 +564,7 @@ fn decode_verdict(s: &str) -> std::io::Result<CaseVerdict> {
 /// Run one case under the supervision boundary. A panicking oracle is
 /// quarantined with a replayable reproducer; a case whose deterministic
 /// step count exceeds `watchdog_steps` is quarantined as a watchdog trip.
-fn run_supervised_case(spec: &CaseSpec, seed: u64, watchdog_steps: Option<u64>) -> CaseVerdict {
+fn run_supervised_case(spec: &CaseSpec, seed: u64, cfg: &FuzzConfig) -> CaseVerdict {
     let repro_line = Reproducer {
         seed,
         spec: spec.clone(),
@@ -565,12 +573,12 @@ fn run_supervised_case(spec: &CaseSpec, seed: u64, watchdog_steps: Option<u64>) 
     .to_line();
     let outcome = Ensemble::new(&[()])
         .describe(|_, _| repro_line.clone())
-        .run(|| (), |(), _ctx, _, _| run_case(spec, seed))
+        .run(|| (), |(), _ctx, _, _| run_case(spec, seed, cfg.defect))
         .into_result();
     match outcome.map(|mut single| single.remove(0)) {
         Err(q) => CaseVerdict::Quarantined(q.to_line()),
         Ok((result, feats, steps)) => {
-            if let Some(budget) = watchdog_steps {
+            if let Some(budget) = cfg.watchdog_steps {
                 if steps > budget {
                     let q = routesync_exec::Quarantine {
                         index: 0,
@@ -593,7 +601,7 @@ fn run_supervised_case(spec: &CaseSpec, seed: u64, watchdog_steps: Option<u64>) 
                     // that panics does not count as "still failing".
                     let safe_check = |s: &CaseSpec, sd: u64| {
                         Ensemble::new(&[()])
-                            .run(|| (), |(), _ctx, _, _| oracles::check(s, sd))
+                            .run(|| (), |(), _ctx, _, _| oracles::check(s, sd, cfg.defect))
                             .into_result()
                             .map_or(Ok(()), |mut single| single.remove(0))
                     };
@@ -650,10 +658,13 @@ pub fn fuzz_checkpointed(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
         resumed: 0,
         interrupted: false,
     };
-    let meta = format!(
+    let mut meta = format!(
         "conformance-v1 seed={} cases={} watchdog={:?}",
         cfg.seed, cfg.budget_cases, cfg.watchdog_steps
     );
+    if let Some(defect) = cfg.defect {
+        meta.push_str(&format!(" defect={defect:?}"));
+    }
     let mut ckpt = match &cfg.checkpoint {
         Some(path) => {
             routesync_exec::interrupt::install();
@@ -694,7 +705,7 @@ pub fn fuzz_checkpointed(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
                     report.interrupted = true;
                     break;
                 }
-                let v = run_supervised_case(&spec, case_seed, cfg.watchdog_steps);
+                let v = run_supervised_case(&spec, case_seed, cfg);
                 if let Some((writer, _)) = &mut ckpt {
                     writer.append(&key, &encode_verdict(&v))?;
                 }
@@ -744,9 +755,9 @@ pub fn fuzz_checkpointed(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
     Ok(report)
 }
 
-/// Replay a reproducer line: run its oracle once, verbatim.
-pub fn replay(repro: &Reproducer) -> Result<(), String> {
-    oracles::check(&repro.spec, repro.seed)
+/// Replay a reproducer line: run its oracle once, verbatim, with `defect`.
+pub fn replay(repro: &Reproducer, defect: Option<Defect>) -> Result<(), String> {
+    oracles::check(&repro.spec, repro.seed, defect)
 }
 
 #[cfg(test)]

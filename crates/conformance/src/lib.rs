@@ -36,4 +36,4 @@ pub mod shrink;
 pub mod spec;
 
 pub use fuzz::{fuzz, FuzzConfig, FuzzReport};
-pub use spec::{CaseSpec, FaultOp, Oracle, Reproducer};
+pub use spec::{CaseSpec, Defect, FaultOp, Oracle, Reproducer};

@@ -1,7 +1,8 @@
 //! The oracle library: every check the fuzzer can run against a
 //! [`CaseSpec`].
 //!
-//! Each oracle is a pure function of `(spec, seed)` returning `Ok(())` or
+//! Each oracle is a pure function of `(spec, seed)` (and of the
+//! [`Defect`] its models are built with) returning `Ok(())` or
 //! a failure message; nothing here panics on a model discrepancy, so the
 //! shrinker can re-run checks freely. Three families (the paper's
 //! cross-model claim):
@@ -37,7 +38,7 @@ use routesync_netsim::scenario::largest_cluster_series;
 use routesync_netsim::FaultPlan;
 use routesync_rng::SplitMix64;
 
-use crate::spec::{CaseSpec, Oracle};
+use crate::spec::{CaseSpec, Defect, Oracle};
 
 /// The update period (seconds) of the packet-level LAN scenario — fixed
 /// by `ScenarioSpec::lan` (DECnet-style 120 s updates).
@@ -57,19 +58,19 @@ const ENSEMBLE_THREADS: usize = 4;
 /// broken coupling) lands orders of magnitude outside it.
 const MARKOV_RATIO_BAND: (f64, f64) = (0.02, 60.0);
 
-/// Dispatch a spec to its oracle.
-pub fn check(spec: &CaseSpec, seed: u64) -> Result<(), String> {
+/// Dispatch a spec to its oracle, building its models with `defect`.
+pub fn check(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
     match spec.oracle {
-        Oracle::EngineEquivalence => engine_equivalence(spec, seed),
+        Oracle::EngineEquivalence => engine_equivalence(spec, seed, defect),
         Oracle::NetsimTiming => netsim_timing(spec, seed),
-        Oracle::MarkovSync => markov_sync(spec, seed),
-        Oracle::MarkovDesync => markov_desync(spec, seed),
-        Oracle::CascadeMeanField => cascade_mean_field(spec, seed),
-        Oracle::TwoTypeTransition => two_type_transition(spec, seed),
-        Oracle::PulseConvergence => pulse_convergence(spec, seed),
-        Oracle::ThreadInvariance => thread_invariance(spec, seed),
-        Oracle::Translation => translation(spec, seed),
-        Oracle::TrMonotonicity => tr_monotonicity(spec, seed),
+        Oracle::MarkovSync => markov_sync(spec, seed, defect),
+        Oracle::MarkovDesync => markov_desync(spec, seed, defect),
+        Oracle::CascadeMeanField => cascade_mean_field(spec, seed, defect),
+        Oracle::TwoTypeTransition => two_type_transition(spec, seed, defect),
+        Oracle::PulseConvergence => pulse_convergence(spec, seed, defect),
+        Oracle::ThreadInvariance => thread_invariance(spec, seed, defect),
+        Oracle::Translation => translation(spec, seed, defect),
+        Oracle::TrMonotonicity => tr_monotonicity(spec, seed, defect),
         Oracle::EmptyFaultPlan => empty_fault_plan(spec, seed),
         Oracle::NetsimStorage => netsim_storage(spec, seed),
     }
@@ -98,8 +99,12 @@ fn mean(xs: &[f64]) -> f64 {
 /// sorting within equal timestamps) and a horizon-boundary tail of `2N`
 /// entries (the fast engine completes a burst the event engine may leave
 /// half-finished at the horizon).
-pub fn engine_equivalence(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let p = spec.params();
+pub fn engine_equivalence(
+    spec: &CaseSpec,
+    seed: u64,
+    defect: Option<Defect>,
+) -> Result<(), String> {
+    let p = spec.params_with(defect);
     let horizon = spec.horizon();
     let mut slow = PeriodicModel::new(p, spec.start(), seed);
     let mut slow_rec = (SendTrace::new(), ClusterLog::new());
@@ -300,8 +305,8 @@ pub fn netsim_timing(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 
 /// Simulated mean time to full synchronization vs the chain's `f(N)`,
 /// with `f(2)` calibrated from the same runs (the paper leaves it free).
-pub fn markov_sync(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let p = spec.params();
+pub fn markov_sync(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
+    let p = spec.params_with(defect);
     let n = p.n;
     let chain = PeriodicChain::new(spec.chain_params());
     let secs_per_round = spec.chain_params().seconds_per_round();
@@ -360,8 +365,8 @@ pub fn markov_sync(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 
 /// Simulated mean time to full break-up (from a synchronized start) vs
 /// the chain's `g(1)`.
-pub fn markov_desync(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let p = spec.params();
+pub fn markov_desync(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
+    let p = spec.params_with(defect);
     let n = p.n;
     let chain = PeriodicChain::new(spec.chain_params());
     let secs_per_round = spec.chain_params().seconds_per_round();
@@ -422,7 +427,12 @@ const CASCADE_RATIO_BAND: (f64, f64) = (0.05, 30.0);
 /// (deterministic schedule only): the ensemble mean sync round sits in a
 /// band of the Manita–Simonot pure-birth mean-field time, with the same
 /// censoring rule as the Markov oracles.
-pub fn cascade_mean_field(spec: &CaseSpec, seed: u64) -> Result<(), String> {
+#[cfg_attr(not(feature = "inject"), allow(unused_variables))]
+pub fn cascade_mean_field(
+    spec: &CaseSpec,
+    seed: u64,
+    defect: Option<Defect>,
+) -> Result<(), String> {
     let n = spec.n;
     let q = (spec.tc_ms.max(1) as f64 / spec.tp_ms.max(1) as f64).min(1.0);
     let jitter = (spec.tr_ms as f64 / spec.tp_ms.max(1) as f64).min(1.0);
@@ -440,6 +450,10 @@ pub fn cascade_mean_field(spec: &CaseSpec, seed: u64) -> Result<(), String> {
     for &s in &seeds {
         let mut rng = SplitMix64::new(s);
         let mut sim = routesync_phenomena::CascadeSim::new(params, &mut rng);
+        #[cfg(feature = "inject")]
+        {
+            sim.rollback_off_by_one = defect == Some(Defect::RollbackOffByOne);
+        }
         let r = sim.run(rounds, &mut rng);
         let gvt_gain = r.gvt_final - r.gvt_initial;
         if jitter == 0.0 && gvt_gain != rounds as i64 {
@@ -511,7 +525,12 @@ pub fn cascade_mean_field(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 ///   tail-safe bound for the Bernoulli (`Tr > 0`) schedule;
 /// * every run, both phases: the lag never goes negative (jumps are
 ///   clamped), the oracle's exact leg.
-pub fn two_type_transition(spec: &CaseSpec, seed: u64) -> Result<(), String> {
+#[cfg_attr(not(feature = "inject"), allow(unused_variables))]
+pub fn two_type_transition(
+    spec: &CaseSpec,
+    seed: u64,
+    defect: Option<Defect>,
+) -> Result<(), String> {
     use routesync_phenomena::{ExchangeSchedule, TwoTypeParams, TwoTypeSim};
     let delta = spec.tc_ms.max(1) as f64 / spec.tp_ms.max(1) as f64;
     let jump = 1.0;
@@ -526,7 +545,12 @@ pub fn two_type_transition(spec: &CaseSpec, seed: u64) -> Result<(), String> {
             initial_lag: d0,
         };
         let mut rng = SplitMix64::new(s);
-        TwoTypeSim::new(params).run(rounds, &mut rng)
+        let mut sim = TwoTypeSim::new(params);
+        #[cfg(feature = "inject")]
+        {
+            sim.unclamped_jump = defect == Some(Defect::UnclampedJump);
+        }
+        sim.run(rounds, &mut rng)
     };
     let non_negative = |r: &routesync_phenomena::TwoTypeReport, leg: &str| {
         if r.min_lag < -1e-9 {
@@ -601,7 +625,8 @@ pub fn two_type_transition(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 /// envelope. Returns `Ok` untested when the spec violates `n > 3f` — the
 /// protocol promises nothing there, and the shrinker must not be able to
 /// manufacture a "failure" by shrinking into the invalid domain.
-pub fn pulse_convergence(spec: &CaseSpec, seed: u64) -> Result<(), String> {
+#[cfg_attr(not(feature = "inject"), allow(unused_variables))]
+pub fn pulse_convergence(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
     use crate::spec::FaultOp;
     use routesync_phenomena::{ByzantineWindow, PulseParams, PulseSim};
     let n = spec.n;
@@ -636,6 +661,10 @@ pub fn pulse_convergence(spec: &CaseSpec, seed: u64) -> Result<(), String> {
     for &s in &seeds {
         let mut rng = SplitMix64::new(s);
         let mut sim = PulseSim::new(params.clone(), &mut rng);
+        #[cfg(feature = "inject")]
+        {
+            sim.trim_short = defect == Some(Defect::TrimShort);
+        }
         let r = sim.run(rounds, &mut rng);
         if r.max_halving_excess > 1e-9 {
             return Err(format!(
@@ -687,8 +716,8 @@ fn fingerprint(m: &mut FastModel, horizon: SimTime) -> (u64, u64) {
 /// Ensemble results must be bit-identical at 1, 2 and 4 worker threads
 /// (and therefore under per-worker model reuse), and distinct seeds must
 /// produce distinct trajectories.
-pub fn thread_invariance(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let p = spec.params();
+pub fn thread_invariance(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
+    let p = spec.params_with(defect);
     let start = spec.start();
     let horizon = spec.horizon();
     let seeds = derive_seeds(seed, 8);
@@ -736,8 +765,8 @@ pub fn thread_invariance(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 
 /// Translating every start offset by a constant must shift the whole
 /// trajectory by exactly that constant.
-pub fn translation(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let p = spec.params();
+pub fn translation(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
+    let p = spec.params_with(defect);
     let tp = p.tp();
     let mut offsets = Vec::with_capacity(p.n);
     for i in 0..p.n {
@@ -789,14 +818,14 @@ pub fn translation(spec: &CaseSpec, seed: u64) -> Result<(), String> {
 /// Growing `Tr` must not make the ensemble synchronize more often (the
 /// random component is the only force *against* synchronization). Checked
 /// with a small slack because the comparison is across finite ensembles.
-pub fn tr_monotonicity(spec: &CaseSpec, seed: u64) -> Result<(), String> {
+pub fn tr_monotonicity(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
     let horizon = spec.horizon_s as f64;
     let count_synced = |seeds: &[u64], tr_ms: u64| -> usize {
         let p = CaseSpec {
             tr_ms,
             ..spec.clone()
         }
-        .params();
+        .params_with(defect);
         experiment::run_many(
             p,
             StartState::Unsynchronized,

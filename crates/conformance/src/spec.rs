@@ -152,6 +152,28 @@ pub enum FaultOp {
     },
 }
 
+/// A deliberate model defect for the harness's self-test, named by the
+/// engine field it sets: a run given one must be caught by its oracle.
+/// [`crate::FuzzConfig`] and [`crate::fuzz::replay`] carry it to
+/// [`crate::oracles::check`], which builds every engine of the case with
+/// it. The variants exist only with the `inject` feature; without it
+/// `Option<Defect>` is always `None`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Defect {
+    /// `PeriodicParams::merge_off_by_one`, for engine equivalence.
+    #[cfg(feature = "inject")]
+    MergeOffByOne,
+    /// `CascadeSim::rollback_off_by_one`, for the cascade mean field.
+    #[cfg(feature = "inject")]
+    RollbackOffByOne,
+    /// `TwoTypeSim::unclamped_jump`, for the two-type transition.
+    #[cfg(feature = "inject")]
+    UnclampedJump,
+    /// `PulseSim::trim_short`, for pulse convergence.
+    #[cfg(feature = "inject")]
+    TrimShort,
+}
+
 /// A complete, self-contained conformance case. `(seed, spec)` determines
 /// the whole run bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,6 +218,18 @@ impl CaseSpec {
             Duration::from_millis(self.tc_ms),
             Duration::from_millis(self.tr_ms),
         )
+    }
+
+    /// [`CaseSpec::params`], with the merge defect if `defect` is it.
+    pub fn params_with(&self, defect: Option<Defect>) -> PeriodicParams {
+        match defect {
+            #[cfg(feature = "inject")]
+            Some(Defect::MergeOffByOne) => PeriodicParams {
+                merge_off_by_one: true,
+                ..self.params()
+            },
+            _ => self.params(),
+        }
     }
 
     /// The Markov-chain parameters of this case.

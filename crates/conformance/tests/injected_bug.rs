@@ -1,127 +1,74 @@
-//! Harness self-test: flip the deliberate off-by-one in the fast
-//! engine's cluster-merge rule and check the conformance fuzzer (a)
-//! catches it, (b) shrinks it to a one-line reproducer, and (c) that the
-//! reproducer replays to the same failure.
-//!
-//! This lives in its own test binary on purpose: the defect toggle is
-//! process-global, and `cargo test` runs test *binaries* sequentially, so
-//! the flipped rule can never leak into the other suites. Within this
-//! binary the default runner runs the tests on parallel threads, so each
-//! test holds [`TOGGLE`] for its whole body: otherwise one test's
-//! `DefectOn` drop would switch the defect off under the other, and a
-//! replay meant to run with the defect off could run with it on. The
-//! `inject` cargo feature only compiles the hook in; the default-off
-//! runtime toggle keeps every other test (which builds `routesync-core`
-//! with the feature unified in) bit-identical to a featureless build.
+//! Harness self-test for the fast engine's cluster-merge defect
+//! (`Defect::MergeOffByOne`): the fuzzer catches and shrinks it, the
+//! batched kernel shares it, and it reaches only the run it is given.
+//! The shared checks are in `common/mod.rs`.
 
-use std::sync::{Mutex, MutexGuard};
+mod common;
+
+use std::thread;
 
 use routesync_conformance::fuzz::{self, FuzzConfig};
-use routesync_conformance::spec::{CaseSpec, Oracle, Reproducer};
-use routesync_core::fast::inject;
-use routesync_core::{BatchedEnsemble, ClusterLog, FastModel, PeriodicModel, SendTrace};
+use routesync_conformance::spec::{CaseSpec, Oracle};
+use routesync_conformance::Defect;
+use routesync_core::{
+    BatchedEnsemble, ClusterLog, FastModel, PeriodicModel, PeriodicParams, SendTrace,
+};
 
-/// Held by each test for its whole body, so no two tests in this binary
-/// see the process-global defect toggle at the same time.
-static TOGGLE: Mutex<()> = Mutex::new(());
-
-/// Takes [`TOGGLE`]. A test that panicked while holding it has already
-/// switched the defect off through its `DefectOn` drop, so a poisoned
-/// lock is safe to take over.
-fn toggle_lock() -> MutexGuard<'static, ()> {
-    TOGGLE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// RAII guard so the toggle is reset even if an assertion panics midway.
-struct DefectOn;
-
-impl DefectOn {
-    fn new() -> Self {
-        inject::set_merge_off_by_one(true);
-        DefectOn
-    }
-}
-
-impl Drop for DefectOn {
-    fn drop(&mut self) {
-        inject::set_merge_off_by_one(false);
-    }
-}
+use common::run;
 
 #[test]
 fn fuzzer_catches_and_shrinks_the_injected_merge_bug() {
-    let _toggle = toggle_lock();
-    let out_dir = std::env::temp_dir().join("routesync-conformance-injected-bug");
-    let _ = std::fs::remove_dir_all(&out_dir);
-
-    let report = {
-        let _defect = DefectOn::new();
-        fuzz::fuzz(&FuzzConfig {
-            seed: 1,
-            budget_cases: 40,
-            out_dir: Some(out_dir.clone()),
-            ..FuzzConfig::default()
-        })
-    };
-
-    // (a) caught: the differential engine oracle must flag the defect.
-    let engine_failures: Vec<&Reproducer> = report
-        .failures
-        .iter()
-        .filter(|r| r.spec.oracle == Oracle::EngineEquivalence)
-        .collect();
-    assert!(
-        !engine_failures.is_empty(),
-        "the injected cluster-merge off-by-one went undetected:\n{}",
-        report.render()
-    );
-
-    // (b) shrunk: the reproducer is one line, parses back, and its spec
-    // sits at the shrinker's floors (small N, no faults).
-    let repro = engine_failures[0];
-    let line = repro.to_line();
-    assert!(!line.contains('\n'), "reproducer must be a single line");
-    let parsed = Reproducer::from_line(&line).expect("reproducer line parses");
-    assert_eq!(&parsed, repro);
-    assert!(
-        repro.spec.n <= 4,
-        "shrinker left n = {} (spec: {line})",
-        repro.spec.n
-    );
-    assert!(repro.spec.faults.is_empty());
-
-    // The on-disk artifacts match what the run reported.
-    let jsonl = std::fs::read_to_string(out_dir.join("reproducers.jsonl"))
-        .expect("reproducers.jsonl written");
-    assert!(jsonl.lines().any(|l| l == line));
-    let summary =
-        std::fs::read_to_string(out_dir.join("summary.txt")).expect("summary.txt written");
-    assert_eq!(summary, report.render());
-
-    // (c) replays: with the defect on the reproducer still fails with the
-    // same message; with it off, the exact same line passes.
-    {
-        let _defect = DefectOn::new();
-        let err = fuzz::replay(&parsed).expect_err("reproducer must fail while defect is on");
-        assert_eq!(err, parsed.message);
-    }
-    assert_eq!(
-        fuzz::replay(&parsed),
-        Ok(()),
-        "reproducer must pass once the defect is off"
-    );
-
-    let _ = std::fs::remove_dir_all(&out_dir);
+    common::catch_and_shrink(Defect::MergeOffByOne);
 }
 
-/// `BatchedEnsemble` runs its cells through `FastModel`, so the injected
-/// off-by-one must perturb both engines in exactly the same way: with
-/// the defect on, the batched trace stays byte-identical to the fast
-/// trace while both drift off the event engine. A batched path with its
-/// own (correct) copy of the merge rule would dodge the defect and break
-/// trace identity — this test guards against one coming back.
+/// A defect reaches only the run it is given: a clean fuzz beside a
+/// defective one reports exactly what a clean fuzz reports alone.
+#[test]
+fn clean_and_defective_fuzz_runs_share_a_process() {
+    let alone = run(None, None).render();
+    let (clean, defective) = thread::scope(|s| {
+        let clean = s.spawn(|| run(None, None));
+        let defective = s.spawn(|| run(Some(Defect::MergeOffByOne), None));
+        (clean.join().unwrap(), defective.join().unwrap())
+    });
+    assert_eq!(clean.render(), alone);
+    assert!(
+        defective
+            .failures
+            .iter()
+            .any(|r| r.spec.oracle == Oracle::EngineEquivalence),
+        "the merge defect went undetected beside a clean run:\n{}",
+        defective.render()
+    );
+}
+
+/// A checkpoint records the defect its verdicts were judged with, so a
+/// clean run refuses to resume from a defective one.
+#[test]
+fn a_defective_checkpoint_does_not_resume_a_clean_run() {
+    let path = std::env::temp_dir().join(format!(
+        "routesync-conformance-defect-{}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let cfg = |defect| FuzzConfig {
+        budget_cases: 4,
+        checkpoint: Some(path.clone()),
+        defect,
+        ..FuzzConfig::default()
+    };
+    fuzz::fuzz_checkpointed(&cfg(Some(Defect::MergeOffByOne))).expect("defective run");
+    let err = fuzz::fuzz_checkpointed(&cfg(None)).expect_err("clean resume must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `BatchedEnsemble` runs its cells through `FastModel`, so the merge
+/// defect must perturb both engines in exactly the same way: the batched
+/// trace stays byte-identical to the fast trace while both drift off the
+/// event engine. A batched path with its own (correct) copy of the merge
+/// rule would dodge the defect and break trace identity — this test
+/// guards against one coming back.
 #[test]
 fn batched_kernel_shares_the_injected_merge_rule() {
     let spec = CaseSpec {
@@ -136,10 +83,11 @@ fn batched_kernel_shares_the_injected_merge_rule() {
         batch_width: 4,
         depth: 0,
     };
-    let p = spec.params();
+    let p = PeriodicParams {
+        merge_off_by_one: true,
+        ..spec.params()
+    };
     let horizon = spec.horizon();
-    let _toggle = toggle_lock();
-    let _defect = DefectOn::new();
 
     let mut defect_changed_something = false;
     for seed in 1u64..=10 {

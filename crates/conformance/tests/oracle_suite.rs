@@ -28,7 +28,7 @@ fn abstract_case(oracle: Oracle, n: usize, tr_ms: u64, horizon_s: u64) -> CaseSp
 fn every_canned_case_passes_its_oracle() {
     for (i, spec) in fuzz::seed_corpus().iter().enumerate() {
         for seed in [1u64, 2, 3] {
-            if let Err(msg) = oracles::check(spec, seed) {
+            if let Err(msg) = oracles::check(spec, seed, None) {
                 panic!(
                     "canned case {i} ({}) failed under seed {seed}: {msg}\nspec: {spec:?}",
                     spec.oracle.name()
@@ -46,12 +46,12 @@ fn markov_oracles_hold_across_the_phase_transition_grid() {
     for n in [4usize, 8] {
         for tr_ms in [50u64, 220] {
             let spec = abstract_case(Oracle::MarkovSync, n, tr_ms, 20_000);
-            oracles::markov_sync(&spec, 11)
+            oracles::markov_sync(&spec, 11, None)
                 .unwrap_or_else(|msg| panic!("markov-sync failed at n={n}, tr={tr_ms}ms: {msg}"));
         }
         for tr_ms in [600u64, 2_000] {
             let spec = abstract_case(Oracle::MarkovDesync, n, tr_ms, 30_000);
-            oracles::markov_desync(&spec, 11)
+            oracles::markov_desync(&spec, 11, None)
                 .unwrap_or_else(|msg| panic!("markov-desync failed at n={n}, tr={tr_ms}ms: {msg}"));
         }
     }
@@ -64,12 +64,12 @@ fn markov_oracles_hold_across_the_phase_transition_grid() {
 fn metamorphic_oracles_hold_at_parameter_corners() {
     for (n, tr_ms) in [(2usize, 0u64), (5, 150), (10, 4_000)] {
         let spec = abstract_case(Oracle::ThreadInvariance, n, tr_ms, 2_000);
-        oracles::thread_invariance(&spec, 5)
+        oracles::thread_invariance(&spec, 5, None)
             .unwrap_or_else(|msg| panic!("thread-invariance failed at n={n}, tr={tr_ms}ms: {msg}"));
     }
     for (n, tr_ms) in [(3usize, 0u64), (4, 300), (6, 2_500)] {
         let spec = abstract_case(Oracle::Translation, n, tr_ms, 1_500);
-        oracles::translation(&spec, 5)
+        oracles::translation(&spec, 5, None)
             .unwrap_or_else(|msg| panic!("translation failed at n={n}, tr={tr_ms}ms: {msg}"));
     }
 }
@@ -81,7 +81,7 @@ fn engine_equivalence_holds_on_a_parameter_sweep() {
             for sync_start in [false, true] {
                 let mut spec = abstract_case(Oracle::EngineEquivalence, n, tr_ms, 2_500);
                 spec.sync_start = sync_start;
-                oracles::engine_equivalence(&spec, 13).unwrap_or_else(|msg| {
+                oracles::engine_equivalence(&spec, 13, None).unwrap_or_else(|msg| {
                     panic!("engine-equivalence failed at n={n}, tr={tr_ms}ms, sync={sync_start}: {msg}")
                 });
             }

@@ -69,42 +69,17 @@ use crate::model::NodeId;
 use crate::params::{PeriodicParams, StartState};
 use crate::record::Recorder;
 
-/// Deliberate, runtime-switchable model defects for validating the
-/// conformance harness (`routesync-conformance`). Compiled only with the
-/// `inject` cargo feature; the default build carries no trace of this
-/// module, and even with the feature on every defect defaults to *off*,
-/// leaving the model bit-identical to the plain build.
-#[cfg(feature = "inject")]
-pub mod inject {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static MERGE_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
-
-    /// Toggle the cluster-merge off-by-one: with the defect on, the burst
-    /// counts one message too many when computing its busy boundary
-    /// (`e₁ + (j+1)·Tc` instead of `e₁ + j·Tc`), so expiries up to one
-    /// whole `Tc` past the true busy period wrongly join — silently
-    /// merging clusters the event-driven engine keeps apart. The
-    /// differential oracle must catch this.
-    pub fn set_merge_off_by_one(on: bool) {
-        MERGE_OFF_BY_ONE.store(on, Ordering::Release);
-    }
-
-    pub(super) fn merge_off_by_one() -> bool {
-        MERGE_OFF_BY_ONE.load(Ordering::Acquire)
-    }
-}
-
 /// The burst-join rule: an expiry joins the running burst iff it lands
 /// strictly inside the busy period; one exactly at the boundary starts its
-/// own burst (matching the event-driven engine's strict `<`). An injected
-/// merge defect perturbs it, and with it every ensemble engine.
+/// own burst (matching the event-driven engine's strict `<`). The
+/// `inject` feature's `PeriodicParams::merge_off_by_one` perturbs it,
+/// and with it every ensemble engine built from those parameters.
 #[inline]
 #[cfg_attr(not(feature = "inject"), allow(unused_variables))]
-fn joins_burst(e: SimTime, boundary: SimTime, tc: Duration) -> bool {
+fn joins_burst(e: SimTime, boundary: SimTime, params: &PeriodicParams) -> bool {
     #[cfg(feature = "inject")]
-    if inject::merge_off_by_one() {
-        return e < boundary + tc;
+    if params.merge_off_by_one {
+        return e < boundary + params.tc;
     }
     e < boundary
 }
@@ -393,7 +368,7 @@ impl FastModel {
             let lone = self
                 .ring
                 .get(1)
-                .is_none_or(|&(e, _)| !joins_burst(e, e1 + tc, tc));
+                .is_none_or(|&(e, _)| !joins_burst(e, e1 + tc, &self.params));
             self.ring.pop_front();
             let m = if lone {
                 recorder.on_send(e1, first);
@@ -403,7 +378,7 @@ impl FastModel {
                 self.members.push((e1, first));
                 while let Some(&(e, _)) = self.ring.front() {
                     let boundary = e1 + tc.saturating_mul(self.members.len() as u64);
-                    if !joins_burst(e, boundary, tc) {
+                    if !joins_burst(e, boundary, &self.params) {
                         break;
                     }
                     self.members.push(self.ring.pop_front().expect("peeked"));

@@ -22,6 +22,12 @@ pub struct PeriodicParams {
     pub reset_policy: TimerResetPolicy,
     /// How routers react to incoming *triggered* updates.
     pub trigger_response: TriggerResponse,
+    /// The conformance self-test's merge defect: [`crate::FastModel`]'s
+    /// burst busy boundary counts one message too many (`e₁ + (j+1)·Tc`),
+    /// merging clusters the event engine keeps apart. Never serialized.
+    #[cfg(feature = "inject")]
+    #[serde(skip)]
+    pub merge_off_by_one: bool,
 }
 
 impl PeriodicParams {
@@ -50,6 +56,8 @@ impl PeriodicParams {
             jitter: JitterPolicy::Uniform { tp, tr },
             reset_policy: TimerResetPolicy::AfterProcessing,
             trigger_response: TriggerResponse::SendImmediately,
+            #[cfg(feature = "inject")]
+            merge_off_by_one: false,
         }
     }
 

@@ -11,6 +11,11 @@
 //! The handler itself only stores to an `AtomicU64` — async-signal-safe
 //! by construction. On non-Unix targets [`install`] is a no-op and
 //! [`interrupted`] only ever reports a programmatic [`request`].
+//!
+//! `PENDING` and `INSTALLED` are the one process-global state a run
+//! reads on purpose: a signal handler can reach only statics. A test that
+//! calls [`request`] drains every supervised run in its binary, so the
+//! supervisor's own tests turn `heed_interrupt` off.
 
 #![allow(unsafe_code)] // one libc call: signal(2) registration
 

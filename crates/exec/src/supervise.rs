@@ -703,8 +703,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Test policy with interrupt-heeding off: the interrupt flag is
-    /// process-global and another test in this binary exercises it.
+    /// Test policy with interrupt-heeding off. The drain flag is
+    /// process-global, because the SIGINT handler can reach nothing else
+    /// (see `crate::interrupt`), and `interrupt`'s own test raises it on
+    /// another thread of this binary: a cell loop that heeded it could
+    /// drain early and fail a test that never asked for a drain.
     fn quiet() -> SuperviseConfig {
         SuperviseConfig {
             heed_interrupt: false,

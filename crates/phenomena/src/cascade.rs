@@ -31,38 +31,6 @@
 use rand_core::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Runtime-switchable deliberate defects, mirroring
-/// `routesync_core::fast::inject`. Compiled only with the `inject` cargo
-/// feature; every toggle defaults to off, leaving the models
-/// bit-identical to a featureless build.
-#[cfg(feature = "inject")]
-pub mod inject {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ROLLBACK_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
-
-    /// Toggle the rollback off-by-one: a rolled-back processor rewinds to
-    /// `stamp − 1` instead of `stamp`, overshooting by one unit. The
-    /// overshoot can land below the current GVT, so the cascade oracle's
-    /// exact GVT-advance invariant catches it deterministically.
-    pub fn set_rollback_off_by_one(on: bool) {
-        ROLLBACK_OFF_BY_ONE.store(on, Ordering::Release);
-    }
-
-    pub(super) fn rollback_off_by_one() -> bool {
-        ROLLBACK_OFF_BY_ONE.load(Ordering::Acquire)
-    }
-}
-
-#[inline]
-fn rollback_target(stamp: i64) -> i64 {
-    #[cfg(feature = "inject")]
-    if inject::rollback_off_by_one() {
-        return stamp - 1;
-    }
-    stamp
-}
-
 /// Model parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CascadeParams {
@@ -131,6 +99,10 @@ pub struct CascadeSim {
     cascades: u64,
     messages: u64,
     obs: CascadeObs,
+    /// The conformance self-test's rollback defect: a rolled-back processor
+    /// rewinds to `stamp − 1`, which can drag the GVT below its minimum.
+    #[cfg(feature = "inject")]
+    pub rollback_off_by_one: bool,
 }
 
 impl CascadeSim {
@@ -162,6 +134,8 @@ impl CascadeSim {
             cascades: 0,
             messages: 0,
             obs: CascadeObs::new(),
+            #[cfg(feature = "inject")]
+            rollback_off_by_one: false,
         }
     }
 
@@ -182,7 +156,10 @@ impl CascadeSim {
     }
 
     fn roll_back(&mut self, node: usize, stamp: i64) {
-        self.lvt[node] = rollback_target(stamp);
+        let target = stamp;
+        #[cfg(feature = "inject")]
+        let target = target - i64::from(self.rollback_off_by_one);
+        self.lvt[node] = target;
         self.rollbacks += 1;
         self.obs.rollbacks.inc();
         // Anti-messages: the node's recent downstream contacts computed
@@ -192,7 +169,7 @@ impl CascadeSim {
         for i in 0..self.recent[node].len() {
             let contact = self.recent[node][i];
             if self.lvt[contact] > stamp {
-                self.lvt[contact] = rollback_target(stamp);
+                self.lvt[contact] = target;
                 self.cascades += 1;
                 self.obs.cascades.inc();
             }

@@ -27,35 +27,6 @@
 use rand_core::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Runtime-switchable deliberate defects (see `cascade::inject`).
-#[cfg(feature = "inject")]
-pub mod inject {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TRIM_SHORT: AtomicBool = AtomicBool::new(false);
-
-    /// Toggle the short-trim defect: receivers trim `t − 1` values from
-    /// each end instead of `t`, letting one Byzantine extreme survive
-    /// into the midpoint whenever a faulty node is active. The pulse
-    /// oracle's per-round halving invariant catches it.
-    pub fn set_trim_short(on: bool) {
-        TRIM_SHORT.store(on, Ordering::Release);
-    }
-
-    pub(super) fn trim_short() -> bool {
-        TRIM_SHORT.load(Ordering::Acquire)
-    }
-}
-
-#[inline]
-fn effective_trim(trim: usize) -> usize {
-    #[cfg(feature = "inject")]
-    if inject::trim_short() {
-        return trim.saturating_sub(1);
-    }
-    trim
-}
-
 /// A Byzantine fault window: the node equivocates during rounds
 /// `[down_round, up_round)` and behaves honestly outside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,6 +115,10 @@ pub struct PulseSim {
     max_halving_excess: f64,
     equivocations: u64,
     obs: PulseObs,
+    /// The conformance self-test's trim defect: receivers trim `t − 1`
+    /// values from each end, so one Byzantine extreme reaches the midpoint.
+    #[cfg(feature = "inject")]
+    pub trim_short: bool,
 }
 
 impl PulseSim {
@@ -177,6 +152,8 @@ impl PulseSim {
             max_halving_excess: f64::NEG_INFINITY,
             equivocations: 0,
             obs: PulseObs::new(),
+            #[cfg(feature = "inject")]
+            trim_short: false,
         };
         sim.initial_diameter = sim.diameter();
         sim.pulse_diameter = sim.initial_diameter;
@@ -219,7 +196,9 @@ impl PulseSim {
             -self.params.initial_spread,
             2.0 * self.params.initial_spread,
         );
-        let t = effective_trim(self.trim);
+        let t = self.trim;
+        #[cfg(feature = "inject")]
+        let t = t.saturating_sub(usize::from(self.trim_short));
         let mut next = self.phase.clone();
         for (receiver, slot) in next.iter_mut().enumerate() {
             let mut heard: Vec<f64> = Vec::with_capacity(n);

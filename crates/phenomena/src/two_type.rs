@@ -26,36 +26,6 @@
 use rand_core::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Runtime-switchable deliberate defects (see `cascade::inject`).
-#[cfg(feature = "inject")]
-pub mod inject {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static UNCLAMPED_JUMP: AtomicBool = AtomicBool::new(false);
-
-    /// Toggle the unclamped-jump defect: an exchange pulls the laggard
-    /// forward by the full jump `J` even when the lag is smaller,
-    /// overshooting into negative lag. The two-type oracle's exact
-    /// `lag ≥ 0` invariant catches it deterministically in the
-    /// synchronized phase.
-    pub fn set_unclamped_jump(on: bool) {
-        UNCLAMPED_JUMP.store(on, Ordering::Release);
-    }
-
-    pub(super) fn unclamped_jump() -> bool {
-        UNCLAMPED_JUMP.load(Ordering::Acquire)
-    }
-}
-
-#[inline]
-fn jump_amount(lag: f64, jump: f64) -> f64 {
-    #[cfg(feature = "inject")]
-    if inject::unclamped_jump() {
-        return jump;
-    }
-    lag.min(jump)
-}
-
 /// How message exchanges are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ExchangeSchedule {
@@ -140,6 +110,10 @@ pub struct TwoTypeSim {
     /// Lag at the halfway point of the last `run`, for slope estimation.
     half_lag: f64,
     obs: TwoTypeObs,
+    /// The conformance self-test's jump defect: an exchange pulls the
+    /// laggard forward by the full `J` even past zero lag.
+    #[cfg(feature = "inject")]
+    pub unclamped_jump: bool,
 }
 
 impl TwoTypeSim {
@@ -165,6 +139,8 @@ impl TwoTypeSim {
             half_lag: params.initial_lag,
             params,
             obs: TwoTypeObs::new(),
+            #[cfg(feature = "inject")]
+            unclamped_jump: false,
         }
     }
 
@@ -183,7 +159,14 @@ impl TwoTypeSim {
             ExchangeSchedule::Bernoulli { p } => routesync_rng::dist::unit_f64(rng) < p,
         };
         if exchange {
-            self.lag -= jump_amount(self.lag, self.params.jump);
+            let jump = self.lag.min(self.params.jump);
+            #[cfg(feature = "inject")]
+            let jump = if self.unclamped_jump {
+                self.params.jump
+            } else {
+                jump
+            };
+            self.lag -= jump;
             self.exchanges += 1;
             self.obs.exchanges.inc();
         }

@@ -768,7 +768,7 @@ fn conformance(flags: &HashMap<String, String>) -> Result<String, CliError> {
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let repro = Reproducer::from_line(line).map_err(CliError::Failure)?;
             total += 1;
-            match fuzz::replay(&repro) {
+            match fuzz::replay(&repro, None) {
                 Ok(()) => {
                     let _ = writeln!(out, "PASS {} seed={}", repro.spec.oracle.name(), repro.seed);
                 }
@@ -821,6 +821,7 @@ fn conformance(flags: &HashMap<String, String>) -> Result<String, CliError> {
         out_dir: Some(out_dir.into()),
         watchdog_steps,
         checkpoint: flags.get("resume").map(std::path::PathBuf::from),
+        defect: None,
     };
     let report = fuzz::fuzz_checkpointed(&cfg).map_err(|e| {
         if e.kind() == std::io::ErrorKind::InvalidInput {

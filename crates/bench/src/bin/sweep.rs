@@ -57,13 +57,11 @@ usage: sweep [--param tr|tc|tp|n] [--from X] [--to X] [--steps K]
              [--tr SECS] [--threads T] [--obs PATH.json]
              [--serve-obs ADDR] [--obs-series PATH] [--obs-folded PATH]
              [--resume CKPT] [--deadline-secs S] [--watchdog-steps K]
-             [--quarantine-out PATH.jsonl] [--engine scalar|batched]
+             [--quarantine-out PATH.jsonl]
 
   --param    parameter swept across the grid (default: tr)
   --metric   fraction | f | g | sync-time | resync-time | net-events
              (default: fraction)
-  --engine   simulation engine for the sync-time metric (default: scalar;
-             batched runs cells in blocks of 32 — trace-identical output)
   --threads  worker threads for simulated metrics, at least 1 (default:
              all cores; honours the ROUTESYNC_THREADS env var when unset)
   --obs      enable instrumentation and write a metrics snapshot
@@ -96,7 +94,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "to",
     "steps",
     "metric",
-    "engine",
     "f2",
     "horizon",
     "seeds",
@@ -253,11 +250,6 @@ fn main() {
             "unknown --metric `{metric}` (fraction|f|g|sync-time|resync-time|net-events)"
         ));
     }
-    let engine = match flag(&args, "engine") {
-        None => routesync_core::Engine::Scalar,
-        Some(v) => routesync_core::Engine::from_name(&v)
-            .unwrap_or_else(|e| usage_error(&format!("--engine: {e}"))),
-    };
     let mut cfg = SuperviseConfig::new();
     if let Some(v) = flag(&args, "deadline-secs") {
         let secs: f64 = v
@@ -313,7 +305,7 @@ fn main() {
     // values; resuming under a different configuration is refused.
     let meta = format!(
         "sweep-v1 param={param} from={from} to={to} steps={steps} metric={metric} \
-         engine={engine} f2={f2} horizon={horizon} seeds={seeds_per_point} \
+         f2={f2} horizon={horizon} seeds={seeds_per_point} \
          n={} tp={} tc={} tr={}",
         base.n, base.tp, base.tc, base.tr
     );
@@ -373,7 +365,7 @@ fn main() {
         })
         .run(
             || (),
-            |(), ctx, _i, cell: &&Cell| run_cell(metric_ref, engine, cell, f2, horizon, ctx),
+            |(), ctx, _i, cell: &&Cell| run_cell(metric_ref, cell, f2, horizon, ctx),
         );
 
     if outcome.interrupted {
@@ -522,14 +514,7 @@ impl Recorder for SendTimes {
 type Ran = (CellValue, Option<(PeriodicParams, Vec<SimTime>)>);
 
 /// Evaluate one supervised cell.
-fn run_cell(
-    metric: &str,
-    engine: routesync_core::Engine,
-    cell: &Cell,
-    f2: f64,
-    horizon: f64,
-    ctx: &mut RunCtx,
-) -> Ran {
+fn run_cell(metric: &str, cell: &Cell, f2: f64, horizon: f64, ctx: &mut RunCtx) -> Ran {
     let p = cell.params;
     let value = match metric {
         "fraction" => {
@@ -559,21 +544,8 @@ fn run_cell(
                 ctx,
             };
             let horizon = SimTime::from_secs_f64(horizon);
-            match engine {
-                routesync_core::Engine::Scalar => {
-                    let mut m = routesync_core::FastModel::new(
-                        params,
-                        StartState::Unsynchronized,
-                        cell.seed,
-                    );
-                    m.run(horizon, &mut rec);
-                }
-                routesync_core::Engine::Batched => {
-                    let mut block = routesync_core::BatchedEnsemble::new(params, 1);
-                    block.reset(&StartState::Unsynchronized, &[cell.seed]);
-                    block.run(horizon, std::slice::from_mut(&mut rec));
-                }
-            }
+            routesync_core::FastModel::new(params, StartState::Unsynchronized, cell.seed)
+                .run(horizon, &mut rec);
             let value = match rec.inner.1.first(p.n) {
                 Some((t, _)) => CellValue::Value(t.as_secs_f64()),
                 None => CellValue::Censored,

@@ -1,6 +1,6 @@
-//! Numeric flags fail closed: a value that does not parse, or a zero
-//! thread count, is a usage error (exit 2), never a silent fallback to the
-//! default.
+//! Flags fail closed: a numeric value that does not parse, a zero thread
+//! count, or an unknown flag is a usage error (exit 2), never a silent
+//! fallback to the default.
 
 use std::process::Command;
 
@@ -41,4 +41,10 @@ fn experiments_rejects_malformed_threads() {
     for bad in ["--threads=abc", "--threads=0", "--threads="] {
         assert_eq!(exit_code(experiments, &[bad, "fig4"]), Some(2), "{bad}");
     }
+}
+
+#[test]
+fn sweep_has_no_engine_flag() {
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    assert_eq!(exit_code(sweep, &["--engine", "scalar"]), Some(2));
 }

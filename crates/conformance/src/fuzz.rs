@@ -216,7 +216,6 @@ pub fn seed_corpus() -> Vec<CaseSpec> {
         abstract_case(Oracle::Translation, 4, 300, 1_500),
         abstract_case(Oracle::TrMonotonicity, 5, 300, 8_000),
         lan_case(Oracle::EmptyFaultPlan, 4, 1_000, false, 1_200, Vec::new()),
-        lan_case(Oracle::NetsimStorage, 4, 500, false, 1_200, Vec::new()),
         // Variants that reach paths the base cases do not.
         lan_case(Oracle::NetsimTiming, 4, 0, true, 1_300, Vec::new()),
         lan_case(
@@ -255,10 +254,7 @@ pub fn seed_corpus() -> Vec<CaseSpec> {
 }
 
 fn is_lan_oracle(oracle: Oracle) -> bool {
-    matches!(
-        oracle,
-        Oracle::NetsimTiming | Oracle::EmptyFaultPlan | Oracle::NetsimStorage
-    )
+    matches!(oracle, Oracle::NetsimTiming | Oracle::EmptyFaultPlan)
 }
 
 fn clamp(v: u64, lo: u64, hi: u64) -> u64 {

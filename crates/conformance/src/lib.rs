@@ -18,7 +18,7 @@
 //!   translation invariance, monotonicity in the jitter `Tr`, and
 //!   empty-fault-plan equivalence.
 //!
-//! The [`fuzz`] module drives these oracles with a deterministic,
+//! The [`fuzz`](mod@fuzz) module drives these oracles with a deterministic,
 //! coverage-guided generator (coverage = `routesync-obs` metrics from the
 //! deterministic namespaces; see [`coverage`]), and every failure is
 //! shrunk ([`shrink`]) to a one-line `(seed, spec)` reproducer

@@ -24,9 +24,8 @@
 //! * **metamorphic** — invariances that need no reference value at all:
 //!   thread-count invariance ([`thread_invariance`]), start-time
 //!   translation ([`translation`]), monotonicity in `Tr`
-//!   ([`tr_monotonicity`]), empty-fault-plan equivalence
-//!   ([`empty_fault_plan`]), and topology-storage-backing equivalence
-//!   ([`netsim_storage`]).
+//!   ([`tr_monotonicity`]), and empty-fault-plan equivalence
+//!   ([`empty_fault_plan`]).
 
 use routesync_core::{
     experiment, ClusterLog, FastModel, FirstPassageDown, FirstPassageUp, NodeId, PeriodicModel,
@@ -72,7 +71,6 @@ pub fn check(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), S
         Oracle::Translation => translation(spec, seed, defect),
         Oracle::TrMonotonicity => tr_monotonicity(spec, seed, defect),
         Oracle::EmptyFaultPlan => empty_fault_plan(spec, seed),
-        Oracle::NetsimStorage => netsim_storage(spec, seed),
     }
 }
 
@@ -896,34 +894,6 @@ pub fn empty_fault_plan(spec: &CaseSpec, seed: u64) -> Result<(), String> {
     }
     if !with_empty.sim.fault_log().is_empty() {
         return Err("empty fault plan left fault records".into());
-    }
-    Ok(())
-}
-
-/// Freezing the topology into the CSR storage backing must leave the
-/// packet-level run bit-identical to the dense builder form — the
-/// `TopologyStorage` abstraction is invisible to the simulation, faults
-/// and all.
-pub fn netsim_storage(spec: &CaseSpec, seed: u64) -> Result<(), String> {
-    let horizon = spec.horizon();
-    let mut dense = spec.build_lan(seed);
-    dense.sim.run_until(horizon);
-    let mut csr = spec.build_lan_with_storage(routesync_netsim::Backing::Csr, seed);
-    csr.sim.run_until(horizon);
-    if dense.sim.counters() != csr.sim.counters() {
-        return Err(format!(
-            "CSR storage changed counters: {:?} vs {:?}",
-            dense.sim.counters(),
-            csr.sim.counters()
-        ));
-    }
-    if dense.sim.reset_log() != csr.sim.reset_log()
-        || dense.sim.update_log() != csr.sim.update_log()
-    {
-        return Err("CSR storage changed the update/reset timeline".into());
-    }
-    if dense.sim.fault_log() != csr.sim.fault_log() {
-        return Err("CSR storage changed the fault log".into());
     }
     Ok(())
 }

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 ///   [`Oracle::PulseConvergence`];
 /// * **metamorphic** — [`Oracle::ThreadInvariance`],
 ///   [`Oracle::Translation`], [`Oracle::TrMonotonicity`],
-///   [`Oracle::EmptyFaultPlan`], [`Oracle::NetsimStorage`].
+///   [`Oracle::EmptyFaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Oracle {
     /// FastModel and PeriodicModel produce identical send and cluster
@@ -68,15 +68,11 @@ pub enum Oracle {
     /// Building a scenario with an empty fault plan is bit-identical to
     /// building it with none (metamorphic, exact).
     EmptyFaultPlan,
-    /// Freezing the topology into the CSR storage backing leaves the
-    /// packet-level run bit-identical to the dense builder form
-    /// (metamorphic, exact).
-    NetsimStorage,
 }
 
 impl Oracle {
     /// All oracles, in a fixed order (the fuzzer's seed corpus order).
-    pub const ALL: [Oracle; 12] = [
+    pub const ALL: [Oracle; 11] = [
         Oracle::EngineEquivalence,
         Oracle::NetsimTiming,
         Oracle::MarkovSync,
@@ -88,7 +84,6 @@ impl Oracle {
         Oracle::Translation,
         Oracle::TrMonotonicity,
         Oracle::EmptyFaultPlan,
-        Oracle::NetsimStorage,
     ];
 
     /// The oracle family, for reporting: `differential`, `analytical` or
@@ -104,8 +99,7 @@ impl Oracle {
             Oracle::ThreadInvariance
             | Oracle::Translation
             | Oracle::TrMonotonicity
-            | Oracle::EmptyFaultPlan
-            | Oracle::NetsimStorage => "metamorphic",
+            | Oracle::EmptyFaultPlan => "metamorphic",
         }
     }
 
@@ -123,7 +117,6 @@ impl Oracle {
             Oracle::Translation => "translation",
             Oracle::TrMonotonicity => "tr-monotonicity",
             Oracle::EmptyFaultPlan => "empty-fault-plan",
-            Oracle::NetsimStorage => "netsim-storage",
         }
     }
 }
@@ -278,20 +271,6 @@ impl CaseSpec {
     /// by the scenario (120 s), so the packet-level oracles read `tp_ms`
     /// as 120 000 regardless of the field.
     pub fn build_lan(&self, seed: u64) -> Scenario {
-        self.lan_spec().build(seed)
-    }
-
-    /// [`CaseSpec::build_lan`] with an explicit topology-storage backing
-    /// (the [`crate::oracles::netsim_storage`] oracle's CSR leg).
-    pub fn build_lan_with_storage(
-        &self,
-        backing: routesync_netsim::Backing,
-        seed: u64,
-    ) -> Scenario {
-        self.lan_spec().with_storage(backing).build(seed)
-    }
-
-    fn lan_spec(&self) -> ScenarioSpec {
         ScenarioSpec::lan(self.n, Duration::from_millis(self.tr_ms))
             .with_forwarding(ForwardingMode::Concurrent)
             .with_start(if self.sync_start {
@@ -300,6 +279,7 @@ impl CaseSpec {
                 TimerStart::Unsynchronized
             })
             .with_faults(self.fault_plan())
+            .build(seed)
     }
 }
 

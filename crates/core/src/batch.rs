@@ -11,8 +11,9 @@
 //! runner.
 //!
 //! Blocks add no speed over one cell per work item, and no semantics:
-//! the block API and [`Engine::Batched`] exist because benchmark and CLI
-//! surfaces name them (`docs/PERFORMANCE.md` has the measurements).
+//! the block API and [`Engine::Batched`] exist only because benchmark
+//! surfaces (routebench's sweep-sync workload and the `bench` binary)
+//! name them (`docs/PERFORMANCE.md` has the measurements).
 
 use routesync_desim::SimTime;
 
@@ -175,10 +176,10 @@ where
         .collect()
 }
 
-/// A named engine selection for [`crate::experiment::run_ensemble`],
-/// CLI flags and the bench and experiment binaries. [`Engine::Scalar`]
-/// and [`Engine::Batched`] are trace-identical; the choice only affects
-/// throughput.
+/// An engine selection for [`crate::experiment::run_ensemble`], named
+/// only by benchmark surfaces (routebench's sweep-sync workload and the
+/// `bench` binary). [`Engine::Scalar`] and [`Engine::Batched`] are
+/// trace-identical; the choice only affects throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Engine {
     /// One [`crate::FastModel`] per worker, reset per seed.
@@ -189,41 +190,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// All engines, in the order help text lists them.
+    /// Both engines.
     pub const ALL: [Engine; 2] = [Engine::Scalar, Engine::Batched];
-
-    /// Stable name used by `--engine` flags and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Scalar => "scalar",
-            Engine::Batched => "batched",
-        }
-    }
-
-    /// Parse an `--engine` flag value.
-    pub fn from_name(name: &str) -> Result<Engine, String> {
-        match name {
-            "scalar" => Ok(Engine::Scalar),
-            "batched" => Ok(Engine::Batched),
-            other => Err(format!(
-                "unknown engine {other:?} (expected scalar or batched)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        Engine::from_name(s)
-    }
 }
 
 #[cfg(test)]

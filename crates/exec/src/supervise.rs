@@ -20,9 +20,6 @@
 //! * **Deadline** — a wall-clock limit per cell, checked at tick sites
 //!   (every 1024 steps, to keep clock reads off the hot path). Inherently
 //!   machine-dependent; off by default.
-//! * **OOM guard** — cells report coarse allocation intent via
-//!   [`RunCtx::charge_bytes`]; exceeding the budget quarantines the cell
-//!   before the allocation happens.
 //!
 //! Interruption: when [`SuperviseConfig::heed_interrupt`] is set
 //! (as by [`SuperviseConfig::new`]) workers stop claiming new cells once
@@ -62,13 +59,6 @@ pub enum RunFailure {
         /// The configured limit, in seconds.
         limit_secs: f64,
     },
-    /// The cooperative allocation guard tripped.
-    OomGuard {
-        /// Bytes charged when the guard tripped.
-        bytes: u64,
-        /// The configured budget.
-        budget: u64,
-    },
 }
 
 impl RunFailure {
@@ -78,7 +68,6 @@ impl RunFailure {
             RunFailure::Panic { .. } => "panic",
             RunFailure::Watchdog { .. } => "watchdog",
             RunFailure::Deadline { .. } => "deadline",
-            RunFailure::OomGuard { .. } => "oom-guard",
         }
     }
 
@@ -91,9 +80,6 @@ impl RunFailure {
             }
             RunFailure::Deadline { limit_secs } => {
                 format!("wall-clock deadline of {limit_secs}s exceeded")
-            }
-            RunFailure::OomGuard { bytes, budget } => {
-                format!("allocation guard tripped: {bytes} bytes charged, budget {budget}")
             }
         }
     }
@@ -158,8 +144,6 @@ pub struct SuperviseConfig {
     pub watchdog_steps: Option<u64>,
     /// Wall-clock limit per cell, checked at tick sites.
     pub deadline: Option<Duration>,
-    /// Cooperative allocation budget per cell ([`RunCtx::charge_bytes`]).
-    pub mem_bytes: Option<u64>,
     /// Stop claiming new cells once a SIGINT drain is pending
     /// ([`crate::interrupt`]). Defaults **on** via [`SuperviseConfig::new`].
     pub heed_interrupt: bool,
@@ -198,10 +182,6 @@ struct WatchdogTrip {
 struct DeadlineTrip {
     limit_secs: f64,
 }
-struct MemTrip {
-    bytes: u64,
-    budget: u64,
-}
 
 /// Per-cell execution context: the cell's channel to its guards.
 ///
@@ -213,8 +193,6 @@ struct MemTrip {
 pub struct RunCtx {
     steps: u64,
     step_budget: u64,
-    bytes: u64,
-    byte_budget: u64,
     deadline: Option<Instant>,
     limit_secs: f64,
 }
@@ -227,8 +205,6 @@ impl RunCtx {
         RunCtx {
             steps: 0,
             step_budget: cfg.watchdog_steps.unwrap_or(u64::MAX),
-            bytes: 0,
-            byte_budget: cfg.mem_bytes.unwrap_or(u64::MAX),
             deadline: cfg.deadline.map(|d| Instant::now() + d),
             limit_secs: cfg.deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
         }
@@ -262,19 +238,6 @@ impl RunCtx {
                     limit_secs: self.limit_secs,
                 });
             }
-        }
-    }
-
-    /// Charge `n` bytes against the cooperative allocation budget; trips
-    /// the OOM guard when the running total exceeds it.
-    #[inline]
-    pub fn charge_bytes(&mut self, n: u64) {
-        self.bytes = self.bytes.saturating_add(n);
-        if self.bytes > self.byte_budget {
-            panic::panic_any(MemTrip {
-                bytes: self.bytes,
-                budget: self.byte_budget,
-            });
         }
     }
 
@@ -410,15 +373,6 @@ fn classify(payload: Box<dyn Any + Send>) -> RunFailure {
         }
         Err(p) => p,
     };
-    let payload = match payload.downcast::<MemTrip>() {
-        Ok(trip) => {
-            return RunFailure::OomGuard {
-                bytes: trip.bytes,
-                budget: trip.budget,
-            }
-        }
-        Err(p) => p,
-    };
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -444,7 +398,6 @@ struct Obs {
     panics: routesync_obs::Counter,
     watchdog_trips: routesync_obs::Counter,
     deadline_trips: routesync_obs::Counter,
-    oom_trips: routesync_obs::Counter,
     drains: routesync_obs::Counter,
     timed: bool,
 }
@@ -463,7 +416,6 @@ impl Obs {
             panics: c.counter("exec.supervisor.panics"),
             watchdog_trips: c.counter("exec.supervisor.watchdog_trips"),
             deadline_trips: c.counter("exec.supervisor.deadline_trips"),
-            oom_trips: c.counter("exec.supervisor.oom_trips"),
             drains: c.counter("exec.supervisor.drains"),
             timed: routesync_obs::enabled(),
         }
@@ -475,7 +427,6 @@ impl Obs {
             RunFailure::Panic { .. } => self.panics.inc(),
             RunFailure::Watchdog { .. } => self.watchdog_trips.inc(),
             RunFailure::Deadline { .. } => self.deadline_trips.inc(),
-            RunFailure::OomGuard { .. } => self.oom_trips.inc(),
         }
     }
 }
@@ -914,31 +865,6 @@ mod tests {
                 "trips at exactly budget+1 regardless of threads"
             );
         }
-    }
-
-    #[test]
-    fn oom_guard_trips_on_charged_bytes() {
-        let out = Ensemble::new(&[1u64])
-            .threads(1)
-            .limits(SuperviseConfig {
-                mem_bytes: Some(1_000),
-                ..quiet()
-            })
-            .describe(|_i, _| String::new())
-            .run(
-                || (),
-                |(), ctx, _i, _| {
-                    ctx.charge_bytes(4_096);
-                },
-            );
-        assert_eq!(out.quarantined.len(), 1);
-        assert!(matches!(
-            out.quarantined[0].failure,
-            RunFailure::OomGuard {
-                bytes: 4_096,
-                budget: 1_000
-            }
-        ));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Properties of the internet-scale redesign: the `TopologyStorage`
-//! backings must be simulation-invariant, and the hierarchical area
+//! Properties of the internet-scale redesign: the hierarchical area
 //! model must stay deterministic across worker-thread counts and cope
 //! with degenerate layouts (empty areas, single-router areas,
 //! cross-area point-to-point links). The two-phase area-advertisement
@@ -9,8 +8,8 @@ use proptest::prelude::*;
 use routesync_desim::{Duration, SimTime};
 use routesync_netsim::dv::area_link_advertisement;
 use routesync_netsim::{
-    AreaLayout, AreaMode, Backing, DvConfig, NetSim, NodeId, RouteEntry, RouterConfig,
-    RoutingTable, ScenarioSpec, Topology, DEFAULT_DST,
+    AreaLayout, AreaMode, DvConfig, NetSim, NodeId, RouteEntry, RouterConfig, RoutingTable,
+    ScenarioSpec, Topology, DEFAULT_DST,
 };
 
 /// FNV-1a over the update timeline — equal hash ⇒ equal timeline file.
@@ -214,25 +213,6 @@ fn single_router_areas_build_and_route() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Dense and CSR storage run byte-identically on random meshes: the
-    /// backing is an implementation detail invisible to the simulation.
-    #[test]
-    fn dense_and_csr_storage_agree_on_random_meshes(
-        n in 4usize..10,
-        extra in 0usize..5,
-        seed in 1u64..5_000,
-    ) {
-        let spec = || ScenarioSpec::random_mesh(n, extra, Duration::from_millis(30));
-        let mut dense = spec().build(seed);
-        let mut csr = spec().with_storage(Backing::Csr).build(seed);
-        let horizon = SimTime::from_secs(800);
-        dense.sim.run_until(horizon);
-        csr.sim.run_until(horizon);
-        prop_assert_eq!(dense.sim.counters(), csr.sim.counters());
-        prop_assert_eq!(dense.sim.reset_log(), csr.sim.reset_log());
-        prop_assert_eq!(dense.sim.update_log(), csr.sim.update_log());
-    }
 
     /// The hierarchical scenario converges loss-free for arbitrary
     /// (n, areas) shapes: uneven area sizes, few big areas, many small

@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::{LinkId, NodeId, Topology, TopologyStorage};
+use crate::topology::{LinkId, NodeId, Topology};
 
 /// Logical destination carried by a default route (`0.0.0.0/0`-flavoured).
 pub const DEFAULT_DST: NodeId = usize::MAX / 2 - 1;
@@ -145,7 +145,7 @@ impl AreaLayout {
     }
 
     /// Validate the layout against a topology (every node covered).
-    pub fn check(&self, topo: &(impl TopologyStorage + ?Sized)) {
+    pub fn check(&self, topo: &Topology) {
         assert_eq!(
             self.node_count(),
             topo.node_count(),

@@ -479,7 +479,7 @@ impl RoutingTable {
     /// select, and one combined predicate over the metric and next hop
     /// decides whether the row may change. The changes themselves, and the
     /// hold-down test that can still refuse a better route, are in
-    /// [`RoutingTable::change_row`], so the hot loop never reads the
+    /// `RoutingTable::change_row`, so the hot loop never reads the
     /// hold-down column.
     pub fn process_update_with(
         &mut self,

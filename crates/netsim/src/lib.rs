@@ -100,7 +100,5 @@ pub use packet::{Packet, Payload, RoutingUpdate};
 pub use router::{Control, Emission, Env, Interfaces, Io, Output, Router};
 pub use scenario::{Scenario, ScenarioSpec};
 pub use sim::{Counters, ForwardingMode, NetSim, RouterConfig, TimerStart};
-pub use topology::{
-    Backing, CsrStorage, DenseStorage, LinkId, LinkRef, NodeId, NodeKind, Topology, TopologyStorage,
-};
+pub use topology::{LinkId, LinkRef, NodeId, NodeKind, Topology};
 pub use wire::{Advertisement, WireError, WIRE_VERSION};

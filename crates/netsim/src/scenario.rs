@@ -29,7 +29,7 @@ use crate::area::{AreaLayout, AreaMode};
 use crate::dv::DvConfig;
 use crate::faults::FaultPlan;
 use crate::sim::{ForwardingMode, NetSim, RouterConfig, TimerStart};
-use crate::topology::{Backing, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 
 /// Which canned topology a [`ScenarioSpec`] builds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +68,6 @@ pub struct ScenarioSpec {
     forwarding: Option<ForwardingMode>,
     start: Option<TimerStart>,
     record_timeline: Option<bool>,
-    storage: Option<Backing>,
 }
 
 /// A built scenario: the simulator plus handles to its interesting nodes.
@@ -199,7 +198,6 @@ impl ScenarioSpec {
             forwarding: None,
             start: None,
             record_timeline: None,
-            storage: None,
         }
     }
 
@@ -240,20 +238,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Select the topology storage backing: [`Backing::Csr`] freezes the
-    /// built topology into compressed-sparse-row form before simulation.
-    /// Either backing simulates byte-identically (the conformance suite
-    /// diffs them); CSR drops the per-node attachment `Vec`s.
-    pub fn with_storage(mut self, backing: Backing) -> Self {
-        self.storage = Some(backing);
-        self
-    }
-
     /// Build the scenario: construct the topology, apply the overrides,
     /// seed the simulator, and install the fault plan. The same
     /// `(spec, seed)` always builds a byte-identical simulator.
     pub fn build(self, seed: u64) -> Scenario {
-        let (mut topo, mut cfg, hosts, routers, areas) = match self.kind {
+        let (topo, mut cfg, hosts, routers, areas) = match self.kind {
             SpecKind::Nearnet { stubs_per_core } => nearnet_parts(stubs_per_core),
             SpecKind::MboneAudiocast => audiocast_parts(),
             SpecKind::Lan { n, jitter_tr } => lan_parts(n, jitter_tr),
@@ -277,9 +266,6 @@ impl ScenarioSpec {
         }
         if let Some(record) = self.record_timeline {
             cfg.record_timeline = record;
-        }
-        if self.storage == Some(Backing::Csr) {
-            topo.freeze();
         }
         let mut sim = match areas {
             Some((layout, mode)) => NetSim::with_areas(topo, cfg, seed, layout, mode),
@@ -583,22 +569,6 @@ mod tests {
         s.sim.run_until(SimTime::from_secs(700));
         assert_eq!(s.sim.table(1).len(), 7, "steady state");
         assert_eq!(s.sim.counters().drop_no_route, 0);
-    }
-
-    /// The storage backing is simulation-invariant: a CSR-frozen topology
-    /// runs byte-identically to the dense builder form.
-    #[test]
-    fn csr_storage_is_byte_identical() {
-        let horizon = SimTime::from_secs(1_500);
-        let spec = || ScenarioSpec::lan(8, Duration::from_millis(60));
-        let mut dense = spec().build(5);
-        let mut csr = spec().with_storage(crate::topology::Backing::Csr).build(5);
-        assert_eq!(csr.sim.now(), dense.sim.now());
-        dense.sim.run_until(horizon);
-        csr.sim.run_until(horizon);
-        assert_eq!(dense.sim.counters(), csr.sim.counters());
-        assert_eq!(dense.sim.reset_log(), csr.sim.reset_log());
-        assert_eq!(dense.sim.update_log(), csr.sim.update_log());
     }
 
     /// Attaching an empty [`FaultPlan`] must be a no-op: the built

@@ -488,7 +488,7 @@ impl NetSim {
         let engine = Engine::new();
         let adjacency = Adjacency::build(&topo);
         let areas = areas.map(|(layout, mode)| {
-            layout.check(topo.storage());
+            layout.check(&topo);
             let link_area: Vec<Option<usize>> = (0..topo.link_count())
                 .map(|l| layout.link_area(&topo, l))
                 .collect();

@@ -1,17 +1,8 @@
 //! Network topology: nodes, point-to-point links, and broadcast LANs.
 //!
 //! Node and link attributes live in flat structure-of-arrays arenas (names
-//! share one string arena, link memberships one flat index arena) behind
-//! the [`TopologyStorage`] trait. Two backings implement it:
-//!
-//! * [`DenseStorage`] — per-node adjacency `Vec`s, mutation-friendly; what
-//!   the builder methods grow and what LAN/mesh scenarios use.
-//! * [`CsrStorage`] — frozen compressed-sparse-row adjacency (offset +
-//!   index arrays, zero per-node allocations), produced by
-//!   [`Topology::freeze`] for internet-scale meshes.
-//!
-//! Both backings expose identical data in identical order, so a simulation
-//! over a frozen topology is byte-for-byte the same as over a dense one.
+//! share one string arena, link memberships one flat index arena), plus
+//! one attachment `Vec` per node.
 
 use routesync_desim::Duration;
 use serde::{Deserialize, Serialize};
@@ -80,24 +71,6 @@ impl LinkRef<'_> {
             self.nodes[0]
         }
     }
-}
-
-/// Read access to a topology backing. All implementations must present
-/// the same nodes, links and orderings for the same built topology — the
-/// simulator's determinism contract extends to the storage layer.
-pub trait TopologyStorage {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Number of links.
-    fn link_count(&self) -> usize;
-    /// A node's kind.
-    fn kind(&self, n: NodeId) -> NodeKind;
-    /// A node's name.
-    fn name(&self, n: NodeId) -> &str;
-    /// A link by id.
-    fn link(&self, l: LinkId) -> LinkRef<'_>;
-    /// Links attached to a node, in attachment order.
-    fn links_of(&self, n: NodeId) -> &[LinkId];
 }
 
 /// Node attributes in structure-of-arrays form: kinds in one array, all
@@ -186,20 +159,19 @@ impl LinkArena {
     }
 }
 
-/// The mutable, builder-friendly backing: flat node/link arenas plus one
-/// adjacency `Vec` per node. This is what LAN and small-mesh scenarios run
-/// on, and the only backing the `add_*` methods can grow.
+/// A network description, built with the `add_*` methods and
+/// then handed to [`crate::sim::NetSim`].
 #[derive(Debug, Clone)]
-pub struct DenseStorage {
+pub struct Topology {
     nodes: NodeArena,
     links: LinkArena,
-    /// For each node, the links it is attached to.
+    /// For each node, the links it is attached to, in attachment order.
     attachments: Vec<Vec<LinkId>>,
 }
 
-impl DenseStorage {
-    fn new() -> Self {
-        DenseStorage {
+impl Default for Topology {
+    fn default() -> Self {
+        Topology {
             nodes: NodeArena::new(),
             links: LinkArena::new(),
             attachments: Vec::new(),
@@ -207,181 +179,16 @@ impl DenseStorage {
     }
 }
 
-impl TopologyStorage for DenseStorage {
-    fn node_count(&self) -> usize {
-        self.nodes.kinds.len()
-    }
-
-    fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes.kinds[n]
-    }
-
-    fn name(&self, n: NodeId) -> &str {
-        self.nodes.name(n)
-    }
-
-    fn link(&self, l: LinkId) -> LinkRef<'_> {
-        self.links.link(l)
-    }
-
-    fn links_of(&self, n: NodeId) -> &[LinkId] {
-        &self.attachments[n]
-    }
-}
-
-/// The frozen compressed-sparse-row backing: node→link adjacency as one
-/// offset array plus one flat index array, zero per-node allocations.
-/// Produced by [`Topology::freeze`]; immutable. Attachment order is
-/// preserved exactly, so iteration (and therefore simulation) is
-/// byte-identical to the dense backing it was frozen from.
-#[derive(Debug, Clone)]
-pub struct CsrStorage {
-    nodes: NodeArena,
-    links: LinkArena,
-    /// `att_links[att_off[n] as usize..att_off[n + 1] as usize]` are the
-    /// links of node `n`. Length `node_count + 1`; starts at `[0]`.
-    att_off: Vec<u32>,
-    att_links: Vec<LinkId>,
-}
-
-impl From<DenseStorage> for CsrStorage {
-    fn from(d: DenseStorage) -> Self {
-        let mut att_off = Vec::with_capacity(d.attachments.len() + 1);
-        att_off.push(0u32);
-        let total: usize = d.attachments.iter().map(Vec::len).sum();
-        let mut att_links = Vec::with_capacity(total);
-        for links in &d.attachments {
-            att_links.extend_from_slice(links);
-            att_off.push(att_links.len() as u32);
-        }
-        CsrStorage {
-            nodes: d.nodes,
-            links: d.links,
-            att_off,
-            att_links,
-        }
-    }
-}
-
-impl TopologyStorage for CsrStorage {
-    fn node_count(&self) -> usize {
-        self.nodes.kinds.len()
-    }
-
-    fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes.kinds[n]
-    }
-
-    fn name(&self, n: NodeId) -> &str {
-        self.nodes.name(n)
-    }
-
-    fn link(&self, l: LinkId) -> LinkRef<'_> {
-        self.links.link(l)
-    }
-
-    fn links_of(&self, n: NodeId) -> &[LinkId] {
-        &self.att_links[self.att_off[n] as usize..self.att_off[n + 1] as usize]
-    }
-}
-
-/// Which backing a [`Topology`] currently uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Backing {
-    /// Mutable adjacency-list storage (the builder's native form).
-    Dense,
-    /// Frozen compressed-sparse-row storage.
-    Csr,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Dense(DenseStorage),
-    Csr(CsrStorage),
-}
-
-/// An immutable network description, built with the `add_*` methods and
-/// then handed to [`crate::sim::NetSim`]. Optionally [`Topology::freeze`]d
-/// into CSR form for large meshes.
-#[derive(Debug, Clone)]
-pub struct Topology {
-    repr: Repr,
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology {
-            repr: Repr::Dense(DenseStorage::new()),
-        }
-    }
-}
-
-macro_rules! on_storage {
-    ($self:expr, $s:ident => $e:expr) => {
-        match &$self.repr {
-            Repr::Dense($s) => $e,
-            Repr::Csr($s) => $e,
-        }
-    };
-}
-
 impl Topology {
-    /// An empty topology (dense backing).
+    /// An empty topology.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn dense_mut(&mut self) -> &mut DenseStorage {
-        match &mut self.repr {
-            Repr::Dense(d) => d,
-            Repr::Csr(_) => panic!("cannot mutate a frozen (CSR) topology"),
-        }
-    }
-
-    /// The backing currently in use.
-    pub fn backing(&self) -> Backing {
-        match self.repr {
-            Repr::Dense(_) => Backing::Dense,
-            Repr::Csr(_) => Backing::Csr,
-        }
-    }
-
-    /// The storage as a trait object (for code generic over backings).
-    pub fn storage(&self) -> &dyn TopologyStorage {
-        match &self.repr {
-            Repr::Dense(d) => d,
-            Repr::Csr(c) => c,
-        }
-    }
-
-    /// Convert the backing to frozen CSR form in place. Further `add_*`
-    /// calls panic. No-op if already frozen.
-    pub fn freeze(&mut self) {
-        if let Repr::Dense(d) = &mut self.repr {
-            let dense = std::mem::replace(d, DenseStorage::new());
-            self.repr = Repr::Csr(dense.into());
-        }
-    }
-
-    /// [`Topology::freeze`] by value, for builder chains.
-    pub fn frozen(mut self) -> Self {
-        self.freeze();
-        self
-    }
-
     /// Add a node; returns its id.
     pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
-        let d = self.dense_mut();
-        let id = d.nodes.push(kind, &name.into());
-        d.attachments.push(Vec::new());
+        let id = self.nodes.push(kind, &name.into());
+        self.attachments.push(Vec::new());
         id
     }
 
@@ -404,19 +211,18 @@ impl Topology {
         bandwidth_bps: u64,
         queue_cap: usize,
     ) -> LinkId {
-        let d = self.dense_mut();
-        let n = d.nodes.kinds.len();
+        let n = self.nodes.kinds.len();
         assert!(a < n && b < n, "unknown node");
         assert_ne!(a, b, "self-links are not allowed");
-        let id = d.links.push(
+        let id = self.links.push(
             Medium::PointToPoint,
             &[a, b],
             delay,
             bandwidth_bps,
             queue_cap,
         );
-        d.attachments[a].push(id);
-        d.attachments[b].push(id);
+        self.attachments[a].push(id);
+        self.attachments[b].push(id);
         id
     }
 
@@ -428,57 +234,55 @@ impl Topology {
         bandwidth_bps: u64,
         queue_cap: usize,
     ) -> LinkId {
-        let d = self.dense_mut();
         assert!(nodes.len() >= 2, "a LAN needs at least two nodes");
         for &n in nodes {
-            assert!(n < d.nodes.kinds.len(), "unknown node {n}");
+            assert!(n < self.nodes.kinds.len(), "unknown node {n}");
         }
-        let id = d
+        let id = self
             .links
             .push(Medium::Broadcast, nodes, delay, bandwidth_bps, queue_cap);
         for &n in nodes {
-            d.attachments[n].push(id);
+            self.attachments[n].push(id);
         }
         id
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        on_storage!(self, s => s.node_count())
+        self.nodes.kinds.len()
     }
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
-        on_storage!(self, s => s.link_count())
+        self.links.len()
     }
 
     /// A node's kind.
     pub fn kind(&self, n: NodeId) -> NodeKind {
-        on_storage!(self, s => s.kind(n))
+        self.nodes.kinds[n]
     }
 
     /// A node's name.
     pub fn name(&self, n: NodeId) -> &str {
-        on_storage!(self, s => s.name(n))
+        self.nodes.name(n)
     }
 
     /// A link by id.
     pub fn link(&self, l: LinkId) -> LinkRef<'_> {
-        on_storage!(self, s => s.link(l))
+        self.links.link(l)
     }
 
     /// Links attached to a node.
     pub fn links_of(&self, n: NodeId) -> &[LinkId] {
-        on_storage!(self, s => s.links_of(n))
+        &self.attachments[n]
     }
 
     /// The neighbours of a node: iterates the `(neighbour, via link)`
     /// pairs in attachment order (one per other node on each attached
     /// link) without allocating.
     pub fn neighbors_iter(&self, n: NodeId) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
-        let s = self.storage();
-        s.links_of(n).iter().flat_map(move |&l| {
-            s.link(l)
+        self.links_of(n).iter().flat_map(move |&l| {
+            self.link(l)
                 .nodes
                 .iter()
                 .filter(move |&&m| m != n)
@@ -495,8 +299,7 @@ impl Topology {
 }
 
 // ---------------------------------------------------------------------
-// Serde: a backing-independent wire format (nodes + links; adjacency is
-// derived). Deserializing re-freezes when the source was frozen.
+// Serde: nodes and links on the wire; adjacency is derived on load.
 // ---------------------------------------------------------------------
 
 #[derive(Serialize, Deserialize)]
@@ -512,19 +315,17 @@ struct WireLink {
 struct TopologyWire {
     nodes: Vec<(NodeKind, String)>,
     links: Vec<WireLink>,
-    backing: Backing,
 }
 
 impl Serialize for Topology {
     fn to_value(&self) -> serde::Value {
-        let s = self.storage();
         let wire = TopologyWire {
-            nodes: (0..s.node_count())
-                .map(|n| (s.kind(n), s.name(n).to_string()))
+            nodes: (0..self.node_count())
+                .map(|n| (self.kind(n), self.name(n).to_string()))
                 .collect(),
-            links: (0..s.link_count())
+            links: (0..self.link_count())
                 .map(|l| {
-                    let lr = s.link(l);
+                    let lr = self.link(l);
                     WireLink {
                         medium: lr.medium,
                         nodes: lr.nodes.to_vec(),
@@ -534,7 +335,6 @@ impl Serialize for Topology {
                     }
                 })
                 .collect(),
-            backing: self.backing(),
         };
         wire.to_value()
     }
@@ -567,9 +367,6 @@ impl Deserialize for Topology {
                     t.add_lan(&l.nodes, l.delay, l.bandwidth_bps, l.queue_cap);
                 }
             }
-        }
-        if wire.backing == Backing::Csr {
-            t.freeze();
         }
         Ok(t)
     }
@@ -651,55 +448,6 @@ mod tests {
         let shuffled = [rs[3], rs[0], rs[4], rs[1]];
         let lan = t.add_lan(&shuffled, Duration::ZERO, 0, 1);
         assert_eq!(t.link(lan).nodes, &shuffled);
-        t.freeze();
-        assert_eq!(t.link(lan).nodes, &shuffled);
-    }
-
-    #[test]
-    fn freezing_preserves_structure_and_order() {
-        let mut t = Topology::new();
-        let rs: Vec<NodeId> = (0..6).map(|i| t.add_router(format!("r{i}"))).collect();
-        let h = t.add_host("h");
-        t.add_lan(&rs[..3], Duration::from_micros(10), 10_000_000, 50);
-        t.add_link(rs[0], rs[3], Duration::from_millis(1), 1_000_000, 10);
-        t.add_link(rs[3], rs[4], Duration::from_millis(2), 2_000_000, 20);
-        t.add_link(rs[4], rs[5], Duration::from_millis(3), 3_000_000, 30);
-        t.add_link(h, rs[5], Duration::from_millis(1), 1_000_000, 10);
-        let dense = t.clone();
-        t.freeze();
-        assert_eq!(t.backing(), Backing::Csr);
-        assert_eq!(dense.backing(), Backing::Dense);
-        assert_eq!(t.node_count(), dense.node_count());
-        assert_eq!(t.link_count(), dense.link_count());
-        for n in 0..t.node_count() {
-            assert_eq!(t.kind(n), dense.kind(n));
-            assert_eq!(t.name(n), dense.name(n));
-            assert_eq!(t.links_of(n), dense.links_of(n), "links_of({n})");
-            assert_eq!(
-                neighbors(&t, n),
-                neighbors(&dense, n),
-                "neighbors_iter({n})"
-            );
-        }
-        for l in 0..t.link_count() {
-            let (a, b) = (t.link(l), dense.link(l));
-            assert_eq!(a.medium, b.medium);
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.delay, b.delay);
-            assert_eq!(a.bandwidth_bps, b.bandwidth_bps);
-            assert_eq!(a.queue_cap, b.queue_cap);
-        }
-        assert_eq!(t.routers(), dense.routers());
-    }
-
-    #[test]
-    #[should_panic(expected = "frozen")]
-    fn frozen_topology_rejects_mutation() {
-        let mut t = Topology::new();
-        t.add_router("a");
-        t.add_router("b");
-        t.freeze();
-        t.add_router("c");
     }
 
     #[test]
@@ -740,10 +488,6 @@ mod tests {
         let a = t.add_router("alpha");
         let b = t.add_router("");
         let c = t.add_host("γ-host");
-        assert_eq!(t.name(a), "alpha");
-        assert_eq!(t.name(b), "");
-        assert_eq!(t.name(c), "γ-host");
-        t.freeze();
         assert_eq!(t.name(a), "alpha");
         assert_eq!(t.name(b), "");
         assert_eq!(t.name(c), "γ-host");

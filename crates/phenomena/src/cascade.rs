@@ -15,7 +15,7 @@
 //! of processors sharing the global virtual time (GVT) only ever grows,
 //! full synchronization is absorbing, and the mean time to reach it
 //! follows the pure-birth mean-field form
-//! [`routesync-markov::meanfield::cascade_sync_rounds`]. Randomizing the
+//! `routesync_markov::meanfield::cascade_sync_rounds`. Randomizing the
 //! advancement step ([`CascadeParams::advance_jitter`] > 0) is the
 //! Floyd-Jacobson knob: jittered clocks keep drifting apart, so the
 //! lock-step never becomes absorbing.

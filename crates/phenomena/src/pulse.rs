@@ -17,7 +17,7 @@
 //! values, so every update lands inside the truthful range and the phase
 //! diameter at least **halves each round** — for *any* equivocation.
 //! Convergence to `ε` therefore takes at most
-//! [`routesync-markov::meanfield::pulse_convergence_bound`] rounds.
+//! `routesync_markov::meanfield::pulse_convergence_bound` rounds.
 //! Clock drift jitter ([`PulseParams::drift`] > 0) re-opens the diameter
 //! by up to `2ρ` before each exchange, leaving a floor near `2ρ` the
 //! protocol cannot cross — the same randomization-vs-lock-step tension

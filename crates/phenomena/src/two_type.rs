@@ -9,7 +9,7 @@
 //! never goes negative — the slow clock can catch up but never overtake).
 //!
 //! The model has an exact sync/desync **phase transition** at
-//! `p = δ/J` ([`routesync-markov::meanfield::two_type_critical_rate`]):
+//! `p = δ/J` (`routesync_markov::meanfield::two_type_critical_rate`):
 //! below it, exchanges are too rare to cancel the drift and the lag grows
 //! linearly at rate `δ − p·J`; above it, the lag stays bounded forever.
 //! This is the Floyd-Jacobson weak-coupling story on the other side of

@@ -20,7 +20,6 @@ commands:
   simulate    run the Periodic Messages model and report synchronization
               flags: --n 20 --tp 121 --tc 0.11 --tr 0.1 --horizon 1e6
                      --seed 1993 --start unsync|sync [--plot]
-                     [--engine event|fast|batched] (trace-identical)
                      [--obs-series PATH] [--obs-folded PATH]
                      [--serve-obs ADDR] (telemetry: time-series dump,
                      folded span stacks, HTTP exporter until Ctrl-C)
@@ -97,7 +96,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
             "horizon",
             "seed",
             "start",
-            "engine",
             "plot",
             "obs-series",
             "obs-folded",
@@ -244,35 +242,6 @@ fn core_params(flags: &HashMap<String, String>) -> Result<PeriodicParams, String
     ))
 }
 
-/// Run one `(params, start, seed)` cell on the named engine, feeding the
-/// same recorder. All three engines are trace-identical (enforced by the
-/// conformance suite), so simulate output does not depend on the choice.
-fn run_simulate_engine<R: routesync_core::Recorder>(
-    engine: &str,
-    params: PeriodicParams,
-    start: &StartState,
-    seed: u64,
-    horizon: SimTime,
-    rec: &mut R,
-) {
-    match engine {
-        "event" => {
-            let mut model = PeriodicModel::new(params, start.clone(), seed);
-            model.run(horizon, rec);
-        }
-        "fast" => {
-            let mut model = routesync_core::FastModel::new(params, start.clone(), seed);
-            model.run(horizon, rec);
-        }
-        "batched" => {
-            let mut block = routesync_core::BatchedEnsemble::new(params, 1);
-            block.reset(start, &[seed]);
-            block.run(horizon, std::slice::from_mut(rec));
-        }
-        other => unreachable!("engine {other:?} validated by caller"),
-    }
-}
-
 fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
     let params = core_params(flags)?;
     let horizon = get_f64(flags, "horizon", 1e6)?;
@@ -297,10 +266,6 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
         "sync" | "synchronized" => StartState::Synchronized,
         other => return Err(format!("--start must be sync or unsync, got {other:?}").into()),
     };
-    let engine = flags.get("engine").map(|s| s.as_str()).unwrap_or("event");
-    if !["event", "fast", "batched"].contains(&engine) {
-        return Err(format!("--engine must be event, fast or batched, got {engine:?}").into());
-    }
     let from_sync = matches!(start, StartState::Synchronized);
     let mut out = String::new();
     let rounds;
@@ -320,14 +285,7 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
                 RoundMax::new(),
             ),
         );
-        run_simulate_engine(
-            engine,
-            params,
-            &start,
-            seed,
-            SimTime::from_secs_f64(horizon),
-            &mut rec,
-        );
+        PeriodicModel::new(params, start, seed).run(SimTime::from_secs_f64(horizon), &mut rec);
         let rec = rec.1;
         rounds = rec.1;
         match rec.0.first(1) {
@@ -354,14 +312,7 @@ fn simulate(flags: &HashMap<String, String>) -> Result<String, CliError> {
                 RoundMax::new(),
             ),
         );
-        run_simulate_engine(
-            engine,
-            params,
-            &start,
-            seed,
-            SimTime::from_secs_f64(horizon),
-            &mut rec,
-        );
+        PeriodicModel::new(params, start, seed).run(SimTime::from_secs_f64(horizon), &mut rec);
         let rec = rec.1;
         rounds = rec.1;
         match rec.0.first(params.n) {
@@ -887,15 +838,23 @@ mod tests {
         assert!(out.contains("SYNCHRONIZED"), "{out}");
     }
 
+    /// `simulate`'s stdout is pinned byte for byte from both kinds of
+    /// start, and it takes no engine choice.
     #[test]
-    fn simulate_engines_agree_on_output() {
-        let base = "simulate --n 8 --horizon 80000 --seed 42 --plot --engine";
-        let event = run(&args(&format!("{base} event"))).expect("ok");
-        let fast = run(&args(&format!("{base} fast"))).expect("ok");
-        let batched = run(&args(&format!("{base} batched"))).expect("ok");
-        assert_eq!(event, fast);
-        assert_eq!(fast, batched);
-        assert!(run(&args("simulate --engine warp")).is_err());
+    fn simulate_output_matches_golden() {
+        let base = "simulate --n 8 --horizon 80000 --seed 42 --plot";
+        assert_eq!(
+            run(&args(base)).expect("ok"),
+            include_str!("testdata/simulate_unsync_n8_seed42.txt")
+        );
+        assert_eq!(
+            run(&args(&format!("{base} --start sync --tr 0.3"))).expect("ok"),
+            include_str!("testdata/simulate_sync_n8_seed42_tr0.3.txt")
+        );
+        assert!(matches!(
+            run(&args("simulate --engine fast")),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]
@@ -918,11 +877,11 @@ mod tests {
     fn simulate_telemetry_ends_with_the_run() {
         let dir = std::env::temp_dir().join(format!("routesync-cli-obs-{}", std::process::id()));
         let folded = dir.join("spans/simulate.folded");
-        let mut argv = args("simulate --n 5 --horizon 5000 --seed 1 --engine fast --obs-folded");
+        let mut argv = args("simulate --n 5 --horizon 5000 --seed 1 --obs-folded");
         argv.push(folded.display().to_string());
         run(&argv).expect("ok");
         let body = std::fs::read_to_string(&folded).expect("folded stacks written");
-        assert!(body.contains("core;fast;run "), "{body}");
+        assert!(body.contains("core;model;run "), "{body}");
         assert!(
             !routesync_obs::global().is_enabled(),
             "simulate left a live collector behind"

@@ -12,9 +12,10 @@
 //! Wall-clock metrics (`exec.*` worker timings, span durations) are
 //! excluded so the corpus — and therefore the whole fuzz run — is
 //! bit-identical across machines and thread counts. So are the cost
-//! counters (`COST_COUNTERS`): they count how much work a kernel did,
-//! not which behaviour a case reached, so a faster kernel must not change
-//! the fuzzer's features or its watchdog steps.
+//! counters (`COST_COUNTERS`) and netsim's per-kind event counts
+//! (`EVENT_COUNTERS`): they count how much work a kernel or the event
+//! loop did, not which behaviour a case reached, so a faster kernel must
+//! not change the fuzzer's features or its watchdog steps.
 
 use std::collections::BTreeSet;
 
@@ -32,8 +33,14 @@ const COST_COUNTERS: [&str; 3] = [
     "core.fast.ring.moves",
 ];
 
+/// netsim's events popped per kind, and its stale pops: a breakdown of
+/// `desim.engine.events`, which is outside the deterministic namespaces.
+const EVENT_COUNTERS: &str = "netsim.events.";
+
 fn deterministic(name: &str) -> bool {
-    DETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p)) && !COST_COUNTERS.contains(&name)
+    DETERMINISTIC_PREFIXES.iter().any(|p| name.starts_with(p))
+        && !COST_COUNTERS.contains(&name)
+        && !name.starts_with(EVENT_COUNTERS)
 }
 
 /// Order-of-magnitude bucket: 0 for 0, otherwise the bit length of the
@@ -144,7 +151,8 @@ mod tests {
         cheap.counters.insert("netsim.updates.sent".into(), 40);
         cheap.gauges.insert("netsim.sync.clusters".into(), 3);
         let mut costly = cheap.clone();
-        for (k, name) in COST_COUNTERS.iter().enumerate() {
+        let events = ["netsim.events.cpu_free", "netsim.events.stale"];
+        for (k, name) in COST_COUNTERS.iter().chain(&events).enumerate() {
             cheap.counters.insert(name.to_string(), 1 + k as u64);
             costly.counters.insert(name.to_string(), 1_000_000 << k);
         }

@@ -366,7 +366,11 @@ pub fn sanitize(spec: &mut CaseSpec) {
         _ => {
             spec.n = spec.n.clamp(2, 10);
             spec.tr_ms = clamp(spec.tr_ms, 0, spec.tp_ms / 2);
-            spec.horizon_s = clamp(spec.horizon_s, 20 * tp_s, 400 * tp_s);
+            let mut floor = 20 * tp_s;
+            if spec.oracle == Oracle::EngineEquivalence {
+                floor = floor.max(oracles::equivalence_min_horizon_s(spec));
+            }
+            spec.horizon_s = clamp(spec.horizon_s, floor, 400 * tp_s);
         }
     }
 }
@@ -798,6 +802,61 @@ mod tests {
                 assert_eq!(spec.depth, 0);
             }
             assert!(spec.tr_ms <= spec.tp_ms);
+        }
+    }
+
+    /// `--budget-cases 300 --seed 55` drew this case at a 200 s horizon:
+    /// a synchronized start with no jitter logs one cluster per round, so
+    /// the oracle had 8 entries to compare and refused the case. Sanitize
+    /// now lifts the horizon to the oracle's own floor, where it passes.
+    #[test]
+    fn engine_equivalence_cases_are_sanitized_into_the_oracle_window() {
+        let seed = 15_837_208_377_268_863_519;
+        let mut spec = CaseSpec {
+            oracle: Oracle::EngineEquivalence,
+            n: 5,
+            tp_ms: 10_000,
+            tc_ms: 110,
+            tr_ms: 0,
+            sync_start: true,
+            horizon_s: 200,
+            faults: vec![],
+            batch_width: 1,
+            depth: 0,
+        };
+        let refused = oracles::check(&spec, seed, None).expect_err("out of domain");
+        assert!(refused.contains("too small"), "{refused}");
+        sanitize(&mut spec);
+        assert_eq!(spec.horizon_s, oracles::equivalence_min_horizon_s(&spec));
+        assert_eq!(oracles::check(&spec, seed, None), Ok(()));
+    }
+
+    /// At its floor the oracle gets its window across the sanitized
+    /// domain's corners: the fewest and most routers, the shortest and
+    /// longest coupling, no jitter and the most, both starts.
+    #[test]
+    fn engine_equivalence_floor_leaves_a_window_at_every_corner() {
+        for n in [2, 10] {
+            for tc_ms in [10, 500] {
+                for tr_ms in [0, 1_000] {
+                    for sync_start in [false, true] {
+                        let mut spec = CaseSpec {
+                            oracle: Oracle::EngineEquivalence,
+                            n,
+                            tp_ms: 2_000,
+                            tc_ms,
+                            tr_ms,
+                            sync_start,
+                            horizon_s: 0,
+                            faults: vec![],
+                            batch_width: 1,
+                            depth: 0,
+                        };
+                        spec.horizon_s = oracles::equivalence_min_horizon_s(&spec);
+                        assert_eq!(oracles::check(&spec, 3, None), Ok(()), "{spec:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -92,6 +92,32 @@ fn mean(xs: &[f64]) -> f64 {
 // Differential
 // ---------------------------------------------------------------------
 
+/// Cluster-log entries [`engine_equivalence`] must compare; a shorter
+/// window is refused as too small to be meaningful.
+const EQUIVALENCE_MIN_WINDOW: usize = 11;
+
+/// The entries [`engine_equivalence`] compares out of two logs of `a` and
+/// `b` entries: the shorter one, less the horizon-boundary tail of `2N`.
+fn equivalence_window(a: usize, b: usize, n: usize) -> usize {
+    a.min(b).saturating_sub(2 * n)
+}
+
+/// The shortest horizon, in whole seconds, at which [`engine_equivalence`]
+/// is sure to get its window. Every round logs at least one cluster, even
+/// with all routers synchronized and no jitter, and a round lasts at most
+/// `Tp + Tr + N·Tc` (a full cluster's processing, then the longest timer
+/// draw). One more round covers a burst the horizon cuts. The fuzzer's and
+/// the shrinker's horizon floors for the oracle are this function.
+pub fn equivalence_min_horizon_s(spec: &CaseSpec) -> u64 {
+    let n = spec.n;
+    let rounds = (1..)
+        .find(|&r| equivalence_window(r, r, n) >= EQUIVALENCE_MIN_WINDOW)
+        .expect("the window grows with the rounds")
+        + 1;
+    let round_ms = spec.tp_ms + spec.tr_ms + n as u64 * spec.tc_ms;
+    (rounds as u64 * round_ms).div_ceil(1_000)
+}
+
 /// FastModel and PeriodicModel must produce identical send logs and
 /// cluster trajectories, up to same-instant tie order (canonicalized by
 /// sorting within equal timestamps) and a horizon-boundary tail of `2N`
@@ -116,10 +142,9 @@ pub fn engine_equivalence(
         v.sort_by_key(|&(t, id)| (t, id));
         v
     };
-    let tail = 2 * p.n;
     let sends_slow = canonical(slow_rec.0.sends());
     let sends_fast = canonical(fast_rec.0.sends());
-    let keep = sends_slow.len().min(sends_fast.len()).saturating_sub(tail);
+    let keep = equivalence_window(sends_slow.len(), sends_fast.len(), p.n);
     if sends_slow[..keep] != sends_fast[..keep] {
         let at = sends_slow[..keep]
             .iter()
@@ -134,7 +159,7 @@ pub fn engine_equivalence(
     }
     let cl_slow: Vec<(SimTime, u32)> = slow_rec.1.groups().iter().map(|g| (g.0, g.2)).collect();
     let cl_fast: Vec<(SimTime, u32)> = fast_rec.1.groups().iter().map(|g| (g.0, g.2)).collect();
-    let keep = cl_slow.len().min(cl_fast.len()).saturating_sub(tail);
+    let keep = equivalence_window(cl_slow.len(), cl_fast.len(), p.n);
     if cl_slow[..keep] != cl_fast[..keep] {
         let at = cl_slow[..keep]
             .iter()
@@ -147,7 +172,7 @@ pub fn engine_equivalence(
             cl_fast.get(at)
         ));
     }
-    if keep <= 10 {
+    if keep < EQUIVALENCE_MIN_WINDOW {
         return Err(format!(
             "equivalence window too small to be meaningful ({keep} entries)"
         ));

@@ -12,7 +12,8 @@
 //! oracle's meaningful domain so a shrunk case still fails for a reason
 //! worth reading.
 
-use crate::spec::CaseSpec;
+use crate::oracles;
+use crate::spec::{CaseSpec, Oracle};
 
 /// Hard cap on adopted shrink steps; each step strictly reduces the spec,
 /// so this is a safety net, not a tuning knob.
@@ -20,14 +21,20 @@ const MAX_STEPS: usize = 64;
 
 /// Floors for shrink candidates. `n` below 2 has no clusters to merge;
 /// horizons below ~20 periods leave the differential oracles' comparison
-/// windows too small to mean anything.
+/// windows too small to mean anything, and the engine-equivalence oracle
+/// states its own floor.
 fn min_n() -> usize {
     2
 }
 
 fn min_horizon_s(spec: &CaseSpec) -> u64 {
     let tp_s = (spec.tp_ms / 1_000).max(1);
-    (20 * tp_s).max(30)
+    let floor = (20 * tp_s).max(30);
+    if spec.oracle == Oracle::EngineEquivalence {
+        floor.max(oracles::equivalence_min_horizon_s(spec))
+    } else {
+        floor
+    }
 }
 
 /// The cheaper variants of `spec` to try, in preference order (biggest
@@ -116,7 +123,7 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FaultOp, Oracle};
+    use crate::spec::FaultOp;
 
     fn base() -> CaseSpec {
         CaseSpec {

@@ -9,12 +9,13 @@
 //! about) is driven by [`crate::sim::NetSim`] through the same
 //! [`JitterPolicy`]/[`TimerResetPolicy`] knobs as the abstract model.
 //!
-//! The table itself is a flat structure-of-arrays arena sorted by
-//! destination: parallel `Vec`s for metric, next hop and the three clocks.
-//! A single destination is looked up by binary search; an update's entries
-//! are merged in one forward pass (see
-//! [`RoutingTable::process_update_with`]), linear in the table for a sorted
-//! full-table update. Entry iteration is always in ascending destination
+//! The table itself is a sorted `Vec` of destinations, the search key,
+//! beside one `Vec` of rows holding each destination's metric, next hop
+//! and three clocks: two allocations per table, and every kernel reads one
+//! row per entry it touches. A single destination is looked up by binary
+//! search; an update's entries are merged in one forward pass (see
+//! [`RoutingTable::process_update_with`]), linear in the table for a
+//! sorted full-table update. Entry iteration is always in ascending destination
 //! order — advertisements come out sorted without a sort, and behaviour is
 //! reproducible without hashing anywhere. Beyond the classic full-table
 //! advertisement the table supports **delta advertisements** (only
@@ -270,20 +271,54 @@ pub struct UpdateOutcome {
     pub probes: u64,
 }
 
-/// A router's routing table: a flat structure-of-arrays arena sorted by
-/// destination. Binary-search lookups, merged updates, ordered iteration,
-/// no hashing.
+/// One table row: a destination's route, with the sentinel-encoded clocks
+/// the kernels compare without unwrapping an `Option`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    next_hop: NodeId,
+    last_heard: SimTime,
+    /// [`NO_HOLDDOWN`] when no hold-down is active.
+    holddown_until: SimTime,
+    /// [`NOT_DEAD`] while the route is alive.
+    dead_since: SimTime,
+    metric: u32,
+}
+
+impl Row {
+    /// A live route with no hold-down.
+    fn live(metric: u32, next_hop: NodeId, last_heard: SimTime) -> Row {
+        Row {
+            next_hop,
+            last_heard,
+            holddown_until: NO_HOLDDOWN,
+            dead_since: NOT_DEAD,
+            metric,
+        }
+    }
+
+    fn route(&self) -> Route {
+        Route {
+            metric: self.metric,
+            next_hop: self.next_hop,
+            last_heard: self.last_heard,
+            holddown_until: (self.holddown_until != NO_HOLDDOWN).then_some(self.holddown_until),
+            dead_since: (self.dead_since != NOT_DEAD).then_some(self.dead_since),
+        }
+    }
+}
+
+/// A router's routing table: sorted destinations and their rows.
+/// Binary-search lookups, merged updates, ordered iteration, no hashing,
+/// and two heap allocations (three with dirty tracking).
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     me: NodeId,
+    /// Sorted, and apart from the rows: a search passes many destinations
+    /// but reads the route of only the one it finds, so it reads 8 bytes
+    /// per destination passed rather than a whole row.
     dsts: Vec<NodeId>,
-    metrics: Vec<u32>,
-    next_hops: Vec<NodeId>,
-    last_heard: Vec<SimTime>,
-    /// [`NO_HOLDDOWN`] when no hold-down is active.
-    holddown_until: Vec<SimTime>,
-    /// [`NOT_DEAD`] while the route is alive.
-    dead_since: Vec<SimTime>,
+    /// `rows[i]` is the route to `dsts[i]`.
+    rows: Vec<Row>,
     /// When set, destinations whose routes change are recorded in `dirty`
     /// (drives delta triggered updates).
     track_dirty: bool,
@@ -296,11 +331,7 @@ impl RoutingTable {
         let mut t = RoutingTable {
             me,
             dsts: Vec::new(),
-            metrics: Vec::new(),
-            next_hops: Vec::new(),
-            last_heard: Vec::new(),
-            holddown_until: Vec::new(),
-            dead_since: Vec::new(),
+            rows: Vec::new(),
             track_dirty: false,
             dirty: Vec::new(),
         };
@@ -309,9 +340,8 @@ impl RoutingTable {
     }
 
     fn insert_self(&mut self) {
-        let me = self.me;
         // Self-route: metric 0, never expires.
-        self.raw_insert(0, me, 0, me, SimTime::MAX, NO_HOLDDOWN, NOT_DEAD);
+        self.insert(0, self.me, Row::live(0, self.me, SimTime::MAX));
     }
 
     /// The router this table belongs to.
@@ -322,15 +352,11 @@ impl RoutingTable {
     /// Wipe the table back to the cold-start state: only the self-route
     /// survives. This is a router crash — direct routes come back via
     /// [`RoutingTable::install_direct`] on reboot, and everything else must
-    /// be re-learned from neighbours' advertisements. Keeps the arenas'
+    /// be re-learned from neighbours' advertisements. Keeps the rows'
     /// capacity, so crash/reboot cycles do not reallocate.
     pub fn reset(&mut self) {
         self.dsts.clear();
-        self.metrics.clear();
-        self.next_hops.clear();
-        self.last_heard.clear();
-        self.holddown_until.clear();
-        self.dead_since.clear();
+        self.rows.clear();
         self.dirty.clear();
         self.insert_self();
     }
@@ -339,48 +365,23 @@ impl RoutingTable {
         self.dsts.binary_search(&dst)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn raw_insert(
-        &mut self,
-        i: usize,
-        dst: NodeId,
-        metric: u32,
-        next_hop: NodeId,
-        last_heard: SimTime,
-        holddown_until: SimTime,
-        dead_since: SimTime,
-    ) {
+    fn insert(&mut self, i: usize, dst: NodeId, row: Row) {
         self.dsts.insert(i, dst);
-        self.metrics.insert(i, metric);
-        self.next_hops.insert(i, next_hop);
-        self.last_heard.insert(i, last_heard);
-        self.holddown_until.insert(i, holddown_until);
-        self.dead_since.insert(i, dead_since);
+        self.rows.insert(i, row);
     }
 
-    /// Keep the entries for which `keep(dst, metric, dead_since)` holds:
-    /// in-place parallel compaction across the arenas, no allocation.
-    fn remove_where(&mut self, mut keep: impl FnMut(NodeId, u32, SimTime) -> bool) {
+    /// Keep the entries for which `keep(dst, row)` holds, in order.
+    fn retain(&mut self, keep: impl Fn(NodeId, &Row) -> bool) {
         let mut w = 0;
         for r in 0..self.dsts.len() {
-            if keep(self.dsts[r], self.metrics[r], self.dead_since[r]) {
-                if w != r {
-                    self.dsts[w] = self.dsts[r];
-                    self.metrics[w] = self.metrics[r];
-                    self.next_hops[w] = self.next_hops[r];
-                    self.last_heard[w] = self.last_heard[r];
-                    self.holddown_until[w] = self.holddown_until[r];
-                    self.dead_since[w] = self.dead_since[r];
-                }
+            if keep(self.dsts[r], &self.rows[r]) {
+                self.dsts[w] = self.dsts[r];
+                self.rows[w] = self.rows[r];
                 w += 1;
             }
         }
         self.dsts.truncate(w);
-        self.metrics.truncate(w);
-        self.next_hops.truncate(w);
-        self.last_heard.truncate(w);
-        self.holddown_until.truncate(w);
-        self.dead_since.truncate(w);
+        self.rows.truncate(w);
     }
 
     fn mark_dirty(&mut self, dst: NodeId) {
@@ -412,23 +413,10 @@ impl RoutingTable {
     }
 
     fn upsert(&mut self, dst: NodeId, metric: u32, next_hop: NodeId) {
+        let row = Row::live(metric, next_hop, SimTime::MAX);
         match self.find(dst) {
-            Ok(i) => {
-                self.metrics[i] = metric;
-                self.next_hops[i] = next_hop;
-                self.last_heard[i] = SimTime::MAX;
-                self.holddown_until[i] = NO_HOLDDOWN;
-                self.dead_since[i] = NOT_DEAD;
-            }
-            Err(i) => self.raw_insert(
-                i,
-                dst,
-                metric,
-                next_hop,
-                SimTime::MAX,
-                NO_HOLDDOWN,
-                NOT_DEAD,
-            ),
+            Ok(i) => self.rows[i] = row,
+            Err(i) => self.insert(i, dst, row),
         }
         self.mark_dirty(dst);
     }
@@ -480,7 +468,7 @@ impl RoutingTable {
     /// decides whether the row may change. The changes themselves, and the
     /// hold-down test that can still refuse a better route, are in
     /// `RoutingTable::change_row`, so the hot loop never reads the
-    /// hold-down column.
+    /// hold-down clock.
     pub fn process_update_with(
         &mut self,
         from: NodeId,
@@ -505,10 +493,10 @@ impl RoutingTable {
                     // better or worse, and refresh the route; anyone else
                     // only displaces it with a better metric (outside
                     // hold-down).
-                    let metric = self.metrics[i];
-                    let via = self.next_hops[i] == from;
-                    let heard = self.last_heard[i];
-                    self.last_heard[i] = select_unpredictable(via, now, heard);
+                    let row = &mut self.rows[i];
+                    let via = row.next_hop == from;
+                    row.last_heard = select_unpredictable(via, now, row.last_heard);
+                    let metric = row.metric;
                     let may_change = (via & (metric != cand)) | (!via & (cand < metric));
                     if may_change && self.change_row(i, via, from, cand, now, infinity, holddown) {
                         out.changed = true;
@@ -516,7 +504,7 @@ impl RoutingTable {
                     cursor = i + 1;
                 }
                 Err(i) if cand < infinity => {
-                    self.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
+                    self.insert(i, e.dst, Row::live(cand, from, now));
                     self.mark_dirty(e.dst);
                     out.changed = true;
                     cursor = i + 1;
@@ -545,22 +533,20 @@ impl RoutingTable {
         infinity: u32,
         holddown: Option<Duration>,
     ) -> bool {
+        let row = &mut self.rows[i];
         if !via {
-            if now < self.holddown_until[i] {
+            if now < row.holddown_until {
                 return false;
             }
-            self.next_hops[i] = from;
-            self.last_heard[i] = now;
-            self.holddown_until[i] = NO_HOLDDOWN;
-            self.dead_since[i] = NOT_DEAD;
-        } else if cand >= infinity && self.metrics[i] < infinity {
+            *row = Row::live(cand, from, now);
+        } else if cand >= infinity && row.metric < infinity {
             // Route lost: start hold-down and the gc clock.
-            self.holddown_until[i] = holddown.map_or(NO_HOLDDOWN, |h| now + h);
-            self.dead_since[i] = now;
+            row.holddown_until = holddown.map_or(NO_HOLDDOWN, |h| now + h);
+            row.dead_since = now;
         } else if cand < infinity {
-            self.dead_since[i] = NOT_DEAD;
+            row.dead_since = NOT_DEAD;
         }
-        self.metrics[i] = cand;
+        row.metric = cand;
         self.mark_dirty(self.dsts[i]);
         true
     }
@@ -615,17 +601,15 @@ impl RoutingTable {
     ) -> bool {
         let mut changed = false;
         let hd = holddown.map_or(NO_HOLDDOWN, |h| now + h);
-        for i in 0..self.dsts.len() {
-            if self.dsts[i] != self.me
-                && self.next_hops[i] == next_hop
-                && self.metrics[i] < infinity
-            {
-                self.metrics[i] = infinity;
-                self.holddown_until[i] = hd;
-                self.dead_since[i] = now;
+        for (&dst, row) in self.dsts.iter().zip(&mut self.rows) {
+            if dst != self.me && row.next_hop == next_hop && row.metric < infinity {
+                row.metric = infinity;
+                row.holddown_until = hd;
+                row.dead_since = now;
                 changed = true;
-                let dst = self.dsts[i];
-                self.mark_dirty(dst);
+                if self.track_dirty {
+                    self.dirty.push(dst);
+                }
             }
         }
         changed
@@ -635,17 +619,18 @@ impl RoutingTable {
     /// anything changed.
     pub fn expire(&mut self, now: SimTime, timeout: Duration, infinity: u32) -> bool {
         let mut changed = false;
-        for i in 0..self.dsts.len() {
-            if self.dsts[i] != self.me
-                && self.last_heard[i] != SimTime::MAX
-                && self.metrics[i] < infinity
-                && self.last_heard[i] + timeout <= now
+        for (&dst, row) in self.dsts.iter().zip(&mut self.rows) {
+            if dst != self.me
+                && row.last_heard != SimTime::MAX
+                && row.metric < infinity
+                && row.last_heard + timeout <= now
             {
-                self.metrics[i] = infinity;
-                self.dead_since[i] = now;
+                row.metric = infinity;
+                row.dead_since = now;
                 changed = true;
-                let dst = self.dsts[i];
-                self.mark_dirty(dst);
+                if self.track_dirty {
+                    self.dirty.push(dst);
+                }
             }
         }
         changed
@@ -654,7 +639,7 @@ impl RoutingTable {
     /// Drop every unreachable route immediately.
     pub fn gc(&mut self, infinity: u32) {
         let me = self.me;
-        self.remove_where(|dst, metric, _| dst == me || metric < infinity);
+        self.retain(|dst, r| dst == me || r.metric < infinity);
     }
 
     /// Drop unreachable routes that have been dead for at least `grace`
@@ -662,22 +647,24 @@ impl RoutingTable {
     /// for a while so neighbours hear the bad news, then deleted).
     pub fn gc_due(&mut self, now: SimTime, grace: Duration, infinity: u32) {
         let me = self.me;
-        self.remove_where(|dst, metric, dead| {
-            dst == me || metric < infinity || !(dead != NOT_DEAD && dead + grace <= now)
+        self.retain(|dst, r| {
+            dst == me
+                || r.metric < infinity
+                || !(r.dead_since != NOT_DEAD && r.dead_since + grace <= now)
         });
     }
 
     /// Next hop towards `dst`, if a live route exists.
     pub fn lookup(&self, dst: NodeId, infinity: u32) -> Option<NodeId> {
         match self.find(dst) {
-            Ok(i) if self.metrics[i] < infinity => Some(self.next_hops[i]),
+            Ok(i) if self.rows[i].metric < infinity => Some(self.rows[i].next_hop),
             _ => None,
         }
     }
 
     /// Metric towards `dst`.
     pub fn metric(&self, dst: NodeId) -> Option<u32> {
-        self.find(dst).ok().map(|i| self.metrics[i])
+        self.find(dst).ok().map(|i| self.rows[i].metric)
     }
 
     /// Number of entries (including the self-route).
@@ -693,18 +680,10 @@ impl RoutingTable {
     /// Iterate `(destination, route)` pairs in ascending destination
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Route)> + '_ {
-        (0..self.dsts.len()).map(|i| (self.dsts[i], self.route_at(i)))
-    }
-
-    fn route_at(&self, i: usize) -> Route {
-        Route {
-            metric: self.metrics[i],
-            next_hop: self.next_hops[i],
-            last_heard: self.last_heard[i],
-            holddown_until: (self.holddown_until[i] != NO_HOLDDOWN)
-                .then_some(self.holddown_until[i]),
-            dead_since: (self.dead_since[i] != NOT_DEAD).then_some(self.dead_since[i]),
-        }
+        self.dsts
+            .iter()
+            .zip(&self.rows)
+            .map(|(&dst, r)| (dst, r.route()))
     }
 
     /// The advertisement for an interface whose set of on-link neighbours
@@ -733,17 +712,16 @@ impl RoutingTable {
         out: &mut Vec<RouteEntry>,
     ) {
         let me = self.me;
-        let rows = self.dsts.iter().zip(&self.metrics).zip(&self.next_hops);
-        out.extend(rows.map(move |((&dst, &metric), &next_hop)| {
+        out.extend(self.dsts.iter().zip(&self.rows).map(move |(&dst, r)| {
             // Two selects, not one on `split & (dst != me) & on_link`:
             // LLVM splits a select on a combined condition into nested
             // selects and turns one of them back into a branch on the
             // next hop, which no predictor learns from a mesh's tables.
-            let poisoned = select_unpredictable(dst != me, infinity, metric);
-            let reverse = split_horizon & on_link(link_peers, next_hop);
+            let poisoned = select_unpredictable(dst != me, infinity, r.metric);
+            let reverse = split_horizon & on_link(link_peers, r.next_hop);
             RouteEntry {
                 dst,
-                metric: select_unpredictable(reverse, poisoned, metric),
+                metric: select_unpredictable(reverse, poisoned, r.metric),
             }
         }));
     }
@@ -764,11 +742,11 @@ impl RoutingTable {
         out.reserve(only.len());
         for &dst in only {
             let Ok(i) = self.find(dst) else { continue };
-            let poisoned =
-                split_horizon & (dst != self.me) & on_link(link_peers, self.next_hops[i]);
+            let r = &self.rows[i];
+            let poisoned = split_horizon & (dst != self.me) & on_link(link_peers, r.next_hop);
             out.push(RouteEntry {
                 dst,
-                metric: select_unpredictable(poisoned, infinity, self.metrics[i]),
+                metric: select_unpredictable(poisoned, infinity, r.metric),
             });
         }
     }
@@ -808,8 +786,7 @@ impl RoutingTable {
         out: &mut Vec<AreaCandidate>,
     ) {
         let first = out.len();
-        let mut consider = |i: usize| {
-            let dst = self.dsts[i];
+        let mut consider = |dst: NodeId, r: &Row| {
             let split = if dst == self.me {
                 SplitHorizon::Keep
             } else if dst == DEFAULT_DST {
@@ -839,9 +816,9 @@ impl RoutingTable {
             out.push(AreaCandidate {
                 entry: RouteEntry {
                     dst,
-                    metric: self.metrics[i],
+                    metric: r.metric,
                 },
-                next_hop: self.next_hops[i],
+                next_hop: r.next_hop,
                 split: if split_horizon {
                     split
                 } else {
@@ -851,14 +828,14 @@ impl RoutingTable {
         };
         match only {
             None => {
-                for i in 0..self.dsts.len() {
-                    consider(i);
+                for (&dst, r) in self.dsts.iter().zip(&self.rows) {
+                    consider(dst, r);
                 }
             }
             Some(only) => {
                 for &dst in only {
                     if let Ok(i) = self.find(dst) {
-                        consider(i);
+                        consider(dst, &self.rows[i]);
                     }
                 }
             }
@@ -935,7 +912,7 @@ fn on_link(link_peers: &[NodeId], next_hop: NodeId) -> bool {
 }
 
 // Serde: the stable wire form is the sorted `(dst, route)` pair list —
-// independent of the arena layout.
+// independent of the row layout.
 impl Serialize for RoutingTable {
     fn to_value(&self) -> serde::Value {
         let routes: Vec<(NodeId, Route)> = self.iter().collect();
@@ -958,23 +935,16 @@ impl Deserialize for RoutingTable {
         )?;
         let mut t = RoutingTable::new(me);
         for (dst, r) in routes {
+            let row = Row {
+                next_hop: r.next_hop,
+                last_heard: r.last_heard,
+                holddown_until: r.holddown_until.unwrap_or(NO_HOLDDOWN),
+                dead_since: r.dead_since.unwrap_or(NOT_DEAD),
+                metric: r.metric,
+            };
             match t.find(dst) {
-                Ok(i) => {
-                    t.metrics[i] = r.metric;
-                    t.next_hops[i] = r.next_hop;
-                    t.last_heard[i] = r.last_heard;
-                    t.holddown_until[i] = r.holddown_until.unwrap_or(NO_HOLDDOWN);
-                    t.dead_since[i] = r.dead_since.unwrap_or(NOT_DEAD);
-                }
-                Err(i) => t.raw_insert(
-                    i,
-                    dst,
-                    r.metric,
-                    r.next_hop,
-                    r.last_heard,
-                    r.holddown_until.unwrap_or(NO_HOLDDOWN),
-                    r.dead_since.unwrap_or(NOT_DEAD),
-                ),
+                Ok(i) => t.rows[i] = row,
+                Err(i) => t.insert(i, dst, row),
             }
         }
         Ok(t)
@@ -1249,35 +1219,35 @@ mod tests {
         for e in entries {
             let cand = (e.metric + 1).min(infinity);
             match t.find(e.dst) {
-                Ok(i) if t.next_hops[i] == from => {
-                    t.last_heard[i] = now;
-                    if t.metrics[i] != cand {
-                        if cand >= infinity && t.metrics[i] < infinity {
-                            t.holddown_until[i] = holddown.map_or(NO_HOLDDOWN, |h| now + h);
-                            t.dead_since[i] = now;
+                Ok(i) if t.rows[i].next_hop == from => {
+                    t.rows[i].last_heard = now;
+                    if t.rows[i].metric != cand {
+                        if cand >= infinity && t.rows[i].metric < infinity {
+                            t.rows[i].holddown_until = holddown.map_or(NO_HOLDDOWN, |h| now + h);
+                            t.rows[i].dead_since = now;
                         } else if cand < infinity {
-                            t.dead_since[i] = NOT_DEAD;
+                            t.rows[i].dead_since = NOT_DEAD;
                         }
-                        t.metrics[i] = cand;
+                        t.rows[i].metric = cand;
                         changed = true;
                         t.mark_dirty(e.dst);
                     }
                 }
                 Ok(i) => {
-                    let held = now < t.holddown_until[i];
-                    if cand < t.metrics[i] && !held {
-                        t.metrics[i] = cand;
-                        t.next_hops[i] = from;
-                        t.last_heard[i] = now;
-                        t.holddown_until[i] = NO_HOLDDOWN;
-                        t.dead_since[i] = NOT_DEAD;
+                    let held = now < t.rows[i].holddown_until;
+                    if cand < t.rows[i].metric && !held {
+                        t.rows[i].metric = cand;
+                        t.rows[i].next_hop = from;
+                        t.rows[i].last_heard = now;
+                        t.rows[i].holddown_until = NO_HOLDDOWN;
+                        t.rows[i].dead_since = NOT_DEAD;
                         changed = true;
                         t.mark_dirty(e.dst);
                     }
                 }
                 Err(i) => {
                     if cand < infinity {
-                        t.raw_insert(i, e.dst, cand, from, now, NO_HOLDDOWN, NOT_DEAD);
+                        t.insert(i, e.dst, Row::live(cand, from, now));
                         changed = true;
                         t.mark_dirty(e.dst);
                     }
@@ -1312,14 +1282,16 @@ mod tests {
                 1 + below(rng, 5) as NodeId,
             );
             let last_heard = at(rng);
-            t.raw_insert(
+            t.insert(
                 i,
                 dst,
-                metric,
-                next_hop,
-                last_heard,
-                holddown_until,
-                dead_since,
+                Row {
+                    next_hop,
+                    last_heard,
+                    holddown_until,
+                    dead_since,
+                    metric,
+                },
             );
         }
         t

@@ -91,58 +91,106 @@ impl RouterConfig {
     }
 }
 
+/// A scheduled event. Node, link, slot and flap ids and the in-flight
+/// slab index travel as `u32` (see [`ev_id`]), so an event takes 16 bytes
+/// and a scheduler entry 24.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrive {
-        to: NodeId,
-        pkt_id: u64,
+        to: u32,
+        pkt_id: u32,
     },
     HelloTimer {
-        node: NodeId,
+        node: u32,
     },
     TxDone {
-        link: LinkId,
-        slot: usize,
+        link: u32,
+        slot: u32,
     },
     CpuFree {
-        node: NodeId,
+        node: u32,
         gen: u64,
     },
     DvTimer {
-        node: NodeId,
+        node: u32,
         gen: u64,
     },
     AppTick {
-        node: NodeId,
+        node: u32,
     },
     LinkDown {
-        link: LinkId,
+        link: u32,
     },
     LinkUp {
-        link: LinkId,
+        link: u32,
     },
     /// A scheduled fault-plan link transition (logged, unlike the raw
     /// `LinkDown`/`LinkUp` of `schedule_link_down/up`).
     FaultLink {
-        link: LinkId,
+        link: u32,
         up: bool,
     },
     /// A stochastic link-flap transition; reschedules itself.
     LinkFlap {
-        flap: usize,
+        flap: u32,
         down: bool,
     },
     RouterCrash {
-        node: NodeId,
+        node: u32,
     },
     RouterReboot {
-        node: NodeId,
+        node: u32,
     },
     /// A stochastic router-flap transition; reschedules itself.
     RouterFlap {
-        flap: usize,
+        flap: u32,
         down: bool,
     },
+}
+
+impl Ev {
+    /// The kinds' names, indexed by [`Ev::kind`]: each is counted as
+    /// `netsim.events.<name>`.
+    const KINDS: [&'static str; 13] = [
+        "arrive",
+        "hello_timer",
+        "tx_done",
+        "cpu_free",
+        "dv_timer",
+        "app_tick",
+        "link_down",
+        "link_up",
+        "fault_link",
+        "link_flap",
+        "router_crash",
+        "router_reboot",
+        "router_flap",
+    ];
+
+    fn kind(self) -> usize {
+        match self {
+            Ev::Arrive { .. } => 0,
+            Ev::HelloTimer { .. } => 1,
+            Ev::TxDone { .. } => 2,
+            Ev::CpuFree { .. } => 3,
+            Ev::DvTimer { .. } => 4,
+            Ev::AppTick { .. } => 5,
+            Ev::LinkDown { .. } => 6,
+            Ev::LinkUp { .. } => 7,
+            Ev::FaultLink { .. } => 8,
+            Ev::LinkFlap { .. } => 9,
+            Ev::RouterCrash { .. } => 10,
+            Ev::RouterReboot { .. } => 11,
+            Ev::RouterFlap { .. } => 12,
+        }
+    }
+}
+
+/// An id as an [`Ev`] carries it. [`NetSim::build`] checks that every
+/// node and link id (and so every slot) fits, `install_faults` checks the
+/// flap ids, and the in-flight slab checks its own growth.
+fn ev_id(id: usize) -> u32 {
+    id as u32
 }
 
 /// Drop/delivery counters, readable after a run.
@@ -232,6 +280,15 @@ struct NetObs {
     /// [`RouterConfig::record_timeline`] so live telemetry never
     /// changes simulation output.
     sync: routesync_obs::SyncDetector,
+    /// Events popped, per [`Ev::kind`] (`netsim.events.<kind>`), and the
+    /// `CpuFree`/`DvTimer` pops whose token was cancelled
+    /// (`netsim.events.stale`). Tallied in plain integers and added to the
+    /// counters when [`NetSim::run_until`] returns, so the event loop
+    /// pays no atomic per event.
+    events: [routesync_obs::Counter; Ev::KINDS.len()],
+    events_stale: routesync_obs::Counter,
+    tally: [u64; Ev::KINDS.len()],
+    tally_stale: u64,
 }
 
 impl NetObs {
@@ -264,7 +321,19 @@ impl NetObs {
             update_probes: obs.counter("netsim.update.probes"),
             trace: obs.tracer(),
             sync,
+            events: Ev::KINDS.map(|kind| obs.counter(&format!("netsim.events.{kind}"))),
+            events_stale: obs.counter("netsim.events.stale"),
+            tally: [0; Ev::KINDS.len()],
+            tally_stale: 0,
         }
+    }
+
+    /// Add the event tallies to their counters and zero them.
+    fn flush_events(&mut self) {
+        for (counter, n) in self.events.iter().zip(&mut self.tally) {
+            counter.add(std::mem::take(n));
+        }
+        self.events_stale.add(std::mem::take(&mut self.tally_stale));
     }
 }
 
@@ -371,6 +440,21 @@ struct NodeState {
     cpu_gen: TokenGen,
     timer_gen: TokenGen,
     pending_data: VecDeque<Packet>,
+    /// Applications' and hellos' state, allocated on first use.
+    cold: Option<Box<NodeCold>>,
+}
+
+impl NodeState {
+    fn cold(&mut self) -> &mut NodeCold {
+        self.cold.get_or_insert_default()
+    }
+}
+
+/// The part of a node's state only applications and the hello protocol
+/// use. Most routers of a large run never touch it, so it lives behind a
+/// pointer that stays null until they do.
+#[derive(Default)]
+struct NodeCold {
     app: Option<App>,
     /// Per-neighbour liveness (hello protocol): last hello heard and
     /// whether the adjacency is currently up.
@@ -378,6 +462,17 @@ struct NodeState {
     ping_stats: PingStats,
     cbr_stats: CbrReceiverStats,
 }
+
+/// What [`NetSim::ping_stats`] and [`NetSim::cbr_stats`] return for a
+/// node that never recorded any.
+static NO_PINGS: PingStats = PingStats {
+    sent_at: Vec::new(),
+    rtts: Vec::new(),
+};
+static NO_CBR: CbrReceiverStats = CbrReceiverStats {
+    arrivals: Vec::new(),
+    max_seq_seen: 0,
+};
 
 /// One node's interfaces, as [`Router`] sees them: its links, in
 /// topology order.
@@ -431,7 +526,7 @@ pub struct NetSim {
     /// are recycled through `free_slots`, so a steady-state run stops
     /// allocating here entirely.
     in_flight: Vec<Option<Packet>>,
-    free_slots: Vec<u64>,
+    free_slots: Vec<u32>,
     /// `(neighbor → link)` per node, flat and sorted.
     adjacency: Adjacency,
     counters: Counters,
@@ -485,6 +580,10 @@ impl NetSim {
         areas: Option<(AreaLayout, AreaMode)>,
     ) -> Self {
         let n = topo.node_count();
+        assert!(
+            u32::try_from(n).is_ok() && u32::try_from(topo.link_count()).is_ok(),
+            "node and link ids must fit the events' u32 fields"
+        );
         let engine = Engine::new();
         let adjacency = Adjacency::build(&topo);
         let areas = areas.map(|(layout, mode)| {
@@ -521,10 +620,7 @@ impl NetSim {
                 cpu_gen: TokenGen::new(),
                 timer_gen: TokenGen::new(),
                 pending_data: VecDeque::new(),
-                app: None,
-                neighbor_liveness: HashMap::new(),
-                ping_stats: PingStats::default(),
-                cbr_stats: CbrReceiverStats::default(),
+                cold: None,
             });
         }
         let links = (0..topo.link_count())
@@ -576,7 +672,13 @@ impl NetSim {
         for id in sim.topo.routers() {
             let first = sim.nodes[id].router.first_fire(&cfg);
             let gen = sim.nodes[id].timer_gen.current();
-            sim.engine.schedule(first, Ev::DvTimer { node: id, gen });
+            sim.engine.schedule(
+                first,
+                Ev::DvTimer {
+                    node: ev_id(id),
+                    gen,
+                },
+            );
         }
         if let Some(hello) = cfg.dv.hello {
             for id in sim.topo.routers() {
@@ -585,6 +687,7 @@ impl NetSim {
                 for (nb, _) in sim.topo.neighbors_iter(id) {
                     if sim.topo.kind(nb) == NodeKind::Router {
                         sim.nodes[id]
+                            .cold()
                             .neighbor_liveness
                             .insert(nb, (SimTime::ZERO, true));
                     }
@@ -593,7 +696,7 @@ impl NetSim {
                     routesync_rng::dist::UniformDuration::new(Duration::ZERO, hello.interval)
                         .sample(sim.nodes[id].router.rng());
                 sim.engine
-                    .schedule(SimTime::ZERO + first, Ev::HelloTimer { node: id });
+                    .schedule(SimTime::ZERO + first, Ev::HelloTimer { node: ev_id(id) });
             }
         }
         sim
@@ -733,14 +836,22 @@ impl NetSim {
             .install(dst, metric, next_hop);
     }
 
-    /// Ping statistics recorded at `node` (the ping *sender*).
+    /// Ping statistics recorded at `node` (the ping *sender*); empty for
+    /// a node that sent none.
     pub fn ping_stats(&self, node: NodeId) -> &PingStats {
-        &self.nodes[node].ping_stats
+        self.nodes[node]
+            .cold
+            .as_deref()
+            .map_or(&NO_PINGS, |c| &c.ping_stats)
     }
 
-    /// CBR receive statistics recorded at `node` (the audio *sink*).
+    /// CBR receive statistics recorded at `node` (the audio *sink*); empty
+    /// for a node that received none.
     pub fn cbr_stats(&self, node: NodeId) -> &CbrReceiverStats {
-        &self.nodes[node].cbr_stats
+        self.nodes[node]
+            .cold
+            .as_deref()
+            .map_or(&NO_CBR, |c| &c.cbr_stats)
     }
 
     /// Timer re-arm instants per router (requires
@@ -771,14 +882,16 @@ impl NetSim {
         count: u64,
         start: SimTime,
     ) {
-        self.nodes[src].app = Some(App::Ping {
+        let cold = self.nodes[src].cold();
+        cold.app = Some(App::Ping {
             dst,
             interval,
             count,
             sent: 0,
         });
-        self.nodes[src].ping_stats = PingStats::with_capacity(count as usize);
-        self.engine.schedule(start, Ev::AppTick { node: src });
+        cold.ping_stats = PingStats::with_capacity(count as usize);
+        self.engine
+            .schedule(start, Ev::AppTick { node: ev_id(src) });
     }
 
     /// Attach a constant-bit-rate source at `src` streaming to `dst`.
@@ -790,13 +903,14 @@ impl NetSim {
         count: u64,
         start: SimTime,
     ) {
-        self.nodes[src].app = Some(App::Cbr {
+        self.nodes[src].cold().app = Some(App::Cbr {
             dst,
             interval,
             count,
             sent: 0,
         });
-        self.engine.schedule(start, Ev::AppTick { node: src });
+        self.engine
+            .schedule(start, Ev::AppTick { node: ev_id(src) });
     }
 
     /// Attach a Poisson background source at `src` towards `dst` with the
@@ -809,23 +923,24 @@ impl NetSim {
         until: SimTime,
         start: SimTime,
     ) {
-        self.nodes[src].app = Some(App::Poisson {
+        self.nodes[src].cold().app = Some(App::Poisson {
             dst,
             mean_interval,
             until,
         });
-        self.engine.schedule(start, Ev::AppTick { node: src });
+        self.engine
+            .schedule(start, Ev::AppTick { node: ev_id(src) });
     }
 
     /// Take `link` down at `at` (routers on it poison dependent routes and
     /// emit triggered updates).
     pub fn schedule_link_down(&mut self, link: LinkId, at: SimTime) {
-        self.engine.schedule(at, Ev::LinkDown { link });
+        self.engine.schedule(at, Ev::LinkDown { link: ev_id(link) });
     }
 
     /// Bring `link` back up at `at`.
     pub fn schedule_link_up(&mut self, link: LinkId, at: SimTime) {
-        self.engine.schedule(at, Ev::LinkUp { link });
+        self.engine.schedule(at, Ev::LinkUp { link: ev_id(link) });
     }
 
     /// Install a [`FaultPlan`]: schedule its timed events and seed its
@@ -843,6 +958,10 @@ impl NetSim {
             return;
         }
         let n = self.topo.node_count();
+        assert!(
+            u32::try_from(plan.link_flaps.len().max(plan.router_flaps.len())).is_ok(),
+            "flap ids must fit the events' u32 fields"
+        );
         let mut st = Box::new(FaultState {
             link_flaps: plan
                 .link_flaps
@@ -893,10 +1012,16 @@ impl NetSim {
         }
         for ev in &plan.scheduled {
             let e = match ev.action {
-                crate::faults::FaultAction::LinkDown(l) => Ev::FaultLink { link: l, up: false },
-                crate::faults::FaultAction::LinkUp(l) => Ev::FaultLink { link: l, up: true },
-                crate::faults::FaultAction::RouterCrash(r) => Ev::RouterCrash { node: r },
-                crate::faults::FaultAction::RouterReboot(r) => Ev::RouterReboot { node: r },
+                crate::faults::FaultAction::LinkDown(l) => Ev::FaultLink {
+                    link: ev_id(l),
+                    up: false,
+                },
+                crate::faults::FaultAction::LinkUp(l) => Ev::FaultLink {
+                    link: ev_id(l),
+                    up: true,
+                },
+                crate::faults::FaultAction::RouterCrash(r) => Ev::RouterCrash { node: ev_id(r) },
+                crate::faults::FaultAction::RouterReboot(r) => Ev::RouterReboot { node: ev_id(r) },
             };
             self.engine.schedule(ev.at, e);
         }
@@ -905,6 +1030,7 @@ impl NetSim {
         for flap in 0..st.link_flaps.len() {
             let (prof, rng) = &mut st.link_flaps[flap];
             let dt = exp_duration(prof.mtbf, rng);
+            let flap = ev_id(flap);
             self.engine
                 .schedule(SimTime::ZERO + dt, Ev::LinkFlap { flap, down: true });
         }
@@ -916,6 +1042,7 @@ impl NetSim {
                 prof.node
             );
             let dt = exp_duration(prof.mtbf, rng);
+            let flap = ev_id(flap);
             self.engine
                 .schedule(SimTime::ZERO + dt, Ev::RouterFlap { flap, down: true });
         }
@@ -945,36 +1072,44 @@ impl NetSim {
             let (now, ev) = self.engine.pop().expect("peeked event vanished");
             self.dispatch(now, ev);
         }
+        self.obs.flush_events();
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
+        self.obs.tally[ev.kind()] += 1;
         match ev {
             Ev::Arrive { to, pkt_id } => {
                 let pkt = self.in_flight[pkt_id as usize]
                     .take()
                     .expect("arrival without in-flight packet");
                 self.free_slots.push(pkt_id);
-                self.on_arrive(now, to, pkt);
+                self.on_arrive(now, to as usize, pkt);
             }
-            Ev::TxDone { link, slot } => self.on_tx_done(now, link, slot),
+            Ev::TxDone { link, slot } => self.on_tx_done(now, link as usize, slot as usize),
             Ev::CpuFree { node, gen } => {
+                let node = node as usize;
                 if self.nodes[node].cpu_gen.is_live(gen) {
                     self.on_cpu_free(now, node);
+                } else {
+                    self.obs.tally_stale += 1;
                 }
             }
             Ev::DvTimer { node, gen } => {
+                let node = node as usize;
                 if self.nodes[node].timer_gen.is_live(gen) {
                     self.route(now, node, |r, env| r.on_timer(now, env));
+                } else {
+                    self.obs.tally_stale += 1;
                 }
             }
-            Ev::HelloTimer { node } => self.on_hello_timer(now, node),
-            Ev::AppTick { node } => self.on_app_tick(now, node),
-            Ev::LinkDown { link } => self.on_link_down(now, link),
-            Ev::LinkUp { link } => self.on_link_up(now, link),
-            Ev::FaultLink { link, up } => self.on_fault_link(now, link, up),
+            Ev::HelloTimer { node } => self.on_hello_timer(now, node as usize),
+            Ev::AppTick { node } => self.on_app_tick(now, node as usize),
+            Ev::LinkDown { link } => self.on_link_down(now, link as usize),
+            Ev::LinkUp { link } => self.on_link_up(now, link as usize),
+            Ev::FaultLink { link, up } => self.on_fault_link(now, link as usize, up),
             Ev::LinkFlap { flap, down } => self.on_link_flap(now, flap, down),
-            Ev::RouterCrash { node } => self.on_router_crash(now, node),
-            Ev::RouterReboot { node } => self.on_router_reboot(now, node),
+            Ev::RouterCrash { node } => self.on_router_crash(now, node as usize),
+            Ev::RouterReboot { node } => self.on_router_reboot(now, node as usize),
             Ev::RouterFlap { flap, down } => self.on_router_flap(now, flap, down),
         }
     }
@@ -1063,8 +1198,13 @@ impl NetSim {
             }
         }
         self.links[link].slots[slot].busy = true;
-        self.engine
-            .schedule(now + tx_time, Ev::TxDone { link, slot });
+        self.engine.schedule(
+            now + tx_time,
+            Ev::TxDone {
+                link: ev_id(link),
+                slot: ev_id(slot),
+            },
+        );
     }
 
     /// Deliver `pkt` over `link`, applying any fault-plan impairment:
@@ -1097,14 +1237,21 @@ impl NetSim {
                 id
             }
             None => {
+                let id = u32::try_from(self.in_flight.len()).expect("in-flight slab ids are u32");
                 self.in_flight.push(Some(pkt));
                 self.obs
                     .slab_high_water
                     .record_max(self.in_flight.len() as u64);
-                (self.in_flight.len() - 1) as u64
+                id
             }
         };
-        self.engine.schedule(at, Ev::Arrive { to, pkt_id: id });
+        self.engine.schedule(
+            at,
+            Ev::Arrive {
+                to: ev_id(to),
+                pkt_id: id,
+            },
+        );
     }
 
     fn on_tx_done(&mut self, now: SimTime, link: LinkId, slot: usize) {
@@ -1226,10 +1373,13 @@ impl NetSim {
             }
             Payload::Pong { seq, sent_ns } => {
                 let rtt = (now.as_nanos() - sent_ns) as f64 / 1e9;
-                self.nodes[node].ping_stats.record(seq, rtt);
+                self.nodes[node].cold().ping_stats.record(seq, rtt);
             }
             Payload::Audio { seq } => {
-                self.nodes[node].cbr_stats.record(seq, now.as_secs_f64());
+                self.nodes[node]
+                    .cold()
+                    .cbr_stats
+                    .record(seq, now.as_secs_f64());
             }
             Payload::Data => {}
             Payload::Hello | Payload::Routing(_) => unreachable!("handled in on_arrive"),
@@ -1318,7 +1468,13 @@ impl NetSim {
                     .trace
                     .record(now.as_nanos(), "netsim.cpu.busy", node as f64);
                 let gen = self.nodes[node].cpu_gen.bump();
-                self.engine.schedule(until, Ev::CpuFree { node, gen });
+                self.engine.schedule(
+                    until,
+                    Ev::CpuFree {
+                        node: ev_id(node),
+                        gen,
+                    },
+                );
             }
             Output::Emit(Emission::Periodic) => {
                 if self.cfg.record_timeline {
@@ -1358,7 +1514,13 @@ impl NetSim {
                     self.reset_log.push((now, node));
                 }
                 let gen = self.nodes[node].timer_gen.current();
-                self.engine.schedule(at, Ev::DvTimer { node, gen });
+                self.engine.schedule(
+                    at,
+                    Ev::DvTimer {
+                        node: ev_id(node),
+                        gen,
+                    },
+                );
             }
         }
     }
@@ -1409,6 +1571,7 @@ impl NetSim {
             silent.clear();
             silent.extend(
                 self.nodes[node]
+                    .cold()
                     .neighbor_liveness
                     .iter()
                     .filter(|&(_, &(last, alive))| alive && last + dead_after <= now)
@@ -1417,6 +1580,7 @@ impl NetSim {
             silent.sort_unstable();
             for &nb in &silent {
                 self.nodes[node]
+                    .cold()
                     .neighbor_liveness
                     .insert(nb, (SimTime::ZERO, false));
             }
@@ -1431,17 +1595,15 @@ impl NetSim {
             Duration::from_nanos(hi),
         )
         .sample(self.nodes[node].router.rng());
-        self.engine.schedule(now + next, Ev::HelloTimer { node });
+        self.engine
+            .schedule(now + next, Ev::HelloTimer { node: ev_id(node) });
     }
 
     /// A hello from `from` reached `node`: refresh (or resurrect) the
     /// adjacency.
     fn on_hello(&mut self, now: SimTime, node: NodeId, from: NodeId) {
-        let was_alive = self.nodes[node]
-            .neighbor_liveness
-            .get(&from)
-            .map(|&(_, alive)| alive);
-        self.nodes[node].neighbor_liveness.insert(from, (now, true));
+        let liveness = &mut self.nodes[node].cold().neighbor_liveness;
+        let was_alive = liveness.insert(from, (now, true)).map(|(_, alive)| alive);
         if was_alive == Some(false) {
             self.neighbors(now, node, &[from], true);
         }
@@ -1454,8 +1616,9 @@ impl NetSim {
             return true;
         }
         self.nodes[node]
-            .neighbor_liveness
-            .get(&neighbor)
+            .cold
+            .as_deref()
+            .and_then(|c| c.neighbor_liveness.get(&neighbor))
             .is_some_and(|&(_, alive)| alive)
     }
 
@@ -1482,7 +1645,7 @@ impl NetSim {
             // train is simply never sent).
             return;
         }
-        let Some(app) = self.nodes[node].app.clone() else {
+        let Some(app) = self.nodes[node].cold.as_ref().and_then(|c| c.app.clone()) else {
             return;
         };
         match app {
@@ -1505,17 +1668,19 @@ impl NetSim {
                     },
                 );
                 self.nodes[node]
+                    .cold()
                     .ping_stats
                     .note_sent(sent, now.as_secs_f64());
                 self.send_from(now, node, pkt);
-                self.nodes[node].app = Some(App::Ping {
+                self.nodes[node].cold().app = Some(App::Ping {
                     dst,
                     interval,
                     count,
                     sent: sent + 1,
                 });
                 if sent + 1 < count {
-                    self.engine.schedule(now + interval, Ev::AppTick { node });
+                    self.engine
+                        .schedule(now + interval, Ev::AppTick { node: ev_id(node) });
                 }
             }
             App::Cbr {
@@ -1530,14 +1695,15 @@ impl NetSim {
                 // ~20 ms of 64 kbit/s PCM plus headers.
                 let pkt = Packet::new(node, dst, 320, Payload::Audio { seq: sent });
                 self.send_from(now, node, pkt);
-                self.nodes[node].app = Some(App::Cbr {
+                self.nodes[node].cold().app = Some(App::Cbr {
                     dst,
                     interval,
                     count,
                     sent: sent + 1,
                 });
                 if sent + 1 < count {
-                    self.engine.schedule(now + interval, Ev::AppTick { node });
+                    self.engine
+                        .schedule(now + interval, Ev::AppTick { node: ev_id(node) });
                 }
             }
             App::Poisson {
@@ -1552,8 +1718,10 @@ impl NetSim {
                 self.send_from(now, node, pkt);
                 let exp = routesync_rng::dist::Exp::new(mean_interval.as_secs_f64());
                 let gap = exp.sample(self.nodes[node].router.rng()).max(1e-6);
-                self.engine
-                    .schedule(now + Duration::from_secs_f64(gap), Ev::AppTick { node });
+                self.engine.schedule(
+                    now + Duration::from_secs_f64(gap),
+                    Ev::AppTick { node: ev_id(node) },
+                );
             }
         }
     }
@@ -1656,11 +1824,11 @@ impl NetSim {
     /// One transition of a stochastic link flap: apply it, then draw the
     /// dwell time until the opposite transition from the flap's own RNG
     /// stream.
-    fn on_link_flap(&mut self, now: SimTime, flap: usize, down: bool) {
+    fn on_link_flap(&mut self, now: SimTime, flap: u32, down: bool) {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
-        let (prof, rng) = &mut f.link_flaps[flap];
+        let (prof, rng) = &mut f.link_flaps[flap as usize];
         let link = prof.link;
         let dwell = exp_duration(if down { prof.mttr } else { prof.mtbf }, rng);
         self.engine
@@ -1669,11 +1837,11 @@ impl NetSim {
     }
 
     /// One transition of a stochastic router flap (crash or reboot).
-    fn on_router_flap(&mut self, now: SimTime, flap: usize, down: bool) {
+    fn on_router_flap(&mut self, now: SimTime, flap: u32, down: bool) {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
-        let (prof, rng) = &mut f.router_flaps[flap];
+        let (prof, rng) = &mut f.router_flaps[flap as usize];
         let node = prof.node;
         let dwell = exp_duration(if down { prof.mttr } else { prof.mtbf }, rng);
         self.engine
@@ -1771,10 +1939,11 @@ impl NetSim {
         if self.cfg.dv.hello.is_some() {
             // Presume neighbours alive from the reboot instant, exactly
             // like the initial build.
-            self.nodes[node].neighbor_liveness.clear();
+            let liveness = &mut self.nodes[node].cold().neighbor_liveness;
+            liveness.clear();
             for &m in &nbrs {
                 if self.topo.kind(m) == NodeKind::Router {
-                    self.nodes[node].neighbor_liveness.insert(m, (now, true));
+                    liveness.insert(m, (now, true));
                 }
             }
         }
@@ -1843,6 +2012,13 @@ mod tests {
     /// N = 100k every byte here is 100 kB of resident memory.
     #[test]
     fn per_node_state_does_not_grow() {
-        assert!(std::mem::size_of::<super::NodeState>() <= 464);
+        assert!(std::mem::size_of::<super::NodeState>() <= 208);
+    }
+
+    /// Ids travel as `u32`, so an event stays at 16 bytes and a scheduler
+    /// entry, with its 8-byte time, at 24.
+    #[test]
+    fn events_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<super::Ev>(), 16);
     }
 }

@@ -375,6 +375,16 @@ pub fn sanitize(spec: &mut CaseSpec) {
     }
 }
 
+/// Whether `spec` lies in its oracle's domain: the specs [`sanitize`]
+/// leaves unchanged. This is the one statement of where each oracle
+/// applies; the shrinker tries no candidate outside it and
+/// [`oracles::check`] refuses to run one.
+pub fn in_domain(spec: &CaseSpec) -> bool {
+    let mut inside = spec.clone();
+    sanitize(&mut inside);
+    inside == *spec
+}
+
 /// Keep at most two fault ops, with distinct targets, each fully inside
 /// the horizon (down strictly before up, up strictly before the end).
 fn sanitize_faults(spec: &mut CaseSpec) {
@@ -755,7 +765,8 @@ pub fn fuzz_checkpointed(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
     Ok(report)
 }
 
-/// Replay a reproducer line: run its oracle once, verbatim, with `defect`.
+/// Replay a reproducer line: run its oracle once, verbatim, with `defect`
+/// ([`oracles::check`] refuses a line outside the oracle's domain).
 pub fn replay(repro: &Reproducer, defect: Option<Defect>) -> Result<(), String> {
     oracles::check(&repro.spec, repro.seed, defect)
 }
@@ -776,16 +787,24 @@ mod tests {
         }
     }
 
+    /// Also the domain's property: every sanitized spec, and every shrink
+    /// candidate of it, lies in its oracle's domain. Every oracle is drawn.
     #[test]
     fn sanitize_is_idempotent_under_mutation() {
         let mut rng = SplitMix64::new(99);
         let corpus = seed_corpus();
-        for i in 0..200 {
+        let mut drawn = BTreeSet::new();
+        for i in 0..1_000 {
             let mut spec = mutate(&corpus[i % corpus.len()], &mut rng);
             sanitize(&mut spec);
             let once = spec.clone();
             sanitize(&mut spec);
             assert_eq!(spec, once);
+            assert!(in_domain(&spec), "{spec:?}");
+            for cand in shrink::candidates(&spec) {
+                assert!(in_domain(&cand), "{cand:?} shrunk from {spec:?}");
+            }
+            drawn.insert(spec.oracle);
             if is_lan_oracle(spec.oracle) {
                 assert!(spec.faults.len() <= 2);
             } else if spec.oracle == Oracle::PulseConvergence {
@@ -803,12 +822,14 @@ mod tests {
             }
             assert!(spec.tr_ms <= spec.tp_ms);
         }
+        assert_eq!(drawn.len(), Oracle::ALL.len());
     }
 
     /// `--budget-cases 300 --seed 55` drew this case at a 200 s horizon:
     /// a synchronized start with no jitter logs one cluster per round, so
     /// the oracle had 8 entries to compare and refused the case. Sanitize
-    /// now lifts the horizon to the oracle's own floor, where it passes.
+    /// lifts the horizon to the oracle's own floor, where it passes, and
+    /// `check` refuses the spec below it as outside the domain.
     #[test]
     fn engine_equivalence_cases_are_sanitized_into_the_oracle_window() {
         let seed = 15_837_208_377_268_863_519;
@@ -825,15 +846,26 @@ mod tests {
             depth: 0,
         };
         let refused = oracles::check(&spec, seed, None).expect_err("out of domain");
-        assert!(refused.contains("too small"), "{refused}");
+        assert!(
+            refused.starts_with("engine-equivalence refuses a spec outside its domain"),
+            "{refused}"
+        );
+        let too_small = oracles::engine_equivalence(&spec, seed, None).expect_err("no window");
+        assert!(too_small.contains("too small"), "{too_small}");
         sanitize(&mut spec);
+        assert!(
+            refused.ends_with(&serde_json::to_string(&spec).unwrap()),
+            "{refused}"
+        );
         assert_eq!(spec.horizon_s, oracles::equivalence_min_horizon_s(&spec));
         assert_eq!(oracles::check(&spec, seed, None), Ok(()));
     }
 
     /// At its floor the oracle gets its window across the sanitized
     /// domain's corners: the fewest and most routers, the shortest and
-    /// longest coupling, no jitter and the most, both starts.
+    /// longest coupling, no jitter and the most, both starts. The oracle
+    /// is called directly, so the floor is tested on its own and not
+    /// through the domain it feeds.
     #[test]
     fn engine_equivalence_floor_leaves_a_window_at_every_corner() {
         for n in [2, 10] {
@@ -853,7 +885,11 @@ mod tests {
                             depth: 0,
                         };
                         spec.horizon_s = oracles::equivalence_min_horizon_s(&spec);
-                        assert_eq!(oracles::check(&spec, 3, None), Ok(()), "{spec:?}");
+                        assert_eq!(
+                            oracles::engine_equivalence(&spec, 3, None),
+                            Ok(()),
+                            "{spec:?}"
+                        );
                     }
                 }
             }

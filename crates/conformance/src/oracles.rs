@@ -37,11 +37,8 @@ use routesync_netsim::scenario::largest_cluster_series;
 use routesync_netsim::FaultPlan;
 use routesync_rng::SplitMix64;
 
+use crate::fuzz;
 use crate::spec::{CaseSpec, Defect, Oracle};
-
-/// The update period (seconds) of the packet-level LAN scenario — fixed
-/// by `ScenarioSpec::lan` (DECnet-style 120 s updates).
-pub const LAN_TP_S: f64 = 120.0;
 
 /// Ensemble worker threads for the analytical/metamorphic oracles.
 /// Results are bit-identical at any thread count (that *is* one of the
@@ -57,8 +54,19 @@ const ENSEMBLE_THREADS: usize = 4;
 /// broken coupling) lands orders of magnitude outside it.
 const MARKOV_RATIO_BAND: (f64, f64) = (0.02, 60.0);
 
-/// Dispatch a spec to its oracle, building its models with `defect`.
+/// Dispatch a spec to its oracle, building its models with `defect`. A
+/// spec outside its oracle's domain ([`fuzz::in_domain`]) is refused, not
+/// run, with a message that shows what [`fuzz::sanitize`] makes of it.
 pub fn check(spec: &CaseSpec, seed: u64, defect: Option<Defect>) -> Result<(), String> {
+    if !fuzz::in_domain(spec) {
+        let mut inside = spec.clone();
+        fuzz::sanitize(&mut inside);
+        return Err(format!(
+            "{} refuses a spec outside its domain; sanitized it reads {}",
+            spec.oracle.name(),
+            serde_json::to_string(&inside).expect("spec serializes")
+        ));
+    }
     match spec.oracle {
         Oracle::EngineEquivalence => engine_equivalence(spec, seed, defect),
         Oracle::NetsimTiming => netsim_timing(spec, seed),
@@ -184,7 +192,7 @@ pub fn engine_equivalence(
     // must reproduce `fast_rec` byte for byte — with the other cells
     // run through the same model after it, so state leaking from one
     // cell into the next shows up below.
-    let width = spec.batch_width.max(1);
+    let width = spec.batch_width;
     let mut seeds = vec![seed];
     seeds.extend(derive_seeds(seed, width - 1));
     let mut block = routesync_core::BatchedEnsemble::new(p, width);
@@ -255,7 +263,7 @@ pub fn netsim_timing(spec: &CaseSpec, seed: u64) -> Result<(), String> {
         return Err("rebuilding the same (spec, seed) diverged".into());
     }
 
-    let tr = spec.tr_ms as f64 / 1e3;
+    let (tp, tr) = (spec.tp_ms as f64 / 1e3, spec.tr_ms as f64 / 1e3);
     let n = spec.n;
 
     if spec.faults.is_empty() {
@@ -264,7 +272,7 @@ pub fn netsim_timing(spec: &CaseSpec, seed: u64) -> Result<(), String> {
         // costs ~(pad + n) routes × 1 ms to process and a burst makes a
         // router chew through up to n of them, so allow n × 0.3 s skew.
         let skew = 0.3 * n as f64 + 1.0;
-        let (lo, hi) = (LAN_TP_S - tr - skew, LAN_TP_S + tr + skew);
+        let (lo, hi) = (tp - tr - skew, tp + tr + skew);
         let mut last: Vec<Option<SimTime>> = vec![None; n];
         for &(t, node) in scen.sim.update_log() {
             if let Some(prev) = last[node] {
@@ -272,7 +280,7 @@ pub fn netsim_timing(spec: &CaseSpec, seed: u64) -> Result<(), String> {
                 if gap < lo || gap > hi {
                     return Err(format!(
                         "router {node} update interval {gap:.2} s outside [{lo:.2}, {hi:.2}] \
-                         (Tp=120, Tr={tr}, N={n})"
+                         (Tp={tp}, Tr={tr}, N={n})"
                     ));
                 }
             }
@@ -283,7 +291,7 @@ pub fn netsim_timing(spec: &CaseSpec, seed: u64) -> Result<(), String> {
     let series = largest_cluster_series(
         scen.sim.reset_log(),
         Duration::from_secs(10),
-        Duration::from_secs_f64(LAN_TP_S),
+        Duration::from_millis(spec.tp_ms),
     );
     if spec.faults.is_empty() && spec.tr_ms == 0 && spec.sync_start {
         // Zero jitter, synchronized start: the full cluster can never shed

@@ -8,38 +8,22 @@
 //! and to eyeball.
 //!
 //! Any failure counts when judging a candidate (the message may drift
-//! while shrinking); the floors below keep candidates inside each
-//! oracle's meaningful domain so a shrunk case still fails for a reason
-//! worth reading.
+//! while shrinking). A candidate is tried only if it lies in its oracle's
+//! domain — [`fuzz::in_domain`]: the specs [`fuzz::sanitize`] leaves
+//! unchanged — so a shrunk case is one the oracle's claim covers and
+//! fails for a reason worth reading.
 
-use crate::oracles;
-use crate::spec::{CaseSpec, Oracle};
+use crate::fuzz;
+use crate::spec::CaseSpec;
 
 /// Hard cap on adopted shrink steps; each step strictly reduces the spec,
 /// so this is a safety net, not a tuning knob.
 const MAX_STEPS: usize = 64;
 
-/// Floors for shrink candidates. `n` below 2 has no clusters to merge;
-/// horizons below ~20 periods leave the differential oracles' comparison
-/// windows too small to mean anything, and the engine-equivalence oracle
-/// states its own floor.
-fn min_n() -> usize {
-    2
-}
-
-fn min_horizon_s(spec: &CaseSpec) -> u64 {
-    let tp_s = (spec.tp_ms / 1_000).max(1);
-    let floor = (20 * tp_s).max(30);
-    if spec.oracle == Oracle::EngineEquivalence {
-        floor.max(oracles::equivalence_min_horizon_s(spec))
-    } else {
-        floor
-    }
-}
-
 /// The cheaper variants of `spec` to try, in preference order (biggest
-/// cost reduction first).
-fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
+/// cost reduction first): each differs from `spec` and lies in its
+/// oracle's domain.
+pub(crate) fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
     let mut out = Vec::new();
     // Dropping a fault op is the single biggest simplification.
     for i in 0..spec.faults.len() {
@@ -47,46 +31,30 @@ fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
         c.faults.remove(i);
         out.push(c);
     }
-    if spec.n / 2 >= min_n() {
+    let reductions: [fn(&mut CaseSpec); 8] = [
+        |c| c.n /= 2,
+        |c| c.n = c.n.saturating_sub(1),
+        // The shortest horizon the domain admits: sanitize lifts 0 to it.
+        |c| {
+            c.horizon_s = 0;
+            fuzz::sanitize(c);
+        },
+        |c| c.horizon_s /= 2,
+        |c| c.tr_ms /= 2,
+        // Canonical timing constants (the paper's reference values) read
+        // better in a reproducer than fuzzer-mangled ones.
+        |c| c.tc_ms = c.tc_ms.min(110),
+        // Narrower batched blocks replay faster.
+        |c| c.batch_width /= 2,
+        // Shallower anti-message cascades (cascade oracle); 0 = no cascade.
+        |c| c.depth /= 2,
+    ];
+    for reduce in reductions {
         let mut c = spec.clone();
-        c.n /= 2;
+        reduce(&mut c);
         out.push(c);
     }
-    if spec.n > min_n() {
-        let mut c = spec.clone();
-        c.n -= 1;
-        out.push(c);
-    }
-    let floor = min_horizon_s(spec);
-    if spec.horizon_s / 2 >= floor {
-        let mut c = spec.clone();
-        c.horizon_s /= 2;
-        out.push(c);
-    }
-    if spec.tr_ms > 0 {
-        let mut c = spec.clone();
-        c.tr_ms /= 2;
-        out.push(c);
-    }
-    // Canonical timing constants (the paper's reference values) read
-    // better in a reproducer than fuzzer-mangled ones.
-    if spec.tc_ms != 110 && spec.tc_ms > 1 {
-        let mut c = spec.clone();
-        c.tc_ms = 110.min(spec.tc_ms);
-        out.push(c);
-    }
-    // Narrower batched blocks replay faster; width 1 is the floor.
-    if spec.batch_width > 1 {
-        let mut c = spec.clone();
-        c.batch_width = (spec.batch_width / 2).max(1);
-        out.push(c);
-    }
-    // Shallower anti-message cascades (cascade oracle); 0 = no cascade.
-    if spec.depth > 0 {
-        let mut c = spec.clone();
-        c.depth /= 2;
-        out.push(c);
-    }
+    out.retain(|c| c != spec && fuzz::in_domain(c));
     out
 }
 
@@ -123,7 +91,7 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::FaultOp;
+    use crate::spec::{FaultOp, Oracle};
 
     fn base() -> CaseSpec {
         CaseSpec {
@@ -134,26 +102,46 @@ mod tests {
             tr_ms: 400,
             sync_start: false,
             horizon_s: 4_000,
-            faults: vec![FaultOp::Link {
-                link: 0,
-                down_s: 100,
-                up_s: 200,
-            }],
+            faults: vec![],
             batch_width: 16,
-            depth: 3,
+            depth: 0,
         }
     }
 
+    /// The spec's corner of its oracle's domain: the fewest routers and
+    /// the shortest horizon `sanitize` admits, everything else kept.
+    fn corner(spec: &CaseSpec) -> CaseSpec {
+        let mut c = spec.clone();
+        c.n = 0;
+        c.horizon_s = 0;
+        fuzz::sanitize(&mut c);
+        c
+    }
+
+    /// The floors are the domain's: an always-failing spec ends at its
+    /// corner, for every oracle.
     #[test]
     fn shrinks_an_always_failing_spec_to_the_floors() {
         let (min, msg) = shrink(&base(), 7, "boom".into(), |_, _| Err("boom".into()));
+        assert!(fuzz::in_domain(&min), "{min:?}");
+        assert_eq!(min, corner(&min));
         assert_eq!(min.n, 2);
-        assert!(min.faults.is_empty());
-        assert!(min.horizon_s >= min_horizon_s(&min));
         assert_eq!(min.tr_ms, 0);
+        assert_eq!(min.tc_ms, 110);
         assert_eq!(min.batch_width, 1);
-        assert_eq!(min.depth, 0);
         assert_eq!(msg, "boom");
+        // Every oracle's canned case, faults and cascades included.
+        for spec in fuzz::seed_corpus() {
+            let (min, _) = shrink(&spec, 7, "boom".into(), |_, _| Err("boom".into()));
+            assert!(fuzz::in_domain(&min), "{min:?}");
+            assert_eq!(
+                min,
+                corner(&min),
+                "{:?} stopped above its corner",
+                spec.oracle
+            );
+            assert!(min.faults.is_empty() && min.depth == 0, "{min:?}");
+        }
     }
 
     #[test]
@@ -173,15 +161,42 @@ mod tests {
     #[test]
     fn respects_a_predicate_that_needs_the_fault() {
         // A failure that depends on having at least one fault op: the
-        // shrinker must not drop the last one.
-        let (min, _) = shrink(&base(), 7, "faulty".into(), |s, _| {
+        // shrinker must not drop the last one. The LAN oracle's domain
+        // admits Router and Link windows.
+        let spec = CaseSpec {
+            oracle: Oracle::NetsimTiming,
+            n: 6,
+            tp_ms: 120_000,
+            tc_ms: 110,
+            tr_ms: 1_000,
+            sync_start: false,
+            horizon_s: 1_800,
+            faults: vec![
+                FaultOp::Router {
+                    node: 4,
+                    down_s: 300,
+                    up_s: 450,
+                },
+                FaultOp::Link {
+                    link: 0,
+                    down_s: 100,
+                    up_s: 200,
+                },
+            ],
+            batch_width: 1,
+            depth: 0,
+        };
+        assert!(fuzz::in_domain(&spec));
+        let (min, _) = shrink(&spec, 7, "faulty".into(), |s, _| {
             if s.faults.is_empty() {
                 Ok(())
             } else {
                 Err("faulty".into())
             }
         });
+        assert!(fuzz::in_domain(&min), "{min:?}");
         assert_eq!(min.faults.len(), 1);
-        assert_eq!(min.n, 2);
+        assert_eq!(min.n, 3);
+        assert_eq!(min.horizon_s, 900);
     }
 }

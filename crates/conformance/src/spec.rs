@@ -190,9 +190,8 @@ pub struct CaseSpec {
     /// Block width for the batched engine leg of
     /// [`Oracle::EngineEquivalence`] (1 = a single-cell block).
     /// Reproducer lines written before the batched engine existed lack
-    /// the field and deserialize to 0, which every consumer treats as 1
-    /// (sanitize clamps into `[1, 64]`; the oracle takes `max(1)`).
-    #[serde(default)]
+    /// the field and deserialize to 1.
+    #[serde(default = "one")]
     pub batch_width: usize,
     /// Anti-message cascade depth for [`Oracle::CascadeMeanField`] (how
     /// many recent contacts a rolled-back processor drags along; 0 = no
@@ -200,6 +199,10 @@ pub struct CaseSpec {
     /// absent from older reproducer lines, which deserialize to 0.
     #[serde(default)]
     pub depth: usize,
+}
+
+fn one() -> usize {
+    1
 }
 
 impl CaseSpec {
@@ -268,8 +271,8 @@ impl CaseSpec {
     /// Build the packet-level LAN counterpart of this case: DECnet-style
     /// 120 s updates with this case's jitter, forwarding effects disabled
     /// (`Concurrent`), faults installed. The LAN's update period is fixed
-    /// by the scenario (120 s), so the packet-level oracles read `tp_ms`
-    /// as 120 000 regardless of the field.
+    /// by the scenario (120 s); the packet-level oracles' domain pins
+    /// `tp_ms` to the same 120 000.
     pub fn build_lan(&self, seed: u64) -> Scenario {
         ScenarioSpec::lan(self.n, Duration::from_millis(self.tr_ms))
             .with_forwarding(ForwardingMode::Concurrent)
@@ -376,18 +379,24 @@ mod tests {
         .is_empty());
     }
 
+    /// A reproducer line written before the batched engine: it lacks
+    /// `batch_width` (and `depth`).
+    const PRE_BATCHED_LINE: &str = r#"{"seed":7,"spec":{"oracle":"EngineEquivalence","n":4,"tp_ms":10000,"tc_ms":110,"tr_ms":100,"sync_start":false,"horizon_s":1000,"faults":[]},"message":"m"}"#;
+
     #[test]
     fn batch_width_defaults_for_old_reproducers() {
-        // Reproducer lines written before the batched engine lack the
-        // field; they must still parse, with the 0 sentinel that every
-        // consumer reads as a width-1 (scalar-equivalent) block.
-        let line = r#"{"seed":7,"spec":{"oracle":"EngineEquivalence","n":4,"tp_ms":10000,"tc_ms":110,"tr_ms":100,"sync_start":false,"horizon_s":1000,"faults":[]},"message":"m"}"#;
-        let back = Reproducer::from_line(line).expect("parses");
-        assert_eq!(back.spec.batch_width, 0);
+        // The missing field parses as a width-1 (scalar-equivalent)
+        // block, which lies in the oracle's domain.
+        let back = Reproducer::from_line(PRE_BATCHED_LINE).expect("parses");
+        assert_eq!(back.spec.batch_width, 1);
         assert_eq!(back.spec.depth, 0);
-        let mut fixed = back.spec.clone();
-        crate::fuzz::sanitize(&mut fixed);
-        assert_eq!(fixed.batch_width, 1);
+        assert!(crate::fuzz::in_domain(&back.spec));
+    }
+
+    #[test]
+    fn reproducers_written_before_the_batched_engine_still_replay() {
+        let back = Reproducer::from_line(PRE_BATCHED_LINE).expect("parses");
+        assert_eq!(crate::fuzz::replay(&back, None), Ok(()));
     }
 
     #[test]

@@ -973,6 +973,33 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Lines outside their oracle's domain are refused, not run: each
+    /// would panic in the model it builds (`n` = 0 or `Tc` = 0 in
+    /// `PeriodicParams::new`, a fault on a router the LAN lacks).
+    #[test]
+    fn conformance_replay_refuses_specs_outside_the_domain() {
+        let dir = std::env::temp_dir().join("routesync-cli-refuse-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let lines = [
+            r#"{"seed":1,"spec":{"oracle":"EngineEquivalence","n":0,"tp_ms":10000,"tc_ms":110,"tr_ms":100,"sync_start":false,"horizon_s":1000,"faults":[],"batch_width":1,"depth":0},"message":""}"#,
+            r#"{"seed":1,"spec":{"oracle":"MarkovSync","n":4,"tp_ms":10000,"tc_ms":0,"tr_ms":100,"sync_start":false,"horizon_s":10000,"faults":[],"batch_width":1,"depth":0},"message":""}"#,
+            r#"{"seed":1,"spec":{"oracle":"NetsimTiming","n":4,"tp_ms":120000,"tc_ms":110,"tr_ms":1000,"sync_start":false,"horizon_s":1800,"faults":[{"Router":{"node":9,"down_s":300,"up_s":450}}],"batch_width":1,"depth":0},"message":""}"#,
+        ];
+        for (i, line) in lines.iter().enumerate() {
+            let path = dir.join(format!("line{i}.jsonl"));
+            std::fs::write(&path, format!("{line}\n")).expect("write");
+            match run(&args(&format!("conformance --replay {}", path.display()))) {
+                Err(CliError::Failure(out)) => {
+                    assert!(out.contains("refuses a spec outside its domain"), "{out}");
+                    assert!(out.contains("replayed 1 cases, 1 failing"), "{out}");
+                }
+                other => panic!("line {i} was not refused: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn serve_rejects_malformed_invocations() {
         assert!(run(&args("serve --spec sideways")).is_err());

@@ -49,6 +49,9 @@
 //! `core_events_per_sec` is reported as a warning on stderr but never
 //! changes the exit code — benchmark noise across machines must not
 //! fail a build.
+//!
+//! Any other argument is a usage error (exit 2), reported before anything
+//! is measured or written.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -340,8 +343,24 @@ fn paper_params(n: usize) -> PeriodicParams {
     )
 }
 
+const USAGE: &str = "\
+usage: bench [--fast] [--out=PATH.json] [--obs=PATH.json]
+       bench --compare=OLD.json [--out=PATH.json]
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &str| {
+        a == "--fast"
+            || ["--out=", "--obs=", "--compare="]
+                .iter()
+                .any(|p| a.starts_with(p))
+    };
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        eprintln!("bench: unknown argument `{bad}`");
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    }
     let fast = args.iter().any(|a| a == "--fast");
     let out = args
         .iter()

@@ -70,7 +70,13 @@ fn main() {
             false
         }
         _ if a.starts_with("--seed=") => {
-            cfg.seed = a["--seed=".len()..].parse().expect("numeric seed");
+            match a["--seed=".len()..].parse() {
+                Ok(seed) => cfg.seed = seed,
+                Err(_) => {
+                    eprintln!("experiments: --seed must be a non-negative integer");
+                    usage_error = true;
+                }
+            }
             false
         }
         _ if a.starts_with("--out=") => {
@@ -118,9 +124,10 @@ fn main() {
         }
         _ => true,
     });
+    let known: Vec<&str> = ALL.iter().map(|(id, _)| *id).collect();
     if usage_error || args.is_empty() {
         eprint!("{USAGE}");
-        eprintln!("ids: {}", ALL.join(" "));
+        eprintln!("ids: {}", known.join(" "));
         std::process::exit(2);
     }
     let telemetry = Session::start("experiments", obs).unwrap_or_else(|err| {
@@ -128,14 +135,14 @@ fn main() {
         std::process::exit(1);
     });
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL.to_vec()
+        known.clone()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
     for id in &ids {
-        if !ALL.contains(id) {
+        if !known.contains(id) {
             eprintln!("experiments: unknown experiment id `{id}`");
-            eprintln!("ids: {}", ALL.join(" "));
+            eprintln!("ids: {}", known.join(" "));
             std::process::exit(2);
         }
     }

@@ -63,7 +63,7 @@
 use std::collections::VecDeque;
 
 use routesync_desim::{Duration, SimTime};
-use routesync_rng::{JitterPolicy, TimerResetPolicy, UniformDuration};
+use routesync_rng::{MinStd, TimerResetPolicy, UniformDuration};
 
 use crate::model::NodeId;
 use crate::params::{PeriodicParams, StartState};
@@ -84,41 +84,19 @@ fn joins_burst(e: SimTime, boundary: SimTime, params: &PeriodicParams) -> bool {
     e < boundary
 }
 
-/// One router's re-arm draw, flattened from its (materialized) jitter
-/// policy: a uniform interval on `[lo, lo + span]` nanoseconds from a raw
-/// MinStd state (`routesync_rng::raw`). A zero span draws nothing,
-/// exactly like [`JitterPolicy::sample`].
+/// One router's re-arm draw: its (materialized) jitter policy's
+/// [`routesync_rng::JitterPolicy::interval`] and its generator. A
+/// zero-width interval draws nothing, exactly like
+/// [`routesync_rng::JitterPolicy::sample`].
 struct FastNode {
-    lo: u64,
-    span: u64,
-    rng: u32,
+    period: UniformDuration,
+    rng: MinStd,
 }
 
 impl FastNode {
-    fn new(jitter: JitterPolicy, rng: u32) -> Self {
-        let (lo, span) = match jitter {
-            JitterPolicy::None { tp } => (tp.as_nanos(), 0),
-            JitterPolicy::Uniform { tp, tr } => {
-                let d = UniformDuration::centered(tp, tr);
-                (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
-            }
-            JitterPolicy::UniformHalf { tp } => {
-                let d = UniformDuration::new(tp / 2, tp + tp / 2);
-                (d.lo().as_nanos(), d.hi().as_nanos() - d.lo().as_nanos())
-            }
-            // materialize() never returns FixedPerRouter.
-            JitterPolicy::FixedPerRouter { tp, .. } => (tp.as_nanos(), 0),
-        };
-        FastNode { lo, span, rng }
-    }
-
     #[inline]
     fn interval(&mut self) -> Duration {
-        Duration::from_nanos(routesync_rng::raw::sample_uniform_nanos(
-            &mut self.rng,
-            self.lo,
-            self.span,
-        ))
+        self.period.sample(&mut self.rng)
     }
 }
 
@@ -240,7 +218,10 @@ impl FastModel {
                 StartState::Offsets(offsets) => offsets[id],
             };
             self.ring.push_back((SimTime::ZERO + first, id));
-            self.nodes.push(FastNode::new(jitter, rng.state()));
+            self.nodes.push(FastNode {
+                period: jitter.interval(),
+                rng,
+            });
         }
         self.ring.make_contiguous().sort_unstable();
     }
@@ -474,6 +455,13 @@ mod tests {
     use crate::model::PeriodicModel;
     use crate::record::{ClusterLog, SendTrace};
     use routesync_desim::Duration;
+    use routesync_rng::JitterPolicy;
+
+    /// A router's re-arm state is its interval and one generator word.
+    #[test]
+    fn fast_node_fits_in_24_bytes() {
+        assert!(std::mem::size_of::<FastNode>() <= 24);
+    }
 
     fn params(n: usize, tr_ms: u64) -> PeriodicParams {
         PeriodicParams::new(

@@ -2,26 +2,20 @@
 
 use proptest::prelude::*;
 use routesync_desim::Duration;
-use routesync_rng::{dist, JitterPolicy, MinStd, MinStdAlgorithm};
+use routesync_rng::minstd::{MODULUS, MULTIPLIER};
+use routesync_rng::{dist, JitterPolicy, MinStd};
 
 proptest! {
-    /// All four Park-Miller implementations produce identical streams from
-    /// any valid seed.
+    /// The generator's stream equals a direct 64-bit remainder's from any
+    /// valid seed.
     #[test]
     fn minstd_algorithms_agree(seed in 1u32..0x7FFF_FFFE) {
-        let mut gens: Vec<MinStd> = [
-            MinStdAlgorithm::Reference,
-            MinStdAlgorithm::CartaFold,
-            MinStdAlgorithm::CartaDoubleFold,
-            MinStdAlgorithm::Schrage,
-        ]
-        .iter()
-        .map(|&a| MinStd::with_algorithm(seed, a))
-        .collect();
+        let mut g = MinStd::new(seed);
+        let mut reference = seed;
         for _ in 0..64 {
-            let vals: Vec<u32> = gens.iter_mut().map(|g| g.next()).collect();
-            prop_assert!(vals.windows(2).all(|w| w[0] == w[1]), "streams diverged: {vals:?}");
-            prop_assert!(vals[0] >= 1 && vals[0] < 0x7FFF_FFFF);
+            reference = ((reference as u64 * MULTIPLIER as u64) % MODULUS as u64) as u32;
+            prop_assert_eq!(g.next(), reference);
+            prop_assert!((1..MODULUS).contains(&reference));
         }
     }
 

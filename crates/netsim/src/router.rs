@@ -705,4 +705,20 @@ mod tests {
         };
         assert_eq!(update.entries, [RouteEntry { dst: 1, metric: 16 }]);
     }
+
+    /// A checkpoint written before `MinStd` lost its algorithm tag still
+    /// resumes: the tag is ignored and the stream continues unchanged.
+    #[test]
+    fn control_written_with_an_algorithm_tag_still_reads() {
+        let old = r#"{"rng":{"state":1733673622,"algorithm":"CartaFold"},"jitter":{"Uniform":{"tp":120000000000,"tr":50000000}},"busy_until":0,"arm_when_free":false,"pending_triggered":false,"sent_initial_full":false,"slowdown":1.0}"#;
+        let new = old.replace(r#","algorithm":"CartaFold""#, "");
+        let mut from_old: Control = serde_json::from_str(old).expect("old format parses");
+        let mut from_new: Control = serde_json::from_str(&new).expect("new format parses");
+        assert_eq!(from_old, from_new);
+        assert_eq!(serde_json::to_string(&from_old).unwrap(), new);
+        assert_eq!(from_old.rng, MinStd::new(1_733_673_622));
+        for _ in 0..16 {
+            assert_eq!(from_old.rng.next(), from_new.rng.next());
+        }
+    }
 }

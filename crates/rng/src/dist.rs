@@ -14,6 +14,7 @@ pub fn unit_f64(rng: &mut impl RngCore) -> f64 {
 
 /// An unbiased uniform integer in `[0, bound)` (Lemire's multiply-shift
 /// with rejection).
+#[inline]
 pub fn below(rng: &mut impl RngCore, bound: u64) -> u64 {
     assert!(bound > 0, "bound must be positive");
     loop {
@@ -76,18 +77,9 @@ impl UniformDuration {
         UniformDuration::new(center - half, center + half)
     }
 
-    /// Lower bound.
-    pub fn lo(&self) -> Duration {
-        self.lo
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> Duration {
-        self.hi
-    }
-
     /// Draw one sample (uniform over every representable nanosecond in the
     /// interval, inclusive).
+    #[inline]
     pub fn sample(&self, rng: &mut impl RngCore) -> Duration {
         let span = self.hi.as_nanos() - self.lo.as_nanos();
         if span == 0 {
@@ -120,32 +112,6 @@ impl Exp {
     pub fn sample(&self, rng: &mut impl RngCore) -> f64 {
         // -ln(1 - U) is Exp(1); 1-U is in (0, 1] so ln never sees zero.
         -(1.0 - unit_f64(rng)).ln() * self.mean
-    }
-}
-
-/// Symmetric triangular distribution on `[-width, +width]`.
-///
-/// The difference of two independent `U[−Tr, +Tr]` draws — i.e. the
-/// per-round relative drift between two *lone* routers in the Periodic
-/// Messages model — is triangular on `[−2·Tr, 2·Tr]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Triangular {
-    width: f64,
-}
-
-impl Triangular {
-    /// A symmetric triangular distribution on `[-width, width]`.
-    pub fn new(width: f64) -> Self {
-        assert!(width.is_finite() && width >= 0.0, "width must be >= 0");
-        Triangular { width }
-    }
-
-    /// Draw one sample (as the sum of two uniforms, which *is* the
-    /// definition we need, not an approximation).
-    pub fn sample(&self, rng: &mut impl RngCore) -> f64 {
-        let a = unit_f64(rng) - 0.5;
-        let b = unit_f64(rng) - 0.5;
-        (a + b) * self.width * 2.0
     }
 }
 
@@ -216,28 +182,6 @@ mod tests {
             (mean - 6.05).abs() < 0.05,
             "sample mean {mean} too far from 6.05"
         );
-    }
-
-    #[test]
-    fn triangular_is_symmetric_with_right_support() {
-        let mut g = rng();
-        let t = Triangular::new(0.1); // Tr for the reference parameters
-        let n = 200_000;
-        let mut sum = 0.0;
-        let mut in_center = 0u32;
-        for _ in 0..n {
-            let x = t.sample(&mut g);
-            assert!(x.abs() <= 0.2 + 1e-12, "outside [-2Tr, 2Tr]: {x}");
-            sum += x;
-            if x.abs() <= 0.1 {
-                in_center += 1;
-            }
-        }
-        assert!((sum / n as f64).abs() < 0.002, "not centred");
-        // A symmetric triangular on [-w, w] has 3/4 of its mass in
-        // [-w/2, w/2].
-        let frac = in_center as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.01, "mass in centre {frac} != 0.75");
     }
 
     #[test]

@@ -108,20 +108,25 @@ impl JitterPolicy {
         }
     }
 
-    /// Draw the next timer interval.
-    pub fn sample(&self, rng: &mut impl RngCore) -> Duration {
+    /// The interval the next timer period is drawn from. The
+    /// deterministic policies give a zero-width interval, which draws
+    /// nothing: `None` at its period and an un-materialized
+    /// `FixedPerRouter` at its mean period (the models always materialize
+    /// at setup).
+    pub fn interval(&self) -> UniformDuration {
         match *self {
-            JitterPolicy::None { tp } => tp,
-            JitterPolicy::Uniform { tp, tr } => UniformDuration::centered(tp, tr).sample(rng),
-            JitterPolicy::UniformHalf { tp } => {
-                UniformDuration::new(tp / 2, tp + tp / 2).sample(rng)
+            JitterPolicy::None { tp } | JitterPolicy::FixedPerRouter { tp, .. } => {
+                UniformDuration::new(tp, tp)
             }
-            JitterPolicy::FixedPerRouter { tp, .. } => {
-                // Un-materialized use falls back to the mean period; the
-                // models always materialize at setup.
-                tp
-            }
+            JitterPolicy::Uniform { tp, tr } => UniformDuration::centered(tp, tr),
+            JitterPolicy::UniformHalf { tp } => UniformDuration::new(tp / 2, tp + tp / 2),
         }
+    }
+
+    /// Draw the next timer interval.
+    #[inline]
+    pub fn sample(&self, rng: &mut impl RngCore) -> Duration {
+        self.interval().sample(rng)
     }
 }
 
@@ -215,6 +220,29 @@ mod tests {
         let mut g = rng();
         assert_eq!(m1.sample(&mut g), t1);
         assert_eq!(m1.sample(&mut g), t1);
+    }
+
+    #[test]
+    fn deterministic_policies_have_zero_width_intervals() {
+        let tp = Duration::from_secs(30);
+        let tr = Duration::from_secs(3);
+        for p in [
+            JitterPolicy::None { tp },
+            JitterPolicy::FixedPerRouter { tp, tr },
+        ] {
+            assert_eq!(p.interval(), UniformDuration::new(tp, tp), "{p:?}");
+            let mut g = rng();
+            assert_eq!(p.sample(&mut g), tp);
+            assert_eq!(g, rng(), "{p:?} must not draw");
+        }
+        assert_eq!(
+            JitterPolicy::Uniform { tp, tr }.interval(),
+            UniformDuration::new(tp - tr, tp + tr)
+        );
+        assert_eq!(
+            JitterPolicy::UniformHalf { tp }.interval(),
+            UniformDuration::new(tp / 2, tp + tp / 2)
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! prime), a full-period multiplicative congruential generator over
 //! `[1, m−1]`. The paper's closing recommendation for generating routing
 //! jitter points at D. Carta, *"Two Fast Implementations of the 'Minimal
-//! Standard' Random Number Generator"*, CACM 33(1), 1990. Both of Carta's
-//! implementations are provided, alongside Schrage's factorization, all
-//! producing bit-identical streams.
+//! Standard' Random Number Generator"*, CACM 33(1), 1990. The generator
+//! steps by Carta's fold, checked against the Park-Miller test vector and
+//! a direct 64-bit remainder in the tests.
 
 use rand_core::{impls, Error, RngCore};
 use serde::{Deserialize, Serialize};
@@ -15,32 +15,6 @@ use serde::{Deserialize, Serialize};
 pub const MULTIPLIER: u32 = 16_807;
 /// The modulus `m = 2³¹ − 1`.
 pub const MODULUS: u32 = 0x7FFF_FFFF;
-/// Schrage's quotient `q = m / a`.
-const SCHRAGE_Q: u32 = MODULUS / MULTIPLIER; // 127773
-/// Schrage's remainder `r = m mod a`.
-const SCHRAGE_R: u32 = MODULUS % MULTIPLIER; // 2836
-
-/// Which concrete stepping routine to use. All produce identical output;
-/// the enum exists so the equivalence can be tested and benchmarked, as in
-/// Carta's paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MinStdAlgorithm {
-    /// Carta's primary method: split the 46-bit product into the low 31
-    /// bits and the high 15 bits and fold (`lo + hi`, one conditional
-    /// subtract). One 64-bit multiply, no division.
-    #[default]
-    CartaFold,
-    /// Carta's alternative: the same fold expressed with a double-fold so
-    /// no intermediate exceeds 32 bits plus carry handling. (On modern
-    /// 64-bit hardware it is the same arithmetic; kept for fidelity.)
-    CartaDoubleFold,
-    /// Schrage's method: `a·(x mod q) − r·(x div q)`, all intermediates in
-    /// 32 bits — the classic portable formulation from Park & Miller.
-    Schrage,
-    /// Direct 64-bit remainder, the reference implementation the fast
-    /// methods are validated against.
-    Reference,
-}
 
 /// The minimal standard generator.
 ///
@@ -48,28 +22,19 @@ pub enum MinStdAlgorithm {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MinStd {
     state: u32,
-    algorithm: MinStdAlgorithm,
 }
 
 impl MinStd {
-    /// A generator with the given seed, using [`MinStdAlgorithm::CartaFold`].
+    /// A generator with the given seed.
     ///
     /// Panics if `seed` is not in `[1, m−1]` — 0 and `m` are fixed points of
     /// the recurrence and would freeze the generator.
     pub fn new(seed: u32) -> Self {
-        Self::with_algorithm(seed, MinStdAlgorithm::default())
-    }
-
-    /// A generator with an explicit stepping algorithm.
-    pub fn with_algorithm(seed: u32, algorithm: MinStdAlgorithm) -> Self {
         assert!(
             (1..MODULUS).contains(&seed),
             "MinStd seed must be in [1, 2^31-2], got {seed}"
         );
-        MinStd {
-            state: seed,
-            algorithm,
-        }
+        MinStd { state: seed }
     }
 
     /// Map an arbitrary 64-bit value onto a valid seed.
@@ -89,50 +54,14 @@ impl MinStd {
     /// (Named after the classic C interface; `MinStd` is not an iterator —
     /// the `rand_core::RngCore` impl is the idiomatic entry point.)
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> u32 {
-        self.state = match self.algorithm {
-            MinStdAlgorithm::CartaFold => step_carta_fold(self.state),
-            MinStdAlgorithm::CartaDoubleFold => step_carta_double_fold(self.state),
-            MinStdAlgorithm::Schrage => step_schrage(self.state),
-            MinStdAlgorithm::Reference => step_reference(self.state),
-        };
+        self.state = step_carta_fold(self.state);
         self.state
     }
 
-    /// Jump the generator `n` steps ahead in `O(log n)` via modular
-    /// exponentiation: `x_{k+n} = a^n · x_k mod m`.
-    ///
-    /// Lets one seed be partitioned into provably non-overlapping
-    /// substreams (e.g. `jump(i << 40)` for worker `i`) without drawing
-    /// and discarding.
-    pub fn jump(&mut self, n: u64) {
-        let a_n = pow_mod(MULTIPLIER as u64, n, MODULUS as u64);
-        self.state = ((self.state as u64 * a_n) % MODULUS as u64) as u32;
-    }
-
-    /// A uniform draw in `[0, 1)` with 31 bits of resolution.
-    pub fn next_f64(&mut self) -> f64 {
-        // (value - 1) is uniform on [0, m-2]; divide by (m-1) to stay < 1.
-        (self.next() - 1) as f64 / (MODULUS - 1) as f64
-    }
-
-    /// An unbiased uniform draw from `[0, bound)` (Lemire's method on a
-    /// 64-bit composite of two 31-bit outputs).
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        loop {
-            let x = self.composite_u64();
-            let (hi, lo) = mul_wide(x, bound);
-            // Reject the biased low fringe.
-            if lo >= bound || lo >= x.wrapping_neg() % bound {
-                return hi;
-            }
-        }
-    }
-
     /// Two generator steps packed into 62 uniform bits (top-aligned to 64).
+    #[inline]
     fn composite_u64(&mut self) -> u64 {
         let a = (self.next() - 1) as u64; // 31 bits, uniform on [0, m-2]
         let b = (self.next() - 1) as u64;
@@ -140,16 +69,12 @@ impl MinStd {
     }
 }
 
+/// Carta (1990): with `p = a·x` (46 bits), write `p = hi·2³¹ + lo`; since
+/// `2³¹ ≡ 1 (mod m)`, `p mod m = (hi + lo) mod m`, and `hi + lo < 2m` so
+/// one conditional subtraction completes the step. One 64-bit multiply,
+/// no division.
 #[inline]
-fn step_reference(x: u32) -> u32 {
-    ((x as u64 * MULTIPLIER as u64) % MODULUS as u64) as u32
-}
-
-/// Carta (1990), method 1: with `p = a·x` (46 bits), write
-/// `p = hi·2³¹ + lo`; since `2³¹ ≡ 1 (mod m)`, `p mod m = (hi + lo) mod m`,
-/// and `hi + lo < 2m` so one conditional subtraction completes the step.
-#[inline]
-pub(crate) fn step_carta_fold(x: u32) -> u32 {
+fn step_carta_fold(x: u32) -> u32 {
     let p = x as u64 * MULTIPLIER as u64;
     let lo = (p & MODULUS as u64) as u32;
     let hi = (p >> 31) as u32;
@@ -161,69 +86,17 @@ pub(crate) fn step_carta_fold(x: u32) -> u32 {
     }
 }
 
-/// Carta (1990), method 2: the same congruence carried out in pieces that
-/// each fit in 32 bits (as on the 16/32-bit hardware of the time). The fold
-/// is applied twice because the first fold can itself reach 32 bits.
-#[inline]
-fn step_carta_double_fold(x: u32) -> u32 {
-    let p = x as u64 * MULTIPLIER as u64;
-    let mut s = (p & MODULUS as u64) + (p >> 31);
-    // s < 2^32; fold once more to bring it under m.
-    s = (s & MODULUS as u64) + (s >> 31);
-    debug_assert!(s < MODULUS as u64 * 2);
-    if s >= MODULUS as u64 {
-        (s - MODULUS as u64) as u32
-    } else {
-        s as u32
-    }
-}
-
-/// Schrage (1979): `a·x mod m = a·(x mod q) − r·(x div q) (+ m if negative)`
-/// with `q = m div a`, `r = m mod a`, valid because `r < q`.
-#[inline]
-fn step_schrage(x: u32) -> u32 {
-    let hi = x / SCHRAGE_Q;
-    let lo = x % SCHRAGE_Q;
-    let t = (MULTIPLIER * lo) as i64 - (SCHRAGE_R * hi) as i64;
-    if t > 0 {
-        t as u32
-    } else {
-        (t + MODULUS as i64) as u32
-    }
-}
-
-/// `b^e mod m` by square-and-multiply (m < 2³², so intermediates fit u64).
-fn pow_mod(mut b: u64, mut e: u64, m: u64) -> u64 {
-    let mut acc = 1u64;
-    b %= m;
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = acc * b % m;
-        }
-        b = b * b % m;
-        e >>= 1;
-    }
-    acc
-}
-
-/// `(high, low)` words of the 128-bit product `a·b`.
-#[inline]
-fn mul_wide(a: u64, b: u64) -> (u64, u64) {
-    let p = a as u128 * b as u128;
-    ((p >> 64) as u64, p as u64)
-}
-
 impl RngCore for MinStd {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
-        // Discard the always-zero top bit by composing is overkill for the
-        // simulator; expose the raw 31-bit value shifted to fill 32 bits
-        // would bias. Use two steps for clean 32 bits.
+        // The raw 31-bit value shifted to fill 32 bits would bias the low
+        // bit; take the top 32 of two steps instead.
         (self.composite_u64() >> 32) as u32
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
-        // 62 + 2 low bits from a third step keeps all bits uniform enough
-        // for simulation use; for strict uniformity compose three steps.
+        // 62 bits from two steps, the two low bits from a third.
         let hi = self.composite_u64();
         let lo = (self.next() - 1) as u64 & 0b11;
         hi | lo
@@ -243,38 +116,39 @@ impl RngCore for MinStd {
 mod tests {
     use super::*;
 
+    /// The reference step: a direct 64-bit remainder.
+    fn step_reference(x: u32) -> u32 {
+        ((x as u64 * MULTIPLIER as u64) % MODULUS as u64) as u32
+    }
+
     /// Park & Miller's acceptance test: from seed 1, the 10,000th output is
     /// 1,043,618,065.
     #[test]
     fn park_miller_test_vector() {
-        for algo in [
-            MinStdAlgorithm::Reference,
-            MinStdAlgorithm::CartaFold,
-            MinStdAlgorithm::CartaDoubleFold,
-            MinStdAlgorithm::Schrage,
-        ] {
-            let mut g = MinStd::with_algorithm(1, algo);
-            let mut last = 0;
-            for _ in 0..10_000 {
-                last = g.next();
-            }
-            assert_eq!(last, 1_043_618_065, "algorithm {algo:?} fails the vector");
+        let mut g = MinStd::new(1);
+        let mut last = 0;
+        for _ in 0..10_000 {
+            last = g.next();
         }
+        assert_eq!(last, 1_043_618_065);
     }
 
     #[test]
     fn all_algorithms_agree_step_by_step() {
         let seeds = [1u32, 2, 16_807, 127_773, MODULUS - 1, 1_043_618_065];
         for seed in seeds {
-            let reference = step_reference(seed);
-            assert_eq!(step_carta_fold(seed), reference, "carta fold @ {seed}");
-            assert_eq!(
-                step_carta_double_fold(seed),
-                reference,
-                "carta double fold @ {seed}"
-            );
-            assert_eq!(step_schrage(seed), reference, "schrage @ {seed}");
+            let mut g = MinStd::new(seed);
+            let mut reference = seed;
+            for i in 0..64 {
+                reference = step_reference(reference);
+                assert_eq!(g.next(), reference, "seed {seed} step {i}");
+            }
         }
+    }
+
+    #[test]
+    fn state_is_one_word() {
+        assert_eq!(std::mem::size_of::<MinStd>(), 4);
     }
 
     #[test]
@@ -283,39 +157,6 @@ mod tests {
         for _ in 0..100_000 {
             let x = g.next();
             assert!((1..MODULUS).contains(&x));
-        }
-    }
-
-    #[test]
-    fn next_f64_is_in_unit_interval_and_roughly_uniform() {
-        let mut g = MinStd::new(7);
-        let n = 100_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let u = g.next_f64();
-            assert!((0.0..1.0).contains(&u));
-            sum += u;
-        }
-        let mean = sum / n as f64;
-        // Mean of U[0,1) is 0.5, sd of the sample mean ≈ 0.0009.
-        assert!((mean - 0.5).abs() < 0.005, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn next_below_is_unbiased_within_tolerance() {
-        let mut g = MinStd::new(99);
-        let bound = 7u64;
-        let mut counts = [0u32; 7];
-        let n = 70_000;
-        for _ in 0..n {
-            counts[g.next_below(bound) as usize] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = n as f64 / bound as f64;
-            assert!(
-                (c as f64 - expect).abs() < 5.0 * expect.sqrt(),
-                "bucket {i}: {c} vs {expect}"
-            );
         }
     }
 
@@ -329,32 +170,6 @@ mod tests {
     #[should_panic(expected = "seed must be")]
     fn modulus_seed_rejected() {
         let _ = MinStd::new(MODULUS);
-    }
-
-    #[test]
-    fn jump_matches_sequential_stepping() {
-        for n in [0u64, 1, 2, 7, 100, 9_999] {
-            let mut jumper = MinStd::new(42);
-            jumper.jump(n);
-            let mut stepper = MinStd::new(42);
-            for _ in 0..n {
-                stepper.next();
-            }
-            assert_eq!(jumper.state(), stepper.state(), "jump({n})");
-            // And the streams continue identically.
-            assert_eq!(jumper.next(), stepper.next());
-        }
-    }
-
-    #[test]
-    fn jump_partitions_do_not_collide_early() {
-        // Two far-apart substreams of one seed share no early outputs.
-        let mut a = MinStd::new(1);
-        let mut b = MinStd::new(1);
-        b.jump(1 << 40);
-        let xs: Vec<u32> = (0..64).map(|_| a.next()).collect();
-        let ys: Vec<u32> = (0..64).map(|_| b.next()).collect();
-        assert!(xs.iter().all(|x| !ys.contains(x)));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! finished figure's report to a crash-safe checkpoint so an interrupted
 //! `all` run picks up where it left off. See `docs/RESILIENCE.md`.
 
-use routesync_bench::{run, Config, ALL};
+use routesync_bench::{Config, Experiment, ALL};
 use routesync_exec::telemetry::{Outputs, Session};
 use routesync_exec::{checkpoint, interrupt, Ensemble, Quarantine, RunFailure, SuperviseConfig};
 
@@ -134,18 +134,19 @@ fn main() {
         eprintln!("experiments: {err}");
         std::process::exit(1);
     });
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        known.clone()
+    let selected: Vec<&(&str, Experiment)> = if args.iter().any(|a| a == "all") {
+        ALL.iter().collect()
     } else {
-        args.iter().map(|s| s.as_str()).collect()
+        args.iter()
+            .map(|id| {
+                ALL.iter().find(|(name, _)| name == id).unwrap_or_else(|| {
+                    eprintln!("experiments: unknown experiment id `{id}`");
+                    eprintln!("ids: {}", known.join(" "));
+                    std::process::exit(2);
+                })
+            })
+            .collect()
     };
-    for id in &ids {
-        if !known.contains(id) {
-            eprintln!("experiments: unknown experiment id `{id}`");
-            eprintln!("ids: {}", known.join(" "));
-            std::process::exit(2);
-        }
-    }
 
     // Optional checkpoint: one record per finished experiment, keyed by
     // id, value `<passed 0|1>\n<rendered report>`.
@@ -181,7 +182,7 @@ fn main() {
     let mut failures = 0;
     let mut quarantines: Vec<String> = Vec::new();
     let mut interrupted = false;
-    for id in ids {
+    for &&(id, experiment) in &selected {
         let reproducer = format!(
             "{{\"cmd\":\"experiments\",\"id\":\"{id}\",\"seed\":{},\"fast\":{}}}",
             cfg.seed, cfg.fast
@@ -219,8 +220,8 @@ fn main() {
                 .describe(|_, _| reproducer.clone())
                 .run(
                     || (),
-                    |(), _ctx, _, &id| {
-                        let outcome = run(id, &cfg);
+                    |(), _ctx, _, _| {
+                        let outcome = experiment(&cfg);
                         (outcome.report(), outcome.passed(), started.elapsed())
                     },
                 )

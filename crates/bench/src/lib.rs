@@ -58,11 +58,3 @@ pub const ALL: &[(&str, Experiment)] = &[
     ("ext_two_type", phenomena_ext::two_type),
     ("ext_pulse", phenomena_ext::pulse),
 ];
-
-/// Run one experiment by id.
-pub fn run(id: &str, cfg: &Config) -> Outcome {
-    match ALL.iter().find(|(name, _)| *name == id) {
-        Some((_, experiment)) => experiment(cfg),
-        None => panic!("unknown experiment id {id:?} (see routesync_bench::ALL)"),
-    }
-}

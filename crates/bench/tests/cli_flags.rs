@@ -58,7 +58,12 @@ fn bench_rejects_unknown_flags() {
     let bench = env!("CARGO_BIN_EXE_bench");
     let dir = std::env::temp_dir().join(format!("bench-cli-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create working directory");
-    for bad in [&["--fats"][..], &["--fast", "extra"], &["-f"]] {
+    for bad in [
+        &["--fats"][..],
+        &["--fast", "extra"],
+        &["-f"],
+        &["--compare=x"],
+    ] {
         let out = Command::new(bench)
             .args(bad)
             .current_dir(&dir)

@@ -11,9 +11,9 @@
 //! runner.
 //!
 //! Blocks add no speed over one cell per work item, and no semantics:
-//! the block API and [`Engine::Batched`] exist only because benchmark
-//! surfaces (routebench's sweep-sync workload and the `bench` binary)
-//! name them (`docs/PERFORMANCE.md` has the measurements).
+//! the block API and [`Engine::Batched`] exist only because routebench's
+//! sweep-sync workload names them (`docs/PERFORMANCE.md` has the
+//! measurements).
 
 use routesync_desim::SimTime;
 
@@ -177,9 +177,9 @@ where
 }
 
 /// An engine selection for [`crate::experiment::run_ensemble`], named
-/// only by benchmark surfaces (routebench's sweep-sync workload and the
-/// `bench` binary). [`Engine::Scalar`] and [`Engine::Batched`] are
-/// trace-identical; the choice only affects throughput.
+/// only by routebench's sweep-sync workload. [`Engine::Scalar`] and
+/// [`Engine::Batched`] are trace-identical; the choice only affects
+/// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Engine {
     /// One [`crate::FastModel`] per worker, reset per seed.

@@ -241,21 +241,6 @@ impl FastModel {
         self.round * self.params.n as u64 + self.fill
     }
 
-    /// The current phase vector: each router's pending timer expiry
-    /// modulo `period`, in nanoseconds, indexed by node id. Between
-    /// bursts every router has exactly one pending expiry, so this is
-    /// the instantaneous "where is everyone in the cycle" vector behind
-    /// the Kuramoto order parameter R(t); feed it (scaled to seconds)
-    /// to [`crate::analysis::order_parameter`].
-    pub fn phase_offsets_into(&self, period: Duration, out: &mut Vec<u64>) {
-        assert!(period.as_nanos() > 0, "period must be positive");
-        out.clear();
-        out.resize(self.params.n, 0);
-        for &(t, id) in &self.ring {
-            out[id] = t.as_nanos() % period.as_nanos();
-        }
-    }
-
     /// Re-arm a lone router: a `push_back` when its new expiry lands
     /// behind every pending one, otherwise a binary search and an insert.
     /// Returns how many pending expiries had to shift (`k`).

@@ -121,11 +121,6 @@ impl<E, S: Scheduler<E>> Engine<E, S> {
         self.queue.peek_time()
     }
 
-    /// Drop every pending event (the clock is untouched).
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
-    }
-
     /// Run events through `handler` until the queue drains, `horizon` is
     /// reached, `max_events` have been processed, or the handler returns
     /// `false`.

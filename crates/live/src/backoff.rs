@@ -68,11 +68,6 @@ impl DecorrelatedJitter {
             self.base_ns + dist::below(&mut self.rng, span + 1)
         }
     }
-
-    /// [`DecorrelatedJitter::next_delay_ns`] as a wall-clock duration.
-    pub fn next_delay(&mut self, prev_ns: u64) -> Duration {
-        Duration::from_nanos(self.next_delay_ns(prev_ns))
-    }
 }
 
 #[cfg(test)]

@@ -135,15 +135,6 @@ impl AreaLayout {
             .then_some(first)
     }
 
-    /// Whether node `n` is a border router of its area: attached to at
-    /// least one link that leaves the area (the backbone LAN or a
-    /// cross-area link).
-    pub fn is_border(&self, topo: &Topology, n: NodeId) -> bool {
-        topo.links_of(n)
-            .iter()
-            .any(|&l| self.link_area(topo, l).is_none())
-    }
-
     /// Validate the layout against a topology (every node covered).
     pub fn check(&self, topo: &Topology) {
         assert_eq!(

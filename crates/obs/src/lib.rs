@@ -89,8 +89,7 @@ use std::sync::{Arc, Mutex};
 pub use export::{folded_stacks, ndjson_line, prometheus_text, series_document, ObsServer};
 pub use metrics::{Counter, Gauge, Histogram, LocalHistogram};
 pub use online::{
-    onset_from_series, DetectorConfig, DetectorPoint, DetectorSnapshot, SyncDetector,
-    GAUGE_FIXED_POINT,
+    DetectorConfig, DetectorPoint, DetectorSnapshot, SyncDetector, GAUGE_FIXED_POINT,
 };
 pub use snapshot::{
     HistogramSnapshot, Snapshot, SpanSnapshot, TraceEventSnapshot, TraceSnapshot, REQUIRED_KEYS,

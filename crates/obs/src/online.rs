@@ -337,30 +337,6 @@ impl SyncDetector {
     }
 }
 
-/// First sustained crossing in a post-hoc R series: the time of the first
-/// point of the first run of `sustain` consecutive points with
-/// `r >= threshold`. The offline mirror of the online onset estimator,
-/// usable against `core::analysis::order_parameter_series` output.
-pub fn onset_from_series(series: &[(u64, f64)], threshold: f64, sustain: usize) -> Option<u64> {
-    assert!(sustain > 0, "sustain must be at least one window");
-    let mut above = 0usize;
-    let mut run_start = 0u64;
-    for &(t_ns, r) in series {
-        if r >= threshold {
-            if above == 0 {
-                run_start = t_ns;
-            }
-            above += 1;
-            if above >= sustain {
-                return Some(run_start);
-            }
-        } else {
-            above = 0;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,9 +410,7 @@ mod tests {
         d.on_send(410 * SEC);
         d.on_send(410 * SEC);
         assert_eq!(d.onset_t_ns(), Some(310 * SEC));
-        // The offline mirror agrees on the same series.
-        let series: Vec<(u64, f64)> = d.snapshot().points.iter().map(|p| (p.t_ns, p.r)).collect();
-        assert_eq!(onset_from_series(&series, 0.9, 2), Some(310 * SEC));
+        assert_eq!(d.snapshot().onset_t_ns, Some(310 * SEC));
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl CascadeSim {
         }
     }
 
-    /// Current local virtual times.
-    pub fn lvts(&self) -> &[i64] {
-        &self.lvt
-    }
-
     /// Global virtual time: the minimum LVT.
     pub fn gvt(&self) -> i64 {
         *self.lvt.iter().min().expect("n >= 2")

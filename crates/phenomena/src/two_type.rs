@@ -77,11 +77,6 @@ impl TwoTypeParams {
             initial_lag: 1.0,
         }
     }
-
-    /// The critical exchange rate `δ/J` of this system.
-    pub fn critical_rate(&self) -> f64 {
-        self.drift / self.jump
-    }
 }
 
 struct TwoTypeObs {
